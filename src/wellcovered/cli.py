@@ -26,7 +26,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement, product as iter_product
 from typing import Iterable, TextIO
 
@@ -44,18 +44,18 @@ from .independence import (
     DEFAULT_ENUMERATION_CAP,
     IsolatableWitness,
     WellCoveredReport,
-    is_well_covered,
+    _mis_profile,
     isolatable_vertices,
-    mis_size_histogram,
 )
 from .theorem import (
     FactorAnalysis,
     PairVerdict,
     ProductWitness,
+    _LazyAnalysis,
+    _orient_witness,
     analyze_factor,
     build_product_witness,
     verify_pair,
-    witness_inputs,
     witness_invariants,
 )
 
@@ -89,7 +89,6 @@ class ScanConfig:
     corpus_paths: tuple[str, ...] = ()
     generate_up_to: int = 5
     parallelism: int = 1
-    output_format: str = "json"
     connected_only: bool = False
     enum_cap: int = DEFAULT_ENUMERATION_CAP
 
@@ -102,8 +101,6 @@ class ScanConfig:
             raise ValueError(f"generate_up_to must be between 0 and {GENERATION_CAP}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be positive")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError("output format must be json or csv")
         if self.enum_cap < 1:
             raise ValueError("enumeration cap must be positive")
 
@@ -156,14 +153,6 @@ class ScanResult:
             }
             for g, h, p in sorted(counts)
         ]
-
-    def cell_count(self, g_wc: bool, h_wc: bool, product_wc: bool) -> int:
-        return sum(
-            1
-            for rec in self.records
-            if (rec.g_well_covered, rec.h_well_covered, rec.product_well_covered)
-            == (g_wc, h_wc, product_wc)
-        )
 
 
 def load_corpus(config: ScanConfig) -> list[Graph]:
@@ -227,6 +216,11 @@ def _evaluate_pair(
     return record, (verdict if not verdict.theorem_consistent else None)
 
 
+def _worker_count(requested: int, tasks: int) -> int:
+    """Pool size for a scan: never more workers than CPUs or tasks."""
+    return max(1, min(requested, os.cpu_count() or 1, tasks))
+
+
 def scan(config: ScanConfig) -> ScanResult:
     """Evaluate every unordered corpus pair whose product fits the cap."""
     corpus = load_corpus(config)
@@ -238,9 +232,10 @@ def scan(config: ScanConfig) -> ScanResult:
         for (g6_g, graph_g), (g6_h, graph_h) in combinations_with_replacement(labeled, 2)
         if graph_g.n * graph_h.n <= config.max_product_order
     ]
-    if config.parallelism > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (config.parallelism * 4))
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+    workers = _worker_count(config.parallelism, len(tasks))
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_evaluate_pair, tasks, chunksize=chunk))
     else:
         outcomes = [_evaluate_pair(task) for task in tasks]
@@ -276,40 +271,12 @@ def _isolatable_list(witnesses: Iterable[IsolatableWitness]) -> list[dict]:
     ]
 
 
+CSV_COLUMNS = [field.name for field in fields(ScanRecord)]
+
+
 def _record_dict(rec: ScanRecord) -> dict:
-    return {
-        "g6_g": rec.g6_g,
-        "g6_h": rec.g6_h,
-        "g_well_covered": rec.g_well_covered,
-        "g_alpha": rec.g_alpha,
-        "g_min_maximal": rec.g_min_maximal,
-        "g_isolatable": list(rec.g_isolatable),
-        "h_well_covered": rec.h_well_covered,
-        "h_alpha": rec.h_alpha,
-        "h_min_maximal": rec.h_min_maximal,
-        "h_isolatable": list(rec.h_isolatable),
-        "product_n": rec.product_n,
-        "product_m": rec.product_m,
-        "product_well_covered": rec.product_well_covered,
-        "product_alpha": rec.product_alpha,
-        "product_min_maximal": rec.product_min_maximal,
-        "theorem_consistent": rec.theorem_consistent,
-        "witness_applicable": rec.witness_applicable,
-        "witness_swapped": rec.witness_swapped,
-        "witness_big_size": rec.witness_big_size,
-        "witness_small_size": rec.witness_small_size,
-    }
-
-
-CSV_COLUMNS = [
-    "g6_g", "g6_h",
-    "g_well_covered", "g_alpha", "g_min_maximal", "g_isolatable",
-    "h_well_covered", "h_alpha", "h_min_maximal", "h_isolatable",
-    "product_n", "product_m",
-    "product_well_covered", "product_alpha", "product_min_maximal",
-    "theorem_consistent",
-    "witness_applicable", "witness_swapped", "witness_big_size", "witness_small_size",
-]
+    # Tuple fields serialise as JSON lists.
+    return {name: getattr(rec, name) for name in CSV_COLUMNS}
 
 
 def _csv_cell(value) -> str:
@@ -326,13 +293,12 @@ def render_scan_csv(result: ScanResult, out: TextIO) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in result.records:
-        row = _record_dict(rec)
-        writer.writerow([_csv_cell(row[col]) for col in CSV_COLUMNS])
+        writer.writerow([_csv_cell(getattr(rec, col)) for col in CSV_COLUMNS])
 
 
 def render_scan_json(result: ScanResult) -> str:
     config = result.config
-    # Execution details (parallelism, output format) are deliberately not
+    # Execution details (parallelism) are deliberately not
     # echoed: identical scan inputs give byte-identical reports.
     document = {
         "config": {
@@ -399,17 +365,29 @@ def _witness_dict(
 # ---------------------------------------------------------------------------
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
+_CAP_SOURCES = {
+    "enum_cap": ("--enum-cap", ENV_ENUM_CAP),
+    "product_cap": ("--product-cap", ENV_PRODUCT_CAP),
+}
+
+
+def _resolve_cap(args: argparse.Namespace, dest: str, fallback: int) -> int:
+    """The cap from its flag, else from its environment variable, else the
+    fallback; a value that is not a positive integer is an input error that
+    names where it came from."""
+    flag, env_name = _CAP_SOURCES[dest]
+    raw, source = getattr(args, dest), flag
+    if raw is None:
+        raw, source = os.environ.get(env_name) or None, env_name
+    if raw is None:
         return fallback
-    return int(raw)
-
-
-def _resolve_cap(flag_value: int | None, env_name: str, fallback: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    return _env_int(env_name, fallback)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{source} must be a positive integer, got {raw!r}")
+    return value
 
 
 def _print_json(obj: dict) -> None:
@@ -417,21 +395,19 @@ def _print_json(obj: dict) -> None:
 
 
 def _analysis_dict(graph: Graph, cap: int) -> dict:
-    report = is_well_covered(graph, cap)
+    report, histogram = _mis_profile(graph, cap)
     return {
         "graph6": to_graph6(graph),
         "n": graph.n,
         "m": graph.edge_count,
         **_report_dict(report),
-        "mis_size_histogram": {
-            str(size): count for size, count in mis_size_histogram(graph, cap).items()
-        },
+        "mis_size_histogram": {str(size): count for size, count in histogram.items()},
         "isolatable": _isolatable_list(isolatable_vertices(graph, cap)),
     }
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    enum_cap = _resolve_cap(args.enum_cap, ENV_ENUM_CAP, DEFAULT_ENUMERATION_CAP)
+    enum_cap = _resolve_cap(args, "enum_cap", DEFAULT_ENUMERATION_CAP)
     if args.graph == "-":
         for line in sys.stdin:
             if line.strip():
@@ -442,8 +418,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    enum_cap = _resolve_cap(args.enum_cap, ENV_ENUM_CAP, DEFAULT_ENUMERATION_CAP)
-    product_cap = _resolve_cap(args.product_cap, ENV_PRODUCT_CAP, DEFAULT_PRODUCT_CMD_CAP)
+    enum_cap = _resolve_cap(args, "enum_cap", DEFAULT_ENUMERATION_CAP)
+    product_cap = _resolve_cap(args, "product_cap", DEFAULT_PRODUCT_CMD_CAP)
     graph_g = from_graph6(args.g6_g)
     graph_h = from_graph6(args.g6_h)
     verdict = verify_pair(
@@ -481,17 +457,14 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    enum_cap = _resolve_cap(args.enum_cap, ENV_ENUM_CAP, DEFAULT_ENUMERATION_CAP)
-    product_cap = _resolve_cap(args.product_cap, ENV_PRODUCT_CAP, DEFAULT_WITNESS_CMD_CAP)
+    enum_cap = _resolve_cap(args, "enum_cap", DEFAULT_ENUMERATION_CAP)
+    product_cap = _resolve_cap(args, "product_cap", DEFAULT_WITNESS_CMD_CAP)
     graph_g = from_graph6(args.g6_g)
     graph_h = from_graph6(args.g6_h)
 
-    inputs = witness_inputs(graph_g, graph_h, enum_cap)
-    left, right, swapped = graph_g, graph_h, False
-    if inputs is None:
-        inputs = witness_inputs(graph_h, graph_g, enum_cap)
-        left, right, swapped = graph_h, graph_g, True
-    if inputs is None:
+    g, h = _LazyAnalysis(graph_g, enum_cap), _LazyAnalysis(graph_h, enum_cap)
+    oriented = _orient_witness(g, h)
+    if oriented is None:
         _print_json(
             {
                 "applicable": False,
@@ -499,13 +472,15 @@ def _cmd_witness(args: argparse.Namespace) -> int:
                     "neither orientation pairs an isolatable vertex with a "
                     "non-well-covered co-factor"
                 ),
-                "g_well_covered": is_well_covered(graph_g, enum_cap).verdict,
-                "h_well_covered": is_well_covered(graph_h, enum_cap).verdict,
-                "g_isolatable": [w.vertex for w in isolatable_vertices(graph_g, enum_cap)],
-                "h_isolatable": [w.vertex for w in isolatable_vertices(graph_h, enum_cap)],
+                "g_well_covered": g.report.verdict,
+                "h_well_covered": h.report.verdict,
+                "g_isolatable": [w.vertex for w in g.isolatable],
+                "h_isolatable": [w.vertex for w in h.isolatable],
             }
         )
         return EXIT_NOT_APPLICABLE
+    inputs, swapped = oriented
+    left, right = (graph_h, graph_g) if swapped else (graph_g, graph_h)
     witness = build_product_witness(
         left, inputs.iso, right, inputs.column_big, inputs.column_small,
         product_cap=product_cap,
@@ -518,8 +493,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    enum_cap = _resolve_cap(args.enum_cap, ENV_ENUM_CAP, DEFAULT_ENUMERATION_CAP)
-    product_cap = _resolve_cap(args.product_cap, ENV_PRODUCT_CAP, DEFAULT_SCAN_PRODUCT_ORDER)
+    enum_cap = _resolve_cap(args, "enum_cap", DEFAULT_ENUMERATION_CAP)
+    product_cap = _resolve_cap(args, "product_cap", DEFAULT_SCAN_PRODUCT_ORDER)
     gen_up_to = args.gen_up_to
     if gen_up_to is None:
         gen_up_to = 0 if args.corpus else 5
@@ -529,16 +504,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         corpus_paths=tuple(args.corpus),
         generate_up_to=gen_up_to,
         parallelism=args.jobs,
-        output_format=args.format,
         connected_only=args.connected_only,
         enum_cap=enum_cap,
     )
     result = scan(config)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            _write_scan(result, handle)
+            _write_scan(result, args.format, handle)
     else:
-        _write_scan(result, sys.stdout)
+        _write_scan(result, args.format, sys.stdout)
     print(
         f"scanned {len(result.records)} pairs, {len(result.violations)} violations",
         file=sys.stderr,
@@ -546,8 +520,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if result.violations else EXIT_OK
 
 
-def _write_scan(result: ScanResult, out: TextIO) -> None:
-    if result.config.output_format == "csv":
+def _write_scan(result: ScanResult, output_format: str, out: TextIO) -> None:
+    if output_format == "csv":
         render_scan_csv(result, out)
     else:
         out.write(render_scan_json(result))
@@ -579,15 +553,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="analyze one graph (or stdin lines)")
     p_analyze.add_argument("graph", help="graph6 line, or - to read lines from stdin")
-    p_analyze.add_argument("--enum-cap", type=int, default=None,
+    p_analyze.add_argument("--enum-cap", default=None,
                            help=f"enumeration order cap (default {DEFAULT_ENUMERATION_CAP})")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_product = sub.add_parser("product", help="verify one factor pair")
     p_product.add_argument("g6_g")
     p_product.add_argument("g6_h")
-    p_product.add_argument("--enum-cap", type=int, default=None)
-    p_product.add_argument("--product-cap", type=int, default=None,
+    p_product.add_argument("--enum-cap", default=None)
+    p_product.add_argument("--product-cap", default=None,
                            help=f"product order cap (default {DEFAULT_PRODUCT_CMD_CAP})")
     p_product.set_defaults(func=_cmd_product)
 
@@ -596,15 +570,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_witness.add_argument("g6_g")
     p_witness.add_argument("g6_h")
-    p_witness.add_argument("--enum-cap", type=int, default=None)
-    p_witness.add_argument("--product-cap", type=int, default=None,
+    p_witness.add_argument("--enum-cap", default=None)
+    p_witness.add_argument("--product-cap", default=None,
                            help=f"product order cap (default {DEFAULT_WITNESS_CMD_CAP})")
     p_witness.set_defaults(func=_cmd_witness)
 
     p_scan = sub.add_parser("scan", help="scan all unordered corpus pairs")
     p_scan.add_argument("--max-n", type=int, default=DEFAULT_SCAN_FACTOR_ORDER,
                         help="max factor order (default %(default)s)")
-    p_scan.add_argument("--product-cap", type=int, default=None,
+    p_scan.add_argument("--product-cap", default=None,
                         help=f"max product order (default {DEFAULT_SCAN_PRODUCT_ORDER})")
     p_scan.add_argument("--corpus", action="append", default=[], metavar="FILE",
                         help="graph6 file, one line per graph (repeatable)")
@@ -616,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", default=None, help="write the report to this path")
     p_scan.add_argument("--connected-only", action="store_true",
                         help="keep only connected corpus graphs")
-    p_scan.add_argument("--enum-cap", type=int, default=None)
+    p_scan.add_argument("--enum-cap", default=None)
     p_scan.set_defaults(func=_cmd_scan)
 
     p_gen = sub.add_parser("gen", help="emit canonical graph6 lines for one order")

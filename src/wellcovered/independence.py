@@ -11,7 +11,6 @@ lexicographic order of their ascending vertex sequences.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -21,8 +20,9 @@ from .graphs import (
     ProductIndexMap,
     SubgraphMap,
     VertexSet,
+    _check_set,
     delete_closed_neighborhood,
-    induced_subgraph,
+    iter_bits,
 )
 
 DEFAULT_ENUMERATION_CAP = 36
@@ -69,16 +69,9 @@ class GreedyDecomposition:
         return len(self.blocks)
 
 
-def _check_set(graph: Graph, s: VertexSet) -> None:
-    if s.n != graph.n:
-        raise ValueError(
-            f"vertex set of host order {s.n} does not match graph of order {graph.n}"
-        )
-
-
-def _check_cap(graph: Graph, cap: int) -> None:
-    if graph.n > cap:
-        raise CapExceeded(f"graph order {graph.n} exceeds enumeration cap {cap}")
+def _check_cap(order: int, cap: int) -> None:
+    if order > cap:
+        raise CapExceeded(f"graph order {order} exceeds enumeration cap {cap}")
 
 
 def is_independent(graph: Graph, s: VertexSet) -> bool:
@@ -93,12 +86,20 @@ def is_independent(graph: Graph, s: VertexSet) -> bool:
 def is_maximal_independent(graph: Graph, s: VertexSet) -> bool:
     """True iff S is independent and dominating (no vertex can be added)."""
     _check_set(graph, s)
-    covered = s.mask
-    for v in s:
-        if graph.adj[v] & s.mask:
+    return _maximal_independent_within(graph, graph.full_mask, s.mask)
+
+
+def _maximal_independent_within(graph: Graph, allowed_mask: int, chosen_mask: int) -> bool:
+    """Maximal independence of ``chosen_mask`` inside the subgraph induced by
+    ``allowed_mask``, checked without building the subgraph."""
+    if chosen_mask & ~allowed_mask:
+        return False
+    dominated = chosen_mask
+    for v in iter_bits(chosen_mask):
+        if graph.adj[v] & chosen_mask:
             return False
-        covered |= graph.adj[v]
-    return covered == graph.full_mask
+        dominated |= graph.adj[v]
+    return allowed_mask & ~dominated == 0
 
 
 def enumerate_maximal_independent_sets(
@@ -110,20 +111,22 @@ def enumerate_maximal_independent_sets(
     first emitted set is the greedy one.  The cap is checked eagerly, before
     the stream produces anything.
     """
-    _check_cap(graph, cap)
-    return _mis_stream(graph)
+    _check_cap(graph.n, cap)
+    return (VertexSet(mask, graph.n) for mask in _mis_masks(graph))
 
 
-def _mis_stream(graph: Graph) -> Iterator[VertexSet]:
-    n = graph.n
-    full = graph.full_mask
+def _mis_masks(graph: Graph, universe: int | None = None) -> Iterator[int]:
+    """Masks of the maximal independent sets of the subgraph induced by
+    ``universe`` (the whole graph by default), in lexicographic order of
+    their ascending vertex sequences.  No cap check: callers make it."""
+    full = graph.full_mask if universe is None else universe
     closed = graph.closed_adj
 
-    def walk(chosen: int, dominated: int, start: int) -> Iterator[VertexSet]:
-        if dominated == full:
-            yield VertexSet(chosen, n)
-            return
+    def walk(chosen: int, dominated: int, start: int) -> Iterator[int]:
         undominated = full & ~dominated
+        if not undominated:
+            yield chosen
+            return
         candidates = (undominated >> start) << start
         # A branch is dead as soon as some vertex can no longer be dominated
         # by any remaining candidate.
@@ -142,26 +145,47 @@ def _mis_stream(graph: Graph) -> Iterator[VertexSet]:
     return walk(0, 0, 0)
 
 
+def _mis_profile(graph: Graph, cap: int) -> tuple[WellCoveredReport, dict[int, int]]:
+    """One enumeration pass: the well-covered report (with the first sets in
+    enumeration order of the largest and the smallest size) and the map
+    size -> number of maximal independent sets of that size."""
+    _check_cap(graph.n, cap)
+    counts = [0] * (graph.n + 1)
+    alpha, low = -1, graph.n + 1
+    big = small = 0
+    for mask in _mis_masks(graph):
+        size = mask.bit_count()
+        counts[size] += 1
+        if size > alpha:
+            alpha, big = size, mask
+        if size < low:
+            low, small = size, mask
+    report = WellCoveredReport(
+        verdict=alpha == low,
+        alpha=alpha,
+        min_maximal=low,
+        witness_max=VertexSet(big, graph.n),
+        witness_min=VertexSet(small, graph.n),
+    )
+    return report, {size: count for size, count in enumerate(counts) if count}
+
+
 def independence_number(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Size of a largest independent set."""
-    return max(len(s) for s in enumerate_maximal_independent_sets(graph, cap))
+    return _mis_profile(graph, cap)[0].alpha
 
 
 def mis_size_histogram(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
     """Map size -> number of maximal independent sets of that size."""
-    sizes = Counter(len(s) for s in enumerate_maximal_independent_sets(graph, cap))
-    return dict(sorted(sizes.items()))
+    return _mis_profile(graph, cap)[1]
 
 
 def well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Fast verdict only: stops at the first size disagreement."""
-    first = None
-    for s in enumerate_maximal_independent_sets(graph, cap):
-        if first is None:
-            first = len(s)
-        elif len(s) != first:
-            return False
-    return True
+    _check_cap(graph.n, cap)
+    masks = _mis_masks(graph)
+    first = next(masks).bit_count()
+    return all(mask.bit_count() == first for mask in masks)
 
 
 def is_well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> WellCoveredReport:
@@ -170,24 +194,7 @@ def is_well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> WellCov
     Enumerates every maximal independent set so that both extremes are
     certified; use :func:`well_covered` when only the verdict matters.
     """
-    alpha = -1
-    min_size: int | None = None
-    witness_max: VertexSet | None = None
-    witness_min: VertexSet | None = None
-    for s in enumerate_maximal_independent_sets(graph, cap):
-        size = len(s)
-        if size > alpha:
-            alpha, witness_max = size, s
-        if min_size is None or size < min_size:
-            min_size, witness_min = size, s
-    assert witness_max is not None and witness_min is not None and min_size is not None
-    return WellCoveredReport(
-        verdict=alpha == min_size,
-        alpha=alpha,
-        min_maximal=min_size,
-        witness_max=witness_max,
-        witness_min=witness_min,
-    )
+    return _mis_profile(graph, cap)[0]
 
 
 def isolatable_vertices(
@@ -200,21 +207,18 @@ def isolatable_vertices(
     dominates N(x) in G, so it suffices to search those: for each candidate
     M of G - N[x] (in enumeration order) test whether M dominates N(x).
     """
-    out: list[IsolatableWitness] = []
+    found: list[tuple[int, int]] = []
     for x in range(graph.n):
-        outside = VertexSet(graph.full_mask & ~graph.closed_adj[x], graph.n)
-        residual, back = induced_subgraph(graph, outside)
-        _check_cap(residual, cap)
-        neighbor_mask = graph.adj[x]
-        for candidate in enumerate_maximal_independent_sets(residual, cap):
-            certificate = back.to_original(candidate)
-            dominated = certificate.mask
-            for v in certificate:
+        outside = graph.full_mask & ~graph.closed_adj[x]
+        _check_cap(outside.bit_count(), cap)
+        for candidate in _mis_masks(graph, outside):
+            dominated = 0
+            for v in iter_bits(candidate):
                 dominated |= graph.adj[v]
-            if neighbor_mask & ~dominated == 0:
-                out.append(IsolatableWitness(x, certificate))
+            if not graph.adj[x] & ~dominated:
+                found.append((x, candidate))
                 break
-    return out
+    return [IsolatableWitness(x, VertexSet(mask, graph.n)) for x, mask in found]
 
 
 def greedy_decomposition(
@@ -256,16 +260,14 @@ def enumerate_greedy_decompositions(
     Decompositions are ordered lists: the same blocks in a different order
     count as distinct.  Complete when not truncated by ``limit``.
     """
-    _check_cap(graph, cap)
+    _check_cap(graph.n, cap)
 
     def stage(remaining: int, prefix: tuple[VertexSet, ...]) -> Iterator[GreedyDecomposition]:
         if not remaining:
             yield GreedyDecomposition(graph.n, prefix)
             return
-        residual, back = induced_subgraph(graph, VertexSet(remaining, graph.n))
-        for block_sub in _mis_stream(residual):
-            block = back.to_original(block_sub)
-            yield from stage(remaining & ~block.mask, prefix + (block,))
+        for block in _mis_masks(graph, remaining):
+            yield from stage(remaining & ~block, prefix + (VertexSet(block, graph.n),))
 
     stream = stage(graph.full_mask, ())
     return stream if limit is None else itertools.islice(stream, limit)
@@ -275,21 +277,14 @@ def is_greedy_decomposition(graph: Graph, decomposition: GreedyDecomposition) ->
     """Validate the decomposition invariants against its host graph."""
     if decomposition.n != graph.n:
         return False
-    seen = 0
     remaining = graph.full_mask
     for block in decomposition.blocks:
-        if block.n != graph.n or block.mask & seen:
+        if block.n != graph.n:
             return False
-        residual, back = induced_subgraph(graph, VertexSet(remaining, graph.n))
-        try:
-            inside = back.to_sub(block)
-        except ValueError:
+        if not _maximal_independent_within(graph, remaining, block.mask):
             return False
-        if not is_maximal_independent(residual, inside):
-            return False
-        seen |= block.mask
         remaining &= ~block.mask
-    return seen == graph.full_mask
+    return remaining == 0
 
 
 def diagonal_set(

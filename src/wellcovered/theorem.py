@@ -20,6 +20,7 @@ factor pairs without isolatable vertices whose product is well-covered.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (
     Graph,
@@ -34,6 +35,7 @@ from .independence import (
     DEFAULT_ENUMERATION_CAP,
     IsolatableWitness,
     WellCoveredReport,
+    _maximal_independent_within,
     enumerate_maximal_independent_sets,
     is_maximal_independent,
     is_well_covered,
@@ -140,6 +142,22 @@ class PairVerdict:
     violation: ViolationCertificate | None
     witness: ProductWitness | None
     witness_swapped: bool
+
+
+@dataclass
+class _LazyAnalysis:
+    """The fields of a :class:`FactorAnalysis`, each computed on first use."""
+
+    graph: Graph
+    cap: int
+
+    @cached_property
+    def report(self) -> WellCoveredReport:
+        return is_well_covered(self.graph, self.cap)
+
+    @cached_property
+    def isolatable(self) -> tuple[IsolatableWitness, ...]:
+        return tuple(isolatable_vertices(self.graph, self.cap))
 
 
 def analyze_factor(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> FactorAnalysis:
@@ -252,17 +270,34 @@ def witness_inputs(
     factor is not well-covered; the earliest isolatable witness and the first
     extreme sets of the right factor are chosen.
     """
-    iso_list = isolatable_vertices(graph_left, cap)
-    if not iso_list:
-        return None
-    report = is_well_covered(graph_right, cap)
-    if report.verdict:
+    left, right = _LazyAnalysis(graph_left, cap), _LazyAnalysis(graph_right, cap)
+    return _applicable_inputs(left, right)
+
+
+def _applicable_inputs(
+    left: FactorAnalysis | _LazyAnalysis, right: FactorAnalysis | _LazyAnalysis
+) -> WitnessInputs | None:
+    if not left.isolatable or right.report.verdict:
         return None
     return WitnessInputs(
-        iso=iso_list[0],
-        column_big=report.witness_max,
-        column_small=report.witness_min,
+        iso=left.isolatable[0],
+        column_big=right.report.witness_max,
+        column_small=right.report.witness_min,
     )
+
+
+def _orient_witness(
+    g: FactorAnalysis | _LazyAnalysis, h: FactorAnalysis | _LazyAnalysis
+) -> tuple[WitnessInputs, bool] | None:
+    """The witness orientation rule: (G, H) when G has an isolatable vertex
+    and H is not well-covered, else (H, G) when that applies.  Returns the
+    inputs and whether the factors were swapped.  A lazy analysis of H has
+    its isolatable list computed only when (G, H) does not apply."""
+    inputs = _applicable_inputs(g, h)
+    if inputs is not None:
+        return inputs, False
+    inputs = _applicable_inputs(h, g)
+    return None if inputs is None else (inputs, True)
 
 
 def witness_invariants(
@@ -306,19 +341,6 @@ def witness_invariants(
             >= len(witness.column_big) - len(witness.column_small)
         ),
     }
-
-
-def _maximal_independent_within(graph: Graph, allowed_mask: int, chosen_mask: int) -> bool:
-    """Maximal independence of ``chosen_mask`` inside the subgraph induced by
-    ``allowed_mask``, checked without building the subgraph."""
-    if chosen_mask & ~allowed_mask:
-        return False
-    dominated = chosen_mask
-    for v in iter_bits(chosen_mask):
-        if graph.adj[v] & chosen_mask:
-            return False
-        dominated |= graph.adj[v]
-    return allowed_mask & ~dominated == 0
 
 
 def check_disjoint_mis(
@@ -367,20 +389,20 @@ def check_disjoint_mis(
 
 
 def _factor_disjoint_mis(graph: Graph, cap: int) -> FactorDisjointMis:
-    sets = list(enumerate_maximal_independent_sets(graph, cap))
-    counterexample = None
-    for s in sets:
-        if not any(s.isdisjoint(t) for t in sets if t is not s):
-            counterexample = s
-            break
-    unequal = None
-    for i, s in enumerate(sets):
-        for t in sets[i + 1:]:
-            if s.isdisjoint(t) and len(s) != len(t):
-                unequal = (s, t)
-                break
-        if unequal:
-            break
+    n = graph.n
+    sets = [s.mask for s in enumerate_maximal_independent_sets(graph, cap)]
+    counterexample = next(
+        (VertexSet(s, n) for s in sets if not any(s & t == 0 for t in sets if t != s)), None
+    )
+    unequal = next(
+        (
+            (VertexSet(s, n), VertexSet(t, n))
+            for i, s in enumerate(sets)
+            for t in sets[i + 1:]
+            if s & t == 0 and s.bit_count() != t.bit_count()
+        ),
+        None,
+    )
     return FactorDisjointMis(
         all_have_disjoint=counterexample is None,
         counterexample=counterexample,
@@ -422,25 +444,14 @@ def verify_pair(
 
     witness = None
     swapped = False
-    if g_analysis.isolatable and not h_analysis.report.verdict:
+    oriented = _orient_witness(g_analysis, h_analysis)
+    if oriented is not None:
+        inputs, swapped = oriented
+        left, right = (graph_right, graph_left) if swapped else (graph_left, graph_right)
         witness = build_product_witness(
-            graph_left,
-            g_analysis.isolatable[0],
-            graph_right,
-            h_analysis.report.witness_max,
-            h_analysis.report.witness_min,
+            left, inputs.iso, right, inputs.column_big, inputs.column_small,
             product_cap=product_cap,
         )
-    elif h_analysis.isolatable and not g_analysis.report.verdict:
-        witness = build_product_witness(
-            graph_right,
-            h_analysis.isolatable[0],
-            graph_left,
-            g_analysis.report.witness_max,
-            g_analysis.report.witness_min,
-            product_cap=product_cap,
-        )
-        swapped = True
 
     return PairVerdict(
         g_report=g_analysis.report,

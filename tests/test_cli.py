@@ -1,7 +1,9 @@
 import io
 import json
 
-from wellcovered import cli, to_graph6
+import pytest
+
+from wellcovered import cli, theorem, to_graph6
 from wellcovered.cli import ScanConfig, ScanResult, render_scan_json, scan
 
 from oracles import cycle_graph, path_graph
@@ -92,6 +94,29 @@ def test_analyze_flag_beats_env(capsys, monkeypatch):
     assert code == 0 and doc["alpha"] == 2
 
 
+CAP_CASES = [
+    (command, flag, env)
+    for command in ("analyze", "product", "witness", "scan")
+    for flag, env in (
+        ("--enum-cap", "WELLCOVERED_ENUM_CAP"),
+        ("--product-cap", "WELLCOVERED_PRODUCT_CAP"),
+    )
+    if not (command == "analyze" and flag == "--product-cap")
+]
+CAP_ARGS = {"analyze": ["Bg"], "product": ["Bg", "Bg"], "witness": ["Bg", "Bg"], "scan": []}
+
+
+@pytest.mark.parametrize("bad", ["abc", "0", "-1"])
+@pytest.mark.parametrize("command,flag,env", CAP_CASES)
+def test_bad_cap_exits_2_and_names_its_source(capsys, monkeypatch, command, flag, env, bad):
+    argv = [command, *CAP_ARGS[command]]
+    code, _, err = run_cli(capsys, argv + [f"{flag}={bad}"])
+    assert code == 2 and flag in err
+    monkeypatch.setenv(env, bad)
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2 and env in err
+
+
 # --- product ----------------------------------------------------------------------
 
 
@@ -163,6 +188,37 @@ def test_witness_swapped_orientation(capsys):
     assert code == 0
     assert doc["swapped"] is True
     assert doc["all_checks_pass"] is True
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of ``name`` through every module attribute that can reach it."""
+    calls = []
+    for module in (cli, theorem):
+        original = getattr(module, name, None)
+        if original is not None:
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_witness_skips_second_isolatable_list_when_first_orientation_applies(
+    capsys, monkeypatch
+):
+    calls = count_calls(monkeypatch, "isolatable_vertices")
+    code, doc, _ = run_json(capsys, ["witness", "Bg", "Bg"])
+    assert code == 0 and doc["swapped"] is False
+    assert len(calls) == 1
+
+
+def test_witness_not_applicable_reuses_factor_analysis(capsys, monkeypatch):
+    isolatable = count_calls(monkeypatch, "isolatable_vertices")
+    reports = count_calls(monkeypatch, "is_well_covered")
+    c5_line = to_graph6(cycle_graph(5))
+    code, doc, _ = run_json(capsys, ["witness", c5_line, "Bg"])
+    assert code == 4 and doc["g_isolatable"] == [] and doc["h_isolatable"] == [0, 2]
+    assert len(isolatable) == 2 and len(reports) == 2
 
 
 # --- scan --------------------------------------------------------------------------
@@ -241,11 +297,37 @@ def test_scan_records_sorted_and_csv_roundtrip(tmp_path, capsys):
     assert len(lines) == 1 + len(doc["records"])
 
 
+def test_scan_csv_header_and_rows(capsys):
+    argv = ["scan", "--gen-up-to", "3", "--max-n", "3", "--format", "csv"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == (
+        "g6_g,g6_h,g_well_covered,g_alpha,g_min_maximal,g_isolatable,"
+        "h_well_covered,h_alpha,h_min_maximal,h_isolatable,product_n,product_m,"
+        "product_well_covered,product_alpha,product_min_maximal,theorem_consistent,"
+        "witness_applicable,witness_swapped,witness_big_size,witness_small_size"
+    )
+    assert lines[1] == "@,@,true,1,1,0,true,1,1,0,1,0,true,1,1,true,false,,,"
+    assert "BW,BW,false,2,1,0;1,false,2,1,0;1,9,12,false,5,3,true,true,false,5,3" in lines
+
+
 def test_scan_deterministic_across_jobs():
     base = dict(generate_up_to=3, max_factor_order=3)
     serial = scan(ScanConfig(parallelism=1, **base))
     parallel = scan(ScanConfig(parallelism=2, **base))
     assert render_scan_json(serial) == render_scan_json(parallel)
+
+
+def test_scan_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._worker_count(5000, 1378) == 4
+    assert cli._worker_count(5000, 3) == 3
+    assert cli._worker_count(2, 1378) == 2
+    assert cli._worker_count(1, 1378) == 1
+    assert cli._worker_count(8, 0) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(8, 1378) == 1
 
 
 def test_scan_violation_exit_code(capsys, monkeypatch):

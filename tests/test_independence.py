@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wellcovered import (
@@ -16,6 +18,7 @@ from wellcovered import (
     mis_size_histogram,
     well_covered,
 )
+from wellcovered.independence import _mis_masks
 
 from oracles import (
     atlas_graphs,
@@ -79,6 +82,23 @@ def test_enumeration_matches_oracle_order_seven_atlas():
     for n, edges in atlas_graphs(7, 7):
         graph = Graph.from_edges(n, edges)
         assert mis_list(graph) == brute_maximal_independent_sets(n, edges)
+
+
+def test_mis_masks_match_oracle_on_induced_subgraphs():
+    rng = random.Random(6681)
+    for n, edges in atlas_graphs(1, 7):
+        graph = Graph.from_edges(n, edges)
+        whole = [s.mask for s in enumerate_maximal_independent_sets(graph)]
+        assert list(_mis_masks(graph)) == whole
+        for universe in (0, graph.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
+            kept = [v for v in range(n) if universe >> v & 1]
+            index = {v: i for i, v in enumerate(kept)}
+            sub_edges = [(index[u], index[v]) for u, v in edges if u in index and v in index]
+            expected = [
+                sum(1 << kept[i] for i in s)
+                for s in brute_maximal_independent_sets(len(kept), sub_edges)
+            ]
+            assert list(_mis_masks(graph, universe)) == expected
 
 
 def test_enumeration_on_order_zero():
