@@ -25,9 +25,10 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import combinations_with_replacement, product as iter_product
+from itertools import chain, combinations_with_replacement, product as iter_product
 from typing import Iterable, TextIO
 
 from .corpus import GENERATION_CAP, generate_all_graphs
@@ -51,7 +52,6 @@ from .theorem import (
     FactorAnalysis,
     PairVerdict,
     ProductWitness,
-    _LazyAnalysis,
     _orient_witness,
     analyze_factor,
     build_product_witness,
@@ -139,11 +139,10 @@ class ScanResult:
 
     @property
     def cells(self) -> list[dict]:
-        counts: dict[tuple[bool, bool, bool], int] = {
-            key: 0 for key in iter_product((False, True), repeat=3)
-        }
-        for rec in self.records:
-            counts[(rec.g_well_covered, rec.h_well_covered, rec.product_well_covered)] += 1
+        counts = Counter(
+            (rec.g_well_covered, rec.h_well_covered, rec.product_well_covered)
+            for rec in self.records
+        )
         return [
             {
                 "g_well_covered": g,
@@ -151,7 +150,7 @@ class ScanResult:
                 "product_well_covered": p,
                 "count": counts[(g, h, p)],
             }
-            for g, h, p in sorted(counts)
+            for g, h, p in iter_product((False, True), repeat=3)
         ]
 
 
@@ -202,16 +201,10 @@ def _record_from_verdict(g6_g: str, g6_h: str, verdict: PairVerdict) -> ScanReco
 
 
 def _evaluate_pair(
-    task: tuple[str, str, Graph, Graph, FactorAnalysis, FactorAnalysis, int],
+    task: tuple[str, str, FactorAnalysis, FactorAnalysis],
 ) -> tuple[ScanRecord, PairVerdict | None]:
-    g6_g, g6_h, graph_g, graph_h, analysis_g, analysis_h, enum_cap = task
-    verdict = verify_pair(
-        graph_g,
-        graph_h,
-        enum_cap=enum_cap,
-        g_analysis=analysis_g,
-        h_analysis=analysis_h,
-    )
+    g6_g, g6_h, g, h = task
+    verdict = verify_pair(g.graph, h.graph, enum_cap=g.cap, g_analysis=g, h_analysis=h)
     record = _record_from_verdict(g6_g, g6_h, verdict)
     return record, (verdict if not verdict.theorem_consistent else None)
 
@@ -222,16 +215,17 @@ def _worker_count(requested: int, tasks: int) -> int:
 
 
 def scan(config: ScanConfig) -> ScanResult:
-    """Evaluate every unordered corpus pair whose product fits the cap."""
-    corpus = load_corpus(config)
-    enum_cap = max(config.enum_cap, config.max_product_order)
-    labeled = [(to_graph6(graph), graph) for graph in corpus]
-    analyses = {g6: analyze_factor(graph, enum_cap) for g6, graph in labeled}
-    tasks = [
-        (g6_g, g6_h, graph_g, graph_h, analyses[g6_g], analyses[g6_h], enum_cap)
-        for (g6_g, graph_g), (g6_h, graph_h) in combinations_with_replacement(labeled, 2)
-        if graph_g.n * graph_h.n <= config.max_product_order
+    """Evaluate every unordered corpus pair whose product fits the cap.
+    Only the factors of those pairs are analysed."""
+    graphs = {to_graph6(graph): graph for graph in load_corpus(config)}
+    pairs = [
+        (g, h)
+        for g, h in combinations_with_replacement(graphs, 2)
+        if graphs[g].n * graphs[h].n <= config.max_product_order
     ]
+    used = dict.fromkeys(chain.from_iterable(pairs))
+    analyses = {g6: analyze_factor(graphs[g6], config.enum_cap) for g6 in used}
+    tasks = [(g, h, analyses[g], analyses[h]) for g, h in pairs]
     workers = _worker_count(config.parallelism, len(tasks))
     if workers > 1:
         chunk = max(1, len(tasks) // (workers * 4))
@@ -252,22 +246,19 @@ def scan(config: ScanConfig) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
-def _set_list(s: VertexSet) -> list[int]:
-    return list(s)
-
 def _report_dict(report: WellCoveredReport) -> dict:
     return {
         "well_covered": report.verdict,
         "alpha": report.alpha,
         "min_maximal": report.min_maximal,
-        "witness_max": _set_list(report.witness_max),
-        "witness_min": _set_list(report.witness_min),
+        "witness_max": list(report.witness_max),
+        "witness_min": list(report.witness_min),
     }
 
 
 def _isolatable_list(witnesses: Iterable[IsolatableWitness]) -> list[dict]:
     return [
-        {"vertex": w.vertex, "certificate": _set_list(w.certificate)} for w in witnesses
+        {"vertex": w.vertex, "certificate": list(w.certificate)} for w in witnesses
     ]
 
 
@@ -330,7 +321,7 @@ def render_scan_json(result: ScanResult) -> str:
 def _witness_set_dict(s: VertexSet, witness: ProductWitness) -> dict:
     return {
         "size": len(s),
-        "indices": _set_list(s),
+        "indices": list(s),
         "pairs": [list(witness.index_map.decode(p)) for p in s],
     }
 
@@ -343,9 +334,9 @@ def _witness_dict(
         "g6_h": g6_h,
         "swapped": swapped,
         "isolatable_vertex": witness.isolatable_vertex,
-        "isolating_set": _set_list(witness.isolating_set),
-        "column_big": _set_list(witness.column_big),
-        "column_small": _set_list(witness.column_small),
+        "isolating_set": list(witness.isolating_set),
+        "column_big": list(witness.column_big),
+        "column_small": list(witness.column_small),
         "sets": {
             name: _witness_set_dict(getattr(witness, name), witness)
             for name in (
@@ -409,22 +400,27 @@ def _analysis_dict(graph: Graph, cap: int) -> dict:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     enum_cap = _resolve_cap(args, "enum_cap", DEFAULT_ENUMERATION_CAP)
     if args.graph == "-":
-        for line in sys.stdin:
+        # All or nothing: parse every line, then analyse them, then write.
+        graphs = []
+        for number, line in enumerate(sys.stdin, 1):
             if line.strip():
-                print(json.dumps(_analysis_dict(from_graph6(line), enum_cap), sort_keys=True))
+                try:
+                    graphs.append(from_graph6(line))
+                except Graph6Error as exc:
+                    raise Graph6Error(f"line {number}: {exc}") from None
+        records = [json.dumps(_analysis_dict(g, enum_cap), sort_keys=True) for g in graphs]
+        sys.stdout.writelines(record + "\n" for record in records)
     else:
         _print_json(_analysis_dict(from_graph6(args.graph), enum_cap))
     return EXIT_OK
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    enum_cap = _resolve_cap(args, "enum_cap", DEFAULT_ENUMERATION_CAP)
     product_cap = _resolve_cap(args, "product_cap", DEFAULT_PRODUCT_CMD_CAP)
+    enum_cap = _resolve_cap(args, "enum_cap", max(DEFAULT_ENUMERATION_CAP, product_cap))
     graph_g = from_graph6(args.g6_g)
     graph_h = from_graph6(args.g6_h)
-    verdict = verify_pair(
-        graph_g, graph_h, enum_cap=max(enum_cap, product_cap), product_cap=product_cap
-    )
+    verdict = verify_pair(graph_g, graph_h, enum_cap=enum_cap, product_cap=product_cap)
     witness_summary: dict = {"applicable": verdict.witness is not None}
     if verdict.witness is not None:
         witness_summary.update(
@@ -462,7 +458,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     graph_g = from_graph6(args.g6_g)
     graph_h = from_graph6(args.g6_h)
 
-    g, h = _LazyAnalysis(graph_g, enum_cap), _LazyAnalysis(graph_h, enum_cap)
+    g, h = FactorAnalysis(graph_g, enum_cap), FactorAnalysis(graph_h, enum_cap)
     oriented = _orient_witness(g, h)
     if oriented is None:
         _print_json(
@@ -493,8 +489,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    enum_cap = _resolve_cap(args, "enum_cap", DEFAULT_ENUMERATION_CAP)
     product_cap = _resolve_cap(args, "product_cap", DEFAULT_SCAN_PRODUCT_ORDER)
+    enum_cap = _resolve_cap(args, "enum_cap", max(DEFAULT_ENUMERATION_CAP, product_cap))
     gen_up_to = args.gen_up_to
     if gen_up_to is None:
         gen_up_to = 0 if args.corpus else 5

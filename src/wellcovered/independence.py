@@ -207,7 +207,7 @@ def isolatable_vertices(
     dominates N(x) in G, so it suffices to search those: for each candidate
     M of G - N[x] (in enumeration order) test whether M dominates N(x).
     """
-    found: list[tuple[int, int]] = []
+    found = []
     for x in range(graph.n):
         outside = graph.full_mask & ~graph.closed_adj[x]
         _check_cap(outside.bit_count(), cap)
@@ -216,9 +216,9 @@ def isolatable_vertices(
             for v in iter_bits(candidate):
                 dominated |= graph.adj[v]
             if not graph.adj[x] & ~dominated:
-                found.append((x, candidate))
+                found.append(IsolatableWitness(x, VertexSet(candidate, graph.n)))
                 break
-    return [IsolatableWitness(x, VertexSet(mask, graph.n)) for x, mask in found]
+    return found
 
 
 def greedy_decomposition(

@@ -121,10 +121,19 @@ class ViolationCertificate:
 
 @dataclass(frozen=True)
 class FactorAnalysis:
-    """Cached per-factor analysis reused across many pairs."""
+    """Per-factor analysis reused across many pairs.  Each part is computed on
+    first use and cached; cached parts travel with the object when pickled."""
 
-    report: WellCoveredReport
-    isolatable: tuple[IsolatableWitness, ...]
+    graph: Graph
+    cap: int = DEFAULT_ENUMERATION_CAP
+
+    @cached_property
+    def report(self) -> WellCoveredReport:
+        return is_well_covered(self.graph, self.cap)
+
+    @cached_property
+    def isolatable(self) -> tuple[IsolatableWitness, ...]:
+        return tuple(isolatable_vertices(self.graph, self.cap))
 
 
 @dataclass(frozen=True)
@@ -144,27 +153,13 @@ class PairVerdict:
     witness_swapped: bool
 
 
-@dataclass
-class _LazyAnalysis:
-    """The fields of a :class:`FactorAnalysis`, each computed on first use."""
-
-    graph: Graph
-    cap: int
-
-    @cached_property
-    def report(self) -> WellCoveredReport:
-        return is_well_covered(self.graph, self.cap)
-
-    @cached_property
-    def isolatable(self) -> tuple[IsolatableWitness, ...]:
-        return tuple(isolatable_vertices(self.graph, self.cap))
-
-
 def analyze_factor(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> FactorAnalysis:
-    return FactorAnalysis(
-        report=is_well_covered(graph, cap),
-        isolatable=tuple(isolatable_vertices(graph, cap)),
-    )
+    """A :class:`FactorAnalysis` with every part already computed, so a copy
+    sent to a scan worker carries values, not work."""
+    analysis = FactorAnalysis(graph, cap)
+    for part in ("report", "isolatable"):
+        getattr(analysis, part)
+    return analysis
 
 
 def _greedy_extend(graph: Graph, allowed_mask: int, seed_mask: int) -> int:
@@ -270,13 +265,11 @@ def witness_inputs(
     factor is not well-covered; the earliest isolatable witness and the first
     extreme sets of the right factor are chosen.
     """
-    left, right = _LazyAnalysis(graph_left, cap), _LazyAnalysis(graph_right, cap)
+    left, right = FactorAnalysis(graph_left, cap), FactorAnalysis(graph_right, cap)
     return _applicable_inputs(left, right)
 
 
-def _applicable_inputs(
-    left: FactorAnalysis | _LazyAnalysis, right: FactorAnalysis | _LazyAnalysis
-) -> WitnessInputs | None:
+def _applicable_inputs(left: FactorAnalysis, right: FactorAnalysis) -> WitnessInputs | None:
     if not left.isolatable or right.report.verdict:
         return None
     return WitnessInputs(
@@ -287,12 +280,12 @@ def _applicable_inputs(
 
 
 def _orient_witness(
-    g: FactorAnalysis | _LazyAnalysis, h: FactorAnalysis | _LazyAnalysis
+    g: FactorAnalysis, h: FactorAnalysis
 ) -> tuple[WitnessInputs, bool] | None:
     """The witness orientation rule: (G, H) when G has an isolatable vertex
     and H is not well-covered, else (H, G) when that applies.  Returns the
-    inputs and whether the factors were swapped.  A lazy analysis of H has
-    its isolatable list computed only when (G, H) does not apply."""
+    inputs and whether the factors were swapped.  The isolatable list of H
+    is computed only when (G, H) does not apply."""
     inputs = _applicable_inputs(g, h)
     if inputs is not None:
         return inputs, False
@@ -422,10 +415,8 @@ def verify_pair(
     """Full verification of one pair: all three well-covered reports, the
     isolatable lists, the consistency flag, and the constructive witness
     whenever it applies (in either orientation)."""
-    if g_analysis is None:
-        g_analysis = analyze_factor(graph_left, enum_cap)
-    if h_analysis is None:
-        h_analysis = analyze_factor(graph_right, enum_cap)
+    g_analysis = g_analysis or analyze_factor(graph_left, enum_cap)
+    h_analysis = h_analysis or analyze_factor(graph_right, enum_cap)
     product, _ = cartesian_product(graph_left, graph_right, cap=product_cap)
     product_report = is_well_covered(product, enum_cap)
 

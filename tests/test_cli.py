@@ -6,7 +6,7 @@ import pytest
 from wellcovered import cli, theorem, to_graph6
 from wellcovered.cli import ScanConfig, ScanResult, render_scan_json, scan
 
-from oracles import cycle_graph, path_graph
+from oracles import complete_graph, cycle_graph, path_graph
 
 
 def run_cli(capsys, argv):
@@ -82,6 +82,13 @@ def test_analyze_stdin(capsys, monkeypatch):
     assert [d["graph6"] for d in docs] == ["Bg", "A_"]
 
 
+def test_analyze_stdin_bad_line_writes_nothing(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bg\nA\nA_\n"))
+    code, out, err = run_cli(capsys, ["analyze", "-"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 2: ")
+
+
 def test_analyze_env_cap_exceeded(capsys, monkeypatch):
     monkeypatch.setenv("WELLCOVERED_ENUM_CAP", "2")
     code, _, err = run_cli(capsys, ["analyze", "Bg"])
@@ -149,6 +156,11 @@ def test_product_with_k1_mirrors_factor(capsys):
 def test_product_cap_exit(capsys):
     code, _, err = run_cli(capsys, ["product", "Bg", "Bg", "--product-cap", "8"])
     assert code == 3 and "cap" in err
+
+
+def test_product_enum_cap_below_factor_order_exits_3(capsys):
+    code, _, err = run_cli(capsys, ["product", "Bg", "Bg", "--enum-cap", "2"])
+    assert code == 3 and "enumeration cap 2" in err
 
 
 # --- witness -----------------------------------------------------------------------
@@ -221,6 +233,13 @@ def test_witness_not_applicable_reuses_factor_analysis(capsys, monkeypatch):
     assert len(isolatable) == 2 and len(reports) == 2
 
 
+def test_witness_cap_checks_every_residual(capsys):
+    # Vertex 0 of E@r? is isolatable with a residual of 3 vertices, but the
+    # isolatable list also walks vertex 1's residual of 4.
+    code, _, err = run_cli(capsys, ["witness", "E@r?", "Bg", "--enum-cap", "3"])
+    assert code == 3 and "enumeration cap 3" in err
+
+
 # --- scan --------------------------------------------------------------------------
 
 
@@ -272,6 +291,33 @@ def test_scan_generated_summary(capsys):
         if record["witness_applicable"]:
             assert record["product_well_covered"] is False
             assert record["witness_big_size"] > record["witness_small_size"]
+
+
+def test_scan_enum_cap_below_product_order_exits_3(capsys):
+    argv = ["scan", "--gen-up-to", "3", "--max-n", "3", "--enum-cap", "2"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == "" and "enumeration cap 2" in err
+
+
+def test_scan_default_enum_cap_follows_product_cap(tmp_path, capsys):
+    corpus = tmp_path / "k1_k37.g6"
+    corpus.write_text(f"@\n{to_graph6(complete_graph(37))}\n")
+    argv = ["scan", "--corpus", str(corpus), "--max-n", "37", "--product-cap", "37"]
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0 and doc["summary"]["pairs"] == 2
+    assert doc["config"]["enum_cap"] == 37
+    code, doc, _ = run_json(capsys, ["scan", "--gen-up-to", "2", "--max-n", "2"])
+    assert code == 0 and doc["config"]["enum_cap"] == 36
+
+
+def test_scan_analyses_only_paired_factors(tmp_path, capsys):
+    # K37 pairs with nothing under the product cap of 30, so its order above
+    # the enumeration cap of 36 does not matter.
+    corpus = tmp_path / "p3_k37.g6"
+    corpus.write_text(f"Bg\n{to_graph6(complete_graph(37))}\n")
+    code, doc, _ = run_json(capsys, ["scan", "--corpus", str(corpus), "--max-n", "40"])
+    assert code == 0 and doc["summary"]["pairs"] == 1
+    assert doc["records"][0]["g6_g"] == doc["records"][0]["g6_h"] == "Bg"
 
 
 def test_scan_connected_only(capsys):

@@ -1,7 +1,10 @@
+import pickle
+
 import pytest
 
 from wellcovered import (
     CapExceeded,
+    FactorAnalysis,
     Graph,
     IsolatableWitness,
     VertexSet,
@@ -13,10 +16,12 @@ from wellcovered import (
     is_greedy_decomposition,
     is_maximal_independent,
     isolatable_vertices,
+    analyze_factor,
     verify_pair,
     witness_inputs,
     witness_invariants,
 )
+from wellcovered import independence, theorem
 
 from oracles import (
     brute_maximal_independent_sets,
@@ -28,6 +33,27 @@ from oracles import (
 
 def decoded(witness, s):
     return sorted(witness.index_map.decode(p) for p in s)
+
+
+# --- FactorAnalysis ---------------------------------------------------------
+
+
+def test_analyze_factor_survives_pickle_with_every_part_computed(monkeypatch):
+    graph = cycle_graph(6)
+    fresh = FactorAnalysis(graph)
+    expected = (fresh.report, fresh.isolatable)
+    copy = pickle.loads(pickle.dumps(analyze_factor(graph)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("factor work after unpickling")
+
+    for module, name in (
+        (theorem, "is_well_covered"),
+        (theorem, "isolatable_vertices"),
+        (independence, "_mis_masks"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    assert (copy.report, copy.isolatable) == expected
 
 
 # --- witness_inputs ---------------------------------------------------------
