@@ -46,7 +46,6 @@ from .independence import (
     IsolatableWitness,
     WellCoveredReport,
     _mis_profile,
-    isolatable_vertices,
 )
 from .theorem import (
     FactorAnalysis,
@@ -154,9 +153,9 @@ class ScanResult:
         ]
 
 
-def load_corpus(config: ScanConfig) -> list[Graph]:
+def load_corpus(config: ScanConfig) -> dict[str, Graph]:
     """Generated plus ingested graphs, filtered by the factor caps and
-    deduplicated by canonical graph6 line."""
+    deduplicated by graph6 line, keyed by that line in sorted order."""
     graphs: list[Graph] = []
     for n in range(1, config.generate_up_to + 1):
         graphs.extend(generate_all_graphs(n))
@@ -172,7 +171,7 @@ def load_corpus(config: ScanConfig) -> list[Graph]:
         if config.connected_only and not is_connected(graph):
             continue
         selected.setdefault(to_graph6(graph), graph)
-    return [selected[key] for key in sorted(selected)]
+    return dict(sorted(selected.items()))
 
 
 def _record_from_verdict(g6_g: str, g6_h: str, verdict: PairVerdict) -> ScanRecord:
@@ -217,7 +216,7 @@ def _worker_count(requested: int, tasks: int) -> int:
 def scan(config: ScanConfig) -> ScanResult:
     """Evaluate every unordered corpus pair whose product fits the cap.
     Only the factors of those pairs are analysed."""
-    graphs = {to_graph6(graph): graph for graph in load_corpus(config)}
+    graphs = load_corpus(config)
     pairs = [
         (g, h)
         for g, h in combinations_with_replacement(graphs, 2)
@@ -386,14 +385,14 @@ def _print_json(obj: dict) -> None:
 
 
 def _analysis_dict(graph: Graph, cap: int) -> dict:
-    report, histogram = _mis_profile(graph, cap)
+    report, histogram, isolatable = _mis_profile(graph, cap, graph.full_mask)
     return {
         "graph6": to_graph6(graph),
         "n": graph.n,
         "m": graph.edge_count,
         **_report_dict(report),
         "mis_size_histogram": {str(size): count for size, count in histogram.items()},
-        "isolatable": _isolatable_list(isolatable_vertices(graph, cap)),
+        "isolatable": _isolatable_list(isolatable),
     }
 
 
@@ -458,7 +457,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     graph_g = from_graph6(args.g6_g)
     graph_h = from_graph6(args.g6_h)
 
-    g, h = FactorAnalysis(graph_g, enum_cap), FactorAnalysis(graph_h, enum_cap)
+    g, h = analyze_factor(graph_g, enum_cap), analyze_factor(graph_h, enum_cap)
     oriented = _orient_witness(g, h)
     if oriented is None:
         _print_json(

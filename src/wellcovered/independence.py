@@ -145,14 +145,24 @@ def _mis_masks(graph: Graph, universe: int | None = None) -> Iterator[int]:
     return walk(0, 0, 0)
 
 
-def _mis_profile(graph: Graph, cap: int) -> tuple[WellCoveredReport, dict[int, int]]:
+def _mis_profile(
+    graph: Graph, cap: int, watched: int = 0
+) -> tuple[WellCoveredReport, dict[int, int], list[IsolatableWitness]]:
     """One enumeration pass: the well-covered report (with the first sets in
-    enumeration order of the largest and the smallest size) and the map
-    size -> number of maximal independent sets of that size."""
+    enumeration order of the largest and the smallest size), the map
+    size -> number of maximal independent sets of that size, and the
+    isolatable vertices in the mask ``watched``, ascending.
+
+    x is isolatable iff some maximal independent set S containing x leaves
+    every neighbour of x with a second neighbour in S; then S - {x} isolates
+    x, and the first such S in enumeration order gives the lexicographically
+    first certificate.  Sets holding no watched vertex cost nothing extra."""
     _check_cap(graph.n, cap)
+    adj = graph.adj
     counts = [0] * (graph.n + 1)
     alpha, low = -1, graph.n + 1
     big = small = 0
+    found: dict[int, int] = {}
     for mask in _mis_masks(graph):
         size = mask.bit_count()
         counts[size] += 1
@@ -160,6 +170,15 @@ def _mis_profile(graph: Graph, cap: int) -> tuple[WellCoveredReport, dict[int, i
             alpha, big = size, mask
         if size < low:
             low, small = size, mask
+        if watched & mask:
+            once = twice = 0
+            for v in iter_bits(mask):
+                twice |= once & adj[v]
+                once |= adj[v]
+            for x in iter_bits(watched & mask):
+                if not adj[x] & ~twice:
+                    found[x] = mask ^ (1 << x)
+                    watched ^= 1 << x
     report = WellCoveredReport(
         verdict=alpha == low,
         alpha=alpha,
@@ -167,7 +186,11 @@ def _mis_profile(graph: Graph, cap: int) -> tuple[WellCoveredReport, dict[int, i
         witness_max=VertexSet(big, graph.n),
         witness_min=VertexSet(small, graph.n),
     )
-    return report, {size: count for size, count in enumerate(counts) if count}
+    histogram = {size: count for size, count in enumerate(counts) if count}
+    isolatable = [
+        IsolatableWitness(x, VertexSet(cert, graph.n)) for x, cert in sorted(found.items())
+    ]
+    return report, histogram, isolatable
 
 
 def independence_number(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -203,22 +226,10 @@ def isolatable_vertices(
     """All isolatable vertices, ascending, each with a certifying set.
 
     x is isolatable iff some independent set I satisfies G - N[I] = {x}.
-    Any such I extends to a maximal independent set of G - N[x] that still
-    dominates N(x) in G, so it suffices to search those: for each candidate
-    M of G - N[x] (in enumeration order) test whether M dominates N(x).
+    The certificate is the lexicographically first maximal independent set
+    of G - N[x] that dominates N(x), read off the one enumeration pass of G.
     """
-    found = []
-    for x in range(graph.n):
-        outside = graph.full_mask & ~graph.closed_adj[x]
-        _check_cap(outside.bit_count(), cap)
-        for candidate in _mis_masks(graph, outside):
-            dominated = 0
-            for v in iter_bits(candidate):
-                dominated |= graph.adj[v]
-            if not graph.adj[x] & ~dominated:
-                found.append(IsolatableWitness(x, VertexSet(candidate, graph.n)))
-                break
-    return found
+    return _mis_profile(graph, cap, graph.full_mask)[2]
 
 
 def greedy_decomposition(

@@ -20,7 +20,6 @@ factor pairs without isolatable vertices whose product is well-covered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graphs import (
     Graph,
@@ -36,10 +35,10 @@ from .independence import (
     IsolatableWitness,
     WellCoveredReport,
     _maximal_independent_within,
+    _mis_profile,
     enumerate_maximal_independent_sets,
     is_maximal_independent,
     is_well_covered,
-    isolatable_vertices,
 )
 
 
@@ -121,19 +120,13 @@ class ViolationCertificate:
 
 @dataclass(frozen=True)
 class FactorAnalysis:
-    """Per-factor analysis reused across many pairs.  Each part is computed on
-    first use and cached; cached parts travel with the object when pickled."""
+    """Per-factor analysis reused across many pairs, built by
+    :func:`analyze_factor` from one enumeration pass of the factor."""
 
     graph: Graph
-    cap: int = DEFAULT_ENUMERATION_CAP
-
-    @cached_property
-    def report(self) -> WellCoveredReport:
-        return is_well_covered(self.graph, self.cap)
-
-    @cached_property
-    def isolatable(self) -> tuple[IsolatableWitness, ...]:
-        return tuple(isolatable_vertices(self.graph, self.cap))
+    cap: int
+    report: WellCoveredReport
+    isolatable: tuple[IsolatableWitness, ...]
 
 
 @dataclass(frozen=True)
@@ -154,12 +147,10 @@ class PairVerdict:
 
 
 def analyze_factor(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> FactorAnalysis:
-    """A :class:`FactorAnalysis` with every part already computed, so a copy
-    sent to a scan worker carries values, not work."""
-    analysis = FactorAnalysis(graph, cap)
-    for part in ("report", "isolatable"):
-        getattr(analysis, part)
-    return analysis
+    """The well-covered report and the isolatable vertices of one factor,
+    from one enumeration pass of the factor."""
+    report, _, isolatable = _mis_profile(graph, cap, graph.full_mask)
+    return FactorAnalysis(graph, cap, report, tuple(isolatable))
 
 
 def _greedy_extend(graph: Graph, allowed_mask: int, seed_mask: int) -> int:
@@ -265,7 +256,7 @@ def witness_inputs(
     factor is not well-covered; the earliest isolatable witness and the first
     extreme sets of the right factor are chosen.
     """
-    left, right = FactorAnalysis(graph_left, cap), FactorAnalysis(graph_right, cap)
+    left, right = analyze_factor(graph_left, cap), analyze_factor(graph_right, cap)
     return _applicable_inputs(left, right)
 
 
@@ -284,8 +275,7 @@ def _orient_witness(
 ) -> tuple[WitnessInputs, bool] | None:
     """The witness orientation rule: (G, H) when G has an isolatable vertex
     and H is not well-covered, else (H, G) when that applies.  Returns the
-    inputs and whether the factors were swapped.  The isolatable list of H
-    is computed only when (G, H) does not apply."""
+    inputs and whether the factors were swapped."""
     inputs = _applicable_inputs(g, h)
     if inputs is not None:
         return inputs, False
@@ -349,8 +339,8 @@ def check_disjoint_mis(
     must admit a disjoint maximal independent set, and at least one factor
     must have all its disjoint maximal-independent-set pairs equal in size.
     """
-    g_free = not isolatable_vertices(graph_left, cap)
-    h_free = not isolatable_vertices(graph_right, cap)
+    g_free = not analyze_factor(graph_left, cap).isolatable
+    h_free = not analyze_factor(graph_right, cap).isolatable
     product, _ = cartesian_product(graph_left, graph_right, cap=product_cap)
     product_wc = is_well_covered(product, cap).verdict
     if not (g_free and h_free and product_wc):

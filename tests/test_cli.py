@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from wellcovered import cli, theorem, to_graph6
+from wellcovered import Graph, cli, theorem, to_graph6
 from wellcovered.cli import ScanConfig, ScanResult, render_scan_json, scan
 
 from oracles import complete_graph, cycle_graph, path_graph
@@ -215,29 +215,35 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_witness_skips_second_isolatable_list_when_first_orientation_applies(
-    capsys, monkeypatch
-):
-    calls = count_calls(monkeypatch, "isolatable_vertices")
+def test_witness_walks_each_factor_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "_mis_profile")
     code, doc, _ = run_json(capsys, ["witness", "Bg", "Bg"])
     assert code == 0 and doc["swapped"] is False
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_witness_not_applicable_reuses_factor_analysis(capsys, monkeypatch):
-    isolatable = count_calls(monkeypatch, "isolatable_vertices")
-    reports = count_calls(monkeypatch, "is_well_covered")
+    calls = count_calls(monkeypatch, "_mis_profile")
     c5_line = to_graph6(cycle_graph(5))
     code, doc, _ = run_json(capsys, ["witness", c5_line, "Bg"])
     assert code == 4 and doc["g_isolatable"] == [] and doc["h_isolatable"] == [0, 2]
-    assert len(isolatable) == 2 and len(reports) == 2
+    assert len(calls) == 2
 
 
-def test_witness_cap_checks_every_residual(capsys):
+def test_witness_cap_applies_to_factor_order(capsys):
     # Vertex 0 of E@r? is isolatable with a residual of 3 vertices, but the
-    # isolatable list also walks vertex 1's residual of 4.
+    # factor itself has 6 vertices, over the cap.
     code, _, err = run_cli(capsys, ["witness", "E@r?", "Bg", "--enum-cap", "3"])
     assert code == 3 and "enumeration cap 3" in err
+
+
+def test_witness_star_k1_36_needs_cap_of_its_order(capsys):
+    # Every residual of K1,36 has at most 35 vertices, but the star has 37.
+    star = to_graph6(Graph.from_edges(37, [(0, leaf) for leaf in range(1, 37)]))
+    code, _, err = run_cli(capsys, ["witness", star, "Bg"])
+    assert code == 3 and "graph order 37 exceeds enumeration cap 36" in err
+    code, doc, _ = run_json(capsys, ["witness", star, "Bg", "--enum-cap", "37"])
+    assert code == 0 and doc["all_checks_pass"] is True
 
 
 # --- scan --------------------------------------------------------------------------
@@ -291,6 +297,13 @@ def test_scan_generated_summary(capsys):
         if record["witness_applicable"]:
             assert record["product_well_covered"] is False
             assert record["witness_big_size"] > record["witness_small_size"]
+
+
+def test_scan_encodes_each_corpus_graph_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "to_graph6")
+    code, doc, _ = run_json(capsys, ["scan", "--gen-up-to", "3"])
+    assert code == 0 and doc["summary"]["pairs"] == 28
+    assert len(calls) == 7  # one per class of order <= 3
 
 
 def test_scan_enum_cap_below_product_order_exits_3(capsys):

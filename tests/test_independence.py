@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from wellcovered import (
     mis_size_histogram,
     well_covered,
 )
+from wellcovered import independence
 from wellcovered.independence import _mis_masks
 
 from oracles import (
@@ -194,15 +196,44 @@ def test_isolatable_k1_via_empty_set():
     assert len(witnesses[0].certificate) == 0
 
 
+def lex_first_isolating_set(graph, x):
+    """The lexicographically first maximal independent set of G - N[x] that
+    dominates N(x), by brute force over the subsets of the residual."""
+    residual = [v for v in range(graph.n) if not graph.closed_adj[x] >> v & 1]
+    found = []
+    for r in range(len(residual) + 1):
+        for combo in combinations(residual, r):
+            mask = sum(1 << v for v in combo)
+            if any(graph.adj[v] & mask for v in combo):
+                continue
+            dominated = mask
+            for v in combo:
+                dominated |= graph.adj[v]
+            if all(dominated >> v & 1 for v in residual) and not graph.adj[x] & ~dominated:
+                found.append(combo)
+    return min(found)
+
+
 def test_isolatable_matches_brute_force_and_certifies():
-    for n in range(1, 6):
-        for graph in generate_all_graphs(n):
-            witnesses = isolatable_vertices(graph)
-            vertices = [w.vertex for w in witnesses]
-            assert vertices == sorted(vertices)
-            assert set(vertices) == brute_isolatable_vertices(graph.n, graph.edges())
-            for w in witnesses:
-                assert is_independent(graph, w.certificate)
-                assert graph.closed_adj[w.vertex] & w.certificate.mask == 0
-                remainder, back = delete_closed_neighborhood(graph, w.certificate)
-                assert back.kept == (w.vertex,)
+    for n, edges in atlas_graphs(1, 7):
+        graph = Graph.from_edges(n, edges)
+        witnesses = isolatable_vertices(graph)
+        vertices = [w.vertex for w in witnesses]
+        assert vertices == sorted(vertices)
+        assert set(vertices) == brute_isolatable_vertices(n, edges)
+        for w in witnesses:
+            assert is_independent(graph, w.certificate)
+            assert graph.closed_adj[w.vertex] & w.certificate.mask == 0
+            remainder, back = delete_closed_neighborhood(graph, w.certificate)
+            assert back.kept == (w.vertex,)
+            assert tuple(w.certificate) == lex_first_isolating_set(graph, w.vertex)
+
+
+def test_isolatable_cap_checked_before_any_walk(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("walk started before the cap check")
+
+    monkeypatch.setattr(independence, "_mis_masks", forbidden)
+    graph = path_graph(4)
+    with pytest.raises(CapExceeded):
+        isolatable_vertices(graph, graph.n - 1)

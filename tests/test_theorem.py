@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -40,7 +41,7 @@ def decoded(witness, s):
 
 def test_analyze_factor_survives_pickle_with_every_part_computed(monkeypatch):
     graph = cycle_graph(6)
-    fresh = FactorAnalysis(graph)
+    fresh = analyze_factor(graph)
     expected = (fresh.report, fresh.isolatable)
     copy = pickle.loads(pickle.dumps(analyze_factor(graph)))
 
@@ -48,12 +49,14 @@ def test_analyze_factor_survives_pickle_with_every_part_computed(monkeypatch):
         raise AssertionError("factor work after unpickling")
 
     for module, name in (
-        (theorem, "is_well_covered"),
-        (theorem, "isolatable_vertices"),
+        (theorem, "_mis_profile"),
+        (independence, "_mis_profile"),
         (independence, "_mis_masks"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     assert (copy.report, copy.isolatable) == expected
+    assert copy == fresh
+    assert [f.name for f in fields(FactorAnalysis)] == ["graph", "cap", "report", "isolatable"]
 
 
 # --- witness_inputs ---------------------------------------------------------
