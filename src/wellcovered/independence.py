@@ -6,6 +6,12 @@ Enumeration is exponential by nature; every entry point takes an order cap
 and raises :class:`CapExceeded` before doing any work when the input is too
 large.  All outputs are deterministic: maximal independent sets stream in
 lexicographic order of their ascending vertex sequences.
+
+Only what needs every set walks them all: size histograms, isolatable
+vertices and the early-exit verdict of :func:`well_covered`.  The
+well-covered report and the independence number come from branch-and-bound
+searches over the same walk, which skip the branches that cannot hold a set
+of a new extreme size and so return the same first sets.
 """
 
 from __future__ import annotations
@@ -145,10 +151,113 @@ def _mis_masks(graph: Graph, universe: int | None = None) -> Iterator[int]:
     return walk(0, 0, 0)
 
 
+def _largest_mis(graph: Graph) -> int:
+    """Mask of the first maximum independent set in the order of
+    :func:`_mis_masks`, by branch and bound over the same walk.
+
+    A branch can add at most one vertex per clique of a cover of its
+    candidates, so it is cut, with every sibling still waiting (their
+    candidates are a subset), once ``size + cover <= best``.  Cutting only
+    when no set of the branch can be strictly larger keeps the first set of
+    the largest size."""
+    full, adj, closed = graph.full_mask, graph.adj, graph.closed_adj
+    best_size, best = -1, 0
+
+    def exceeds(candidates: int, room: int) -> bool:
+        """True once a greedy clique cover of the candidates needs more than
+        ``room`` cliques; each grows from the lowest uncovered candidate
+        through its lowest common neighbours."""
+        while candidates and room >= 0:
+            low = candidates & -candidates
+            common = adj[low.bit_length() - 1] & candidates
+            candidates ^= low
+            while common:
+                low = common & -common
+                common &= adj[low.bit_length() - 1]
+                candidates ^= low
+            room -= 1
+        return room < 0
+
+    def walk(chosen: int, size: int, dominated: int, start: int) -> None:
+        nonlocal best_size, best
+        undominated = full & ~dominated
+        if not undominated:
+            if size > best_size:
+                best_size, best = size, chosen
+            return
+        candidates = (undominated >> start) << start
+        while candidates and exceeds(candidates, best_size - size):
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            walk(chosen | low, size + 1, dominated | closed[v], v + 1)
+            candidates ^= low
+
+    walk(0, 0, 0, 0)
+    return best
+
+
+def _smallest_mis(graph: Graph) -> int:
+    """Mask of the first minimum maximal independent set in the order of
+    :func:`_mis_masks`, by branch and bound over the same walk.
+
+    Undominated vertices whose dominators among the candidates are pairwise
+    disjoint each need a vertex of their own, so a branch is cut, with every
+    sibling still waiting, once ``size + need >= best``; it is dead when some
+    vertex has no dominator left.  Cutting only when no set of the branch can
+    be strictly smaller keeps the first set of the smallest size."""
+    full, closed = graph.full_mask, graph.closed_adj
+    best_size, best = graph.n + 1, 0
+
+    def below(undominated: int, candidates: int, room: int) -> bool:
+        """True while a greedy packing of the undominated vertices, taken
+        ascending, by disjoint dominator sets stays under ``room`` and every
+        vertex keeps a dominator."""
+        used = 0
+        while undominated:
+            low = undominated & -undominated
+            dominators = closed[low.bit_length() - 1] & candidates
+            if not dominators & used:
+                room -= 1
+                if not dominators or room <= 0:
+                    return False
+                used |= dominators
+            undominated ^= low
+        return True
+
+    def walk(chosen: int, size: int, dominated: int, start: int) -> None:
+        nonlocal best_size, best
+        undominated = full & ~dominated
+        if not undominated:
+            if size < best_size:
+                best_size, best = size, chosen
+            return
+        candidates = (undominated >> start) << start
+        while candidates and below(undominated, candidates, best_size - size):
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            walk(chosen | low, size + 1, dominated | closed[v], v + 1)
+            candidates ^= low
+
+    walk(0, 0, 0, 0)
+    return best
+
+
+def _report(graph: Graph, big: int, small: int) -> WellCoveredReport:
+    """The report certified by a largest and a smallest maximal set."""
+    return WellCoveredReport(
+        verdict=big.bit_count() == small.bit_count(),
+        alpha=big.bit_count(),
+        min_maximal=small.bit_count(),
+        witness_max=VertexSet(big, graph.n),
+        witness_min=VertexSet(small, graph.n),
+    )
+
+
 def _mis_profile(
     graph: Graph, cap: int, watched: int = 0
 ) -> tuple[WellCoveredReport, dict[int, int], list[IsolatableWitness]]:
-    """One enumeration pass: the well-covered report (with the first sets in
+    """One enumeration pass, for callers that need every set (factors,
+    ``analyze``, histograms): the well-covered report (with the first sets in
     enumeration order of the largest and the smallest size), the map
     size -> number of maximal independent sets of that size, and the
     isolatable vertices in the mask ``watched``, ascending.
@@ -179,13 +288,7 @@ def _mis_profile(
                 if not adj[x] & ~twice:
                     found[x] = mask ^ (1 << x)
                     watched ^= 1 << x
-    report = WellCoveredReport(
-        verdict=alpha == low,
-        alpha=alpha,
-        min_maximal=low,
-        witness_max=VertexSet(big, graph.n),
-        witness_min=VertexSet(small, graph.n),
-    )
+    report = _report(graph, big, small)
     histogram = {size: count for size, count in enumerate(counts) if count}
     isolatable = [
         IsolatableWitness(x, VertexSet(cert, graph.n)) for x, cert in sorted(found.items())
@@ -195,7 +298,8 @@ def _mis_profile(
 
 def independence_number(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Size of a largest independent set."""
-    return _mis_profile(graph, cap)[0].alpha
+    _check_cap(graph.n, cap)
+    return _largest_mis(graph).bit_count()
 
 
 def mis_size_histogram(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
@@ -214,10 +318,14 @@ def well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
 def is_well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> WellCoveredReport:
     """Complete report: verdict, extreme sizes, and certifying sets.
 
-    Enumerates every maximal independent set so that both extremes are
-    certified; use :func:`well_covered` when only the verdict matters.
+    Two branch-and-bound searches find the first maximum and the first
+    minimum maximal independent set in enumeration order, so the report is
+    the one a full enumeration gives, without visiting the sets whose sizes
+    the bounds rule out; use :func:`well_covered` when only the verdict
+    matters.
     """
-    return _mis_profile(graph, cap)[0]
+    _check_cap(graph.n, cap)
+    return _report(graph, _largest_mis(graph), _smallest_mis(graph))
 
 
 def isolatable_vertices(

@@ -9,9 +9,10 @@ Two routes certify that a product is or is not well-covered:
   cardinalities, and :func:`build_product_witness` produces them explicitly
   (checked by direct independence and domination tests, never by
   enumeration);
-* exhaustive enumeration of the product, wrapped by :func:`verify_pair`,
-  which also cross-checks the main consistency claim: a well-covered
-  product forces at least one well-covered factor.
+* the product's well-covered report from a branch-and-bound search of its
+  maximal independent sets (:func:`is_well_covered`), wrapped by
+  :func:`verify_pair`, which also cross-checks the main consistency claim:
+  a well-covered product forces at least one well-covered factor.
 
 :func:`check_disjoint_mis` verifies the structural conclusions that hold for
 factor pairs without isolatable vertices whose product is well-covered.

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from wellcovered import Graph, cli, theorem, to_graph6
+from wellcovered import Graph, cli, independence, theorem, to_graph6
 from wellcovered.cli import ScanConfig, ScanResult, render_scan_json, scan
 
 from oracles import complete_graph, cycle_graph, path_graph
@@ -304,6 +304,37 @@ def test_scan_encodes_each_corpus_graph_once(capsys, monkeypatch):
     code, doc, _ = run_json(capsys, ["scan", "--gen-up-to", "3"])
     assert code == 0 and doc["summary"]["pairs"] == 28
     assert len(calls) == 7  # one per class of order <= 3
+
+
+def test_scan_never_enumerates_a_product(capsys, monkeypatch):
+    walked = []
+    original = independence._mis_masks
+
+    def recorded(graph, universe=None):
+        walked.append(graph.n)
+        return original(graph, universe)
+
+    monkeypatch.setattr(independence, "_mis_masks", recorded)
+    code, doc, _ = run_json(capsys, ["scan", "--gen-up-to", "3"])
+    assert code == 0 and doc["summary"]["pairs"] == 28
+    assert walked and max(walked) <= 3  # factors only, never a product
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--gen-up-to", "4", "--max-n", "4"],
+        ["scan", "--gen-up-to", "4", "--max-n", "4", "--format", "csv"],
+        ["product", "Bg", "Bg"],
+    ],
+)
+def test_search_reports_match_full_walk_byte_for_byte(capsys, monkeypatch, argv):
+    searched = run_cli(capsys, argv)
+    monkeypatch.setattr(
+        theorem, "is_well_covered", lambda g, cap: independence._mis_profile(g, cap)[0]
+    )
+    assert run_cli(capsys, argv) == searched
+    assert searched[0] == 0 and searched[1]
 
 
 def test_scan_enum_cap_below_product_order_exits_3(capsys):

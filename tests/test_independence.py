@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wellcovered import (
     CapExceeded,
@@ -167,6 +168,55 @@ def test_report_witnesses_are_first_in_enumeration_order():
             )
             assert report.verdict == (len(set(sizes)) == 1)
             assert well_covered(graph) == report.verdict
+
+
+def full_walk_report(graph):
+    return independence._mis_profile(graph, 36)[0]
+
+
+def test_search_report_matches_full_walk_on_atlas_and_order_zero():
+    for n, edges in [(0, [])] + atlas_graphs(1, 7):
+        graph = Graph.from_edges(n, edges)
+        assert is_well_covered(graph) == full_walk_report(graph)
+        alpha = max(len(s) for s in brute_maximal_independent_sets(n, edges))
+        assert independence_number(graph) == alpha
+
+
+def test_search_report_matches_full_walk_on_small_products():
+    # every ordered pair of classes of order <= 4, so every product has <= 16 vertices
+    factors = [g for n in range(1, 5) for g in generate_all_graphs(n)]
+    for left in factors:
+        for right in factors:
+            product, _ = cartesian_product(left, right)
+            assert is_well_covered(product) == full_walk_report(product)
+
+
+@st.composite
+def random_graphs(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5, 0.7]))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [p for p, x in zip(pairs, keep) if x < density])
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(random_graphs())
+def test_search_report_matches_full_walk_on_random_graphs(graph):
+    assert is_well_covered(graph) == full_walk_report(graph)
+
+
+def test_search_checks_cap_before_any_work(monkeypatch):
+    def forbidden(graph):
+        raise AssertionError("searched over the cap")
+
+    monkeypatch.setattr(independence, "_largest_mis", forbidden)
+    monkeypatch.setattr(independence, "_smallest_mis", forbidden)
+    big = empty_graph(37)
+    with pytest.raises(CapExceeded):
+        is_well_covered(big)
+    with pytest.raises(CapExceeded):
+        independence_number(big)
 
 
 def test_mis_size_histogram():
