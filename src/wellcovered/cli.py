@@ -46,6 +46,7 @@ from .independence import (
     IsolatableWitness,
     WellCoveredReport,
     _mis_profile,
+    isolatable_vertices,
 )
 from .theorem import (
     FactorAnalysis,
@@ -160,10 +161,15 @@ def load_corpus(config: ScanConfig) -> dict[str, Graph]:
     for n in range(1, config.generate_up_to + 1):
         graphs.extend(generate_all_graphs(n))
     for path in config.corpus_paths:
-        with open(path, "r", encoding="ascii") as handle:
-            for line in handle:
+        # latin-1 decodes every byte, so from_graph6 rejects a non-ASCII one
+        # on the line that holds it.
+        with open(path, "r", encoding="latin-1") as handle:
+            for number, line in enumerate(handle, 1):
                 if line.strip():
-                    graphs.append(from_graph6(line))
+                    try:
+                        graphs.append(from_graph6(line))
+                    except Graph6Error as exc:
+                        raise Graph6Error(f"{path}:{number}: {exc}") from None
     selected: dict[str, Graph] = {}
     for graph in graphs:
         if not 1 <= graph.n <= config.max_factor_order:
@@ -385,14 +391,14 @@ def _print_json(obj: dict) -> None:
 
 
 def _analysis_dict(graph: Graph, cap: int) -> dict:
-    report, histogram, isolatable = _mis_profile(graph, cap, graph.full_mask)
+    report, histogram = _mis_profile(graph, cap)
     return {
         "graph6": to_graph6(graph),
         "n": graph.n,
         "m": graph.edge_count,
         **_report_dict(report),
         "mis_size_histogram": {str(size): count for size, count in histogram.items()},
-        "isolatable": _isolatable_list(isolatable),
+        "isolatable": _isolatable_list(isolatable_vertices(graph, cap)),
     }
 
 

@@ -139,7 +139,8 @@ class Graph:
 
     ``adj[v]`` is the bitmask of the open neighborhood N(v).  Construction
     checks symmetry, irreflexivity, and vertex range, so a Graph instance is
-    always a valid simple graph.
+    always a valid simple graph; only the products and induced subgraphs
+    built here from valid graphs skip the check.
     """
 
     n: int
@@ -159,6 +160,17 @@ class Graph:
             for u in iter_bits(row):
                 if not (self.adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+    @classmethod
+    def _derived(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph this module built from valid graphs (a product or an
+        induced subgraph), valid by construction, so the checks of
+        ``__post_init__`` are skipped; every graph from outside the package
+        goes through them."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "adj", adj)
+        return graph
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -376,7 +388,7 @@ def induced_subgraph(graph: Graph, s: VertexSet) -> tuple[Graph, SubgraphMap]:
         for u in iter_bits(graph.adj[orig] & s.mask):
             row |= 1 << index[u]
         rows.append(row)
-    return Graph(len(kept), tuple(rows)), SubgraphMap(kept, graph.n)
+    return Graph._derived(len(kept), tuple(rows)), SubgraphMap(kept, graph.n)
 
 
 def delete_closed_neighborhood(graph: Graph, s: VertexSet) -> tuple[Graph, SubgraphMap]:
@@ -410,7 +422,7 @@ def cartesian_product(
         base = g * n_right
         for h in range(n_right):
             rows.append((graph_right.adj[h] << base) | (column[g] << h))
-    return Graph(size, tuple(rows)), ProductIndexMap(graph_left.n, n_right)
+    return Graph._derived(size, tuple(rows)), ProductIndexMap(graph_left.n, n_right)
 
 
 def is_clique(graph: Graph, s: VertexSet) -> bool:

@@ -7,11 +7,13 @@ and raises :class:`CapExceeded` before doing any work when the input is too
 large.  All outputs are deterministic: maximal independent sets stream in
 lexicographic order of their ascending vertex sequences.
 
-Only what needs every set walks them all: size histograms, isolatable
-vertices and the early-exit verdict of :func:`well_covered`.  The
-well-covered report and the independence number come from branch-and-bound
-searches over the same walk, which skip the branches that cannot hold a set
-of a new extreme size and so return the same first sets.
+Only what needs every set walks them all: size histograms and the
+early-exit verdict of :func:`well_covered`.  The well-covered report and the
+independence number come from branch-and-bound searches over the same walk,
+which skip the branches that cannot hold a set of a new extreme size and so
+return the same first sets.  Each isolatable vertex x comes from a search of
+its own residual G - N[x], run only once a local test over the second
+neighbourhood of x shows that a certificate exists.
 """
 
 from __future__ import annotations
@@ -253,25 +255,15 @@ def _report(graph: Graph, big: int, small: int) -> WellCoveredReport:
     )
 
 
-def _mis_profile(
-    graph: Graph, cap: int, watched: int = 0
-) -> tuple[WellCoveredReport, dict[int, int], list[IsolatableWitness]]:
-    """One enumeration pass, for callers that need every set (factors,
-    ``analyze``, histograms): the well-covered report (with the first sets in
-    enumeration order of the largest and the smallest size), the map
-    size -> number of maximal independent sets of that size, and the
-    isolatable vertices in the mask ``watched``, ascending.
-
-    x is isolatable iff some maximal independent set S containing x leaves
-    every neighbour of x with a second neighbour in S; then S - {x} isolates
-    x, and the first such S in enumeration order gives the lexicographically
-    first certificate.  Sets holding no watched vertex cost nothing extra."""
+def _mis_profile(graph: Graph, cap: int) -> tuple[WellCoveredReport, dict[int, int]]:
+    """One enumeration pass, for callers that need every set (``analyze``,
+    histograms): the well-covered report (with the first sets in enumeration
+    order of the largest and the smallest size) and the map
+    size -> number of maximal independent sets of that size."""
     _check_cap(graph.n, cap)
-    adj = graph.adj
     counts = [0] * (graph.n + 1)
     alpha, low = -1, graph.n + 1
     big = small = 0
-    found: dict[int, int] = {}
     for mask in _mis_masks(graph):
         size = mask.bit_count()
         counts[size] += 1
@@ -279,21 +271,69 @@ def _mis_profile(
             alpha, big = size, mask
         if size < low:
             low, small = size, mask
-        if watched & mask:
-            once = twice = 0
-            for v in iter_bits(mask):
-                twice |= once & adj[v]
-                once |= adj[v]
-            for x in iter_bits(watched & mask):
-                if not adj[x] & ~twice:
-                    found[x] = mask ^ (1 << x)
-                    watched ^= 1 << x
-    report = _report(graph, big, small)
     histogram = {size: count for size, count in enumerate(counts) if count}
-    isolatable = [
-        IsolatableWitness(x, VertexSet(cert, graph.n)) for x, cert in sorted(found.items())
-    ]
-    return report, histogram, isolatable
+    return _report(graph, big, small), histogram
+
+
+def _isolating_set(graph: Graph, x: int) -> int | None:
+    """Mask of the lexicographically first maximal independent set of
+    G - N[x] that dominates N(x), or None when there is none, that is, when
+    x is not isolatable.
+
+    Such a set exists iff some independent subset of the second neighbourhood
+    of x dominates N(x), since a greedy extension to a maximal independent
+    set of G - N[x] keeps it dominating.  That local test runs first, so a
+    vertex that is not isolatable costs no search of G - N[x]; the disjoint
+    5-cycles that would make the search visit every set never reach it.  The
+    search walks in the order of :func:`_mis_masks` over G - N[x] and treats
+    N(x) as vertices it must dominate without choosing them: a branch dies as
+    soon as some such vertex, or some undominated vertex of G - N[x], has no
+    candidate dominator left."""
+    adj, closed = graph.adj, graph.closed_adj
+    ring = adj[x]
+    universe = graph.full_mask & ~closed[x]
+
+    def covers(undominated: int, allowed: int) -> bool:
+        """True iff some independent subset of ``allowed`` dominates the
+        ring vertices in ``undominated``; branches on the dominators of the
+        lowest one."""
+        if not undominated:
+            return True
+        low = undominated & -undominated
+        dominators = adj[low.bit_length() - 1] & allowed
+        while dominators:
+            pick = dominators & -dominators
+            v = pick.bit_length() - 1
+            if covers(undominated & ~adj[v], allowed & ~closed[v]):
+                return True
+            dominators ^= pick
+        return False
+
+    if not covers(ring, universe):
+        return None
+    targets = universe | ring
+
+    def walk(chosen: int, dominated: int, start: int) -> int | None:
+        undominated = targets & ~dominated
+        if not undominated:
+            return chosen
+        candidates = ((undominated & universe) >> start) << start
+        rest = undominated
+        while rest:
+            low = rest & -rest
+            if not closed[low.bit_length() - 1] & candidates:
+                return None
+            rest ^= low
+        while candidates:
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            found = walk(chosen | low, dominated | closed[v], v + 1)
+            if found is not None:
+                return found
+            candidates ^= low
+        return None
+
+    return walk(0, 0, 0)
 
 
 def independence_number(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -335,9 +375,17 @@ def isolatable_vertices(
 
     x is isolatable iff some independent set I satisfies G - N[I] = {x}.
     The certificate is the lexicographically first maximal independent set
-    of G - N[x] that dominates N(x), read off the one enumeration pass of G.
+    of G - N[x] that dominates N(x), found by a search of G - N[x] that runs
+    only when a local test shows one exists; no maximal independent set of
+    G itself is enumerated.  The cap applies to the order of G.
     """
-    return _mis_profile(graph, cap, graph.full_mask)[2]
+    _check_cap(graph.n, cap)
+    found = []
+    for x in range(graph.n):
+        certificate = _isolating_set(graph, x)
+        if certificate is not None:
+            found.append(IsolatableWitness(x, VertexSet(certificate, graph.n)))
+    return found
 
 
 def greedy_decomposition(

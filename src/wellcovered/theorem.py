@@ -14,6 +14,10 @@ Two routes certify that a product is or is not well-covered:
   :func:`verify_pair`, which also cross-checks the main consistency claim:
   a well-covered product forces at least one well-covered factor.
 
+Both routes start from :func:`analyze_factor`, which enumerates no graph:
+a factor's report comes from the same searches as a product's, and its
+isolatable vertices from :func:`isolatable_vertices`.
+
 :func:`check_disjoint_mis` verifies the structural conclusions that hold for
 factor pairs without isolatable vertices whose product is well-covered.
 """
@@ -36,10 +40,10 @@ from .independence import (
     IsolatableWitness,
     WellCoveredReport,
     _maximal_independent_within,
-    _mis_profile,
     enumerate_maximal_independent_sets,
     is_maximal_independent,
     is_well_covered,
+    isolatable_vertices,
 )
 
 
@@ -122,7 +126,7 @@ class ViolationCertificate:
 @dataclass(frozen=True)
 class FactorAnalysis:
     """Per-factor analysis reused across many pairs, built by
-    :func:`analyze_factor` from one enumeration pass of the factor."""
+    :func:`analyze_factor` without enumerating the factor."""
 
     graph: Graph
     cap: int
@@ -148,10 +152,13 @@ class PairVerdict:
 
 
 def analyze_factor(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> FactorAnalysis:
-    """The well-covered report and the isolatable vertices of one factor,
-    from one enumeration pass of the factor."""
-    report, _, isolatable = _mis_profile(graph, cap, graph.full_mask)
-    return FactorAnalysis(graph, cap, report, tuple(isolatable))
+    """The well-covered report of one factor, from the branch-and-bound
+    searches of :func:`is_well_covered`, and its isolatable vertices, from
+    one targeted search per vertex; no maximal independent set of the factor
+    is enumerated."""
+    return FactorAnalysis(
+        graph, cap, is_well_covered(graph, cap), tuple(isolatable_vertices(graph, cap))
+    )
 
 
 def _greedy_extend(graph: Graph, allowed_mask: int, seed_mask: int) -> int:
@@ -340,8 +347,8 @@ def check_disjoint_mis(
     must admit a disjoint maximal independent set, and at least one factor
     must have all its disjoint maximal-independent-set pairs equal in size.
     """
-    g_free = not analyze_factor(graph_left, cap).isolatable
-    h_free = not analyze_factor(graph_right, cap).isolatable
+    g_free = not isolatable_vertices(graph_left, cap)
+    h_free = not isolatable_vertices(graph_right, cap)
     product, _ = cartesian_product(graph_left, graph_right, cap=product_cap)
     product_wc = is_well_covered(product, cap).verdict
     if not (g_free and h_free and product_wc):

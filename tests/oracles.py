@@ -1,4 +1,5 @@
-"""Brute-force oracles and small-graph builders shared by the tests.
+"""Brute-force oracles, small-graph builders and a walk recorder shared by
+the tests.
 
 The oracles recompute everything from first principles over plain Python
 sets (or through networkx, for the reference graph6 codec and the atlas of
@@ -11,8 +12,9 @@ import math
 from itertools import combinations, permutations
 
 import networkx as nx
+from hypothesis import strategies as st
 
-from wellcovered import Graph
+from wellcovered import Graph, independence
 
 
 def path_graph(n: int) -> Graph:
@@ -29,6 +31,30 @@ def complete_graph(n: int) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     return Graph.from_edges(n, [])
+
+
+@st.composite
+def random_graphs(draw, min_n=0, max_n=12):
+    """Random graphs of order min_n..max_n at one of four edge densities."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(combinations(range(n), 2))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5, 0.7]))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [p for p, x in zip(pairs, keep) if x < density])
+
+
+def record_walks(monkeypatch) -> list[int]:
+    """Record the order of every graph whose maximal independent sets are
+    all walked (every walk goes through ``independence._mis_masks``)."""
+    walked = []
+    original = independence._mis_masks
+
+    def recorded(graph, universe=None):
+        walked.append(graph.n)
+        return original(graph, universe)
+
+    monkeypatch.setattr(independence, "_mis_masks", recorded)
+    return walked
 
 
 def brute_maximal_independent_sets(n: int, edges) -> list[frozenset[int]]:

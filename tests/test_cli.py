@@ -6,7 +6,7 @@ import pytest
 from wellcovered import Graph, cli, independence, theorem, to_graph6
 from wellcovered.cli import ScanConfig, ScanResult, render_scan_json, scan
 
-from oracles import complete_graph, cycle_graph, path_graph
+from oracles import complete_graph, cycle_graph, path_graph, record_walks
 
 
 def run_cli(capsys, argv):
@@ -216,18 +216,19 @@ def count_calls(monkeypatch, name):
 
 
 def test_witness_walks_each_factor_once(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, "_mis_profile")
+    walked = record_walks(monkeypatch)
     code, doc, _ = run_json(capsys, ["witness", "Bg", "Bg"])
     assert code == 0 and doc["swapped"] is False
-    assert len(calls) == 2
+    assert walked == []  # no factor is enumerated, and no product
 
 
 def test_witness_not_applicable_reuses_factor_analysis(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, "_mis_profile")
+    calls = count_calls(monkeypatch, "analyze_factor")
+    walked = record_walks(monkeypatch)
     c5_line = to_graph6(cycle_graph(5))
     code, doc, _ = run_json(capsys, ["witness", c5_line, "Bg"])
     assert code == 4 and doc["g_isolatable"] == [] and doc["h_isolatable"] == [0, 2]
-    assert len(calls) == 2
+    assert len(calls) == 2 and walked == []
 
 
 def test_witness_cap_applies_to_factor_order(capsys):
@@ -274,10 +275,17 @@ def test_scan_missing_corpus_file(capsys):
 
 
 def test_scan_corpus_parse_error(tmp_path, capsys):
+    # Each bad corpus exits 2, names its file and line, and writes no report.
     corpus = tmp_path / "bad.g6"
-    corpus.write_text("not graph6 ~~~\n")
-    code, _, err = run_cli(capsys, ["scan", "--corpus", str(corpus)])
-    assert code == 2 and "error" in err
+    for data, message in [
+        (b"not graph6 ~~~\n", ":1: byte 32 outside the graph6 range"),
+        (b"Bg\n\nA_x\n", ":3: order 2 needs 1 data bytes, got 2"),
+        (b"Bg\nB\xffg\n", ":2: non-ascii character"),
+    ]:
+        corpus.write_bytes(data)
+        code, out, err = run_cli(capsys, ["scan", "--corpus", str(corpus)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {corpus}{message}")
 
 
 def test_scan_generated_summary(capsys):
@@ -307,17 +315,10 @@ def test_scan_encodes_each_corpus_graph_once(capsys, monkeypatch):
 
 
 def test_scan_never_enumerates_a_product(capsys, monkeypatch):
-    walked = []
-    original = independence._mis_masks
-
-    def recorded(graph, universe=None):
-        walked.append(graph.n)
-        return original(graph, universe)
-
-    monkeypatch.setattr(independence, "_mis_masks", recorded)
+    walked = record_walks(monkeypatch)
     code, doc, _ = run_json(capsys, ["scan", "--gen-up-to", "3"])
     assert code == 0 and doc["summary"]["pairs"] == 28
-    assert walked and max(walked) <= 3  # factors only, never a product
+    assert walked == []  # neither the products nor the factors
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from wellcovered import (
     CapExceeded,
@@ -14,7 +16,7 @@ from wellcovered import (
     is_independent,
 )
 
-from oracles import complete_graph, cycle_graph, empty_graph, path_graph
+from oracles import complete_graph, cycle_graph, empty_graph, path_graph, random_graphs
 
 
 # --- Graph construction invariants -----------------------------------------
@@ -211,6 +213,25 @@ def test_product_edge_count_formula():
         for h in graphs:
             prod, _ = cartesian_product(g, h)
             assert prod.edge_count == g.n * h.edge_count + h.n * g.edge_count
+
+
+def to_networkx(graph):
+    reference = nx.Graph()
+    reference.add_nodes_from(range(graph.n))
+    reference.add_edges_from(graph.edges())
+    return reference
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(random_graphs(min_n=1, max_n=9), random_graphs(min_n=1, max_n=9))
+def test_product_matches_networkx_and_passes_the_full_check(g, h):
+    reference = nx.cartesian_product(to_networkx(g), to_networkx(h))
+    expected = {tuple(sorted((a * h.n + b, c * h.n + d))) for (a, b), (c, d) in reference.edges()}
+    product, _ = cartesian_product(g, h)
+    assert product.n == reference.number_of_nodes() == g.n * h.n
+    assert set(product.edges()) == expected
+    # The product skipped the construction checks; they must pass on it.
+    assert Graph(product.n, product.adj) == product
 
 
 def test_product_cap_and_empty_factor():

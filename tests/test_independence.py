@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from wellcovered import (
     CapExceeded,
@@ -31,6 +31,7 @@ from oracles import (
     cycle_graph,
     empty_graph,
     path_graph,
+    random_graphs,
 )
 
 
@@ -191,15 +192,6 @@ def test_search_report_matches_full_walk_on_small_products():
             assert is_well_covered(product) == full_walk_report(product)
 
 
-@st.composite
-def random_graphs(draw, max_n=12):
-    n = draw(st.integers(0, max_n))
-    pairs = list(combinations(range(n), 2))
-    density = draw(st.sampled_from([0.15, 0.3, 0.5, 0.7]))
-    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
-    return Graph.from_edges(n, [p for p, x in zip(pairs, keep) if x < density])
-
-
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)
 @given(random_graphs())
 def test_search_report_matches_full_walk_on_random_graphs(graph):
@@ -248,7 +240,8 @@ def test_isolatable_k1_via_empty_set():
 
 def lex_first_isolating_set(graph, x):
     """The lexicographically first maximal independent set of G - N[x] that
-    dominates N(x), by brute force over the subsets of the residual."""
+    dominates N(x), by brute force over the subsets of the residual, or None
+    when x is not isolatable."""
     residual = [v for v in range(graph.n) if not graph.closed_adj[x] >> v & 1]
     found = []
     for r in range(len(residual) + 1):
@@ -261,7 +254,7 @@ def lex_first_isolating_set(graph, x):
                 dominated |= graph.adj[v]
             if all(dominated >> v & 1 for v in residual) and not graph.adj[x] & ~dominated:
                 found.append(combo)
-    return min(found)
+    return min(found, default=None)
 
 
 def test_isolatable_matches_brute_force_and_certifies():
@@ -279,11 +272,49 @@ def test_isolatable_matches_brute_force_and_certifies():
             assert tuple(w.certificate) == lex_first_isolating_set(graph, w.vertex)
 
 
-def test_isolatable_cap_checked_before_any_walk(monkeypatch):
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(random_graphs())
+def test_isolatable_matches_brute_force_on_random_graphs(graph):
+    found = {w.vertex: tuple(w.certificate) for w in isolatable_vertices(graph)}
+    expected = {}
+    for x in range(graph.n):
+        certificate = lex_first_isolating_set(graph, x)
+        if certificate is not None:
+            expected[x] = certificate
+    assert found == expected
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for graph in graphs:
+        edges += [(offset + u, offset + v) for u, v in graph.edges()]
+        offset += graph.n
+    return Graph.from_edges(offset, edges)
+
+
+def test_isolatable_on_disjoint_five_cycles_walks_no_graph(monkeypatch):
+    # No vertex of C5 is isolatable, so for a vertex of the last cycle a
+    # search of its residual would visit every maximal independent set of
+    # the cycles before it; the local test answers first.
     def forbidden(*args, **kwargs):
-        raise AssertionError("walk started before the cap check")
+        raise AssertionError("walked every maximal independent set")
 
     monkeypatch.setattr(independence, "_mis_masks", forbidden)
+    c5 = cycle_graph(5)
+    assert isolatable_vertices(disjoint_union(*[c5] * 7)) == []
+    witnesses = isolatable_vertices(disjoint_union(*[c5] * 6, path_graph(3)))
+    cycles = [5 * k + v for k in range(6) for v in (0, 2)]
+    assert [(w.vertex, w.certificate.members) for w in witnesses] == [
+        (30, tuple(cycles + [32])),
+        (32, tuple(cycles + [30])),
+    ]
+
+
+def test_isolatable_cap_checked_before_any_walk(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search started before the cap check")
+
+    monkeypatch.setattr(independence, "_isolating_set", forbidden)
     graph = path_graph(4)
     with pytest.raises(CapExceeded):
         isolatable_vertices(graph, graph.n - 1)

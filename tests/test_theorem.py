@@ -29,6 +29,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     path_graph,
+    record_walks,
 )
 
 
@@ -49,8 +50,11 @@ def test_analyze_factor_survives_pickle_with_every_part_computed(monkeypatch):
         raise AssertionError("factor work after unpickling")
 
     for module, name in (
-        (theorem, "_mis_profile"),
-        (independence, "_mis_profile"),
+        (theorem, "is_well_covered"),
+        (theorem, "isolatable_vertices"),
+        (independence, "_largest_mis"),
+        (independence, "_smallest_mis"),
+        (independence, "_isolating_set"),
         (independence, "_mis_masks"),
     ):
         monkeypatch.setattr(module, name, forbidden)
@@ -178,6 +182,12 @@ def test_disjoint_mis_k2_square():
     assert report.passed
     assert report.g_result.all_have_disjoint and report.h_result.all_have_disjoint
     assert report.g_result.disjoint_equal_size and report.h_result.disjoint_equal_size
+
+
+def test_disjoint_mis_walks_each_factor_once(monkeypatch):
+    walked = record_walks(monkeypatch)
+    assert check_disjoint_mis(complete_graph(2), complete_graph(2)).passed
+    assert walked == [2, 2]  # the disjoint-set listing of each factor, nothing else
 
 
 def test_disjoint_mis_p3_hypotheses_fail():
