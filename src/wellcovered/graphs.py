@@ -213,12 +213,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(iter_bits(self.adj[v]))
 
-    def vertex_set(self, vertices: Iterable[int] = ()) -> VertexSet:
-        return VertexSet.of(self.n, vertices)
-
-    def all_vertices(self) -> VertexSet:
-        return VertexSet.full(self.n)
-
 
 @dataclass(frozen=True)
 class SubgraphMap:

@@ -4,23 +4,28 @@ diagonal sets, and the clique-remainder / swap-step primitives.
 
 Enumeration is exponential by nature; every entry point takes an order cap
 and raises :class:`CapExceeded` before doing any work when the input is too
-large.  All outputs are deterministic: maximal independent sets stream in
+large.  All outputs are deterministic: maximal independent sets come in
 lexicographic order of their ascending vertex sequences.
 
-Only what needs every set walks them all: size histograms and the
-early-exit verdict of :func:`well_covered`.  The well-covered report and the
-independence number come from branch-and-bound searches over the same walk,
-which skip the branches that cannot hold a set of a new extreme size and so
-return the same first sets.  Each isolatable vertex x comes from a search of
-its own residual G - N[x], run only once a local test over the second
-neighbourhood of x shows that a certificate exists.
+Everything runs on two depth-first skeletons in that order.  The walk,
+:func:`_walk`, hands each maximal independent set of an induced subgraph
+(that also dominates some target vertices) to a callback, which can end it;
+it serves every full enumeration (size histograms, the early-exit verdict
+of :func:`well_covered`, greedy decompositions) and, stopped at its first
+set, the certificate search of each isolatable vertex x over G - N[x], run
+only once a local test over the second neighbourhood of x shows that a
+certificate exists.  The search, :func:`_search`, is branch and bound over
+the same order with a pluggable bound: a clique cover finds the first
+maximum independent set, a dominator packing the first minimum maximal one,
+so the well-covered report and the independence number come without
+visiting the sets whose sizes the bounds rule out.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graphs import (
     CapExceeded,
@@ -113,59 +118,99 @@ def _maximal_independent_within(graph: Graph, allowed_mask: int, chosen_mask: in
 def enumerate_maximal_independent_sets(
     graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[VertexSet]:
-    """Stream every maximal independent set exactly once.
+    """Every maximal independent set exactly once.
 
     Emission order is lexicographic on the ascending vertex sequence, so the
-    first emitted set is the greedy one.  The cap is checked eagerly, before
-    the stream produces anything.
+    first emitted set is the greedy one.  The cap is checked first; then the
+    whole walk runs at once and the result iterates over the list it built
+    (at cap 36, at most 3^12 masks), so stopping early saves no walk.
     """
     _check_cap(graph.n, cap)
-    return (VertexSet(mask, graph.n) for mask in _mis_masks(graph))
+    masks: list[int] = []
+    _walk(graph, masks.append)
+    return (VertexSet(mask, graph.n) for mask in masks)
 
 
-def _mis_masks(graph: Graph, universe: int | None = None) -> Iterator[int]:
-    """Masks of the maximal independent sets of the subgraph induced by
-    ``universe`` (the whole graph by default), in lexicographic order of
-    their ascending vertex sequences.  No cap check: callers make it."""
+def _walk(
+    graph: Graph,
+    leaf: Callable[[int], object],
+    universe: int | None = None,
+    targets: int | None = None,
+) -> object:
+    """Call ``leaf(mask)`` on each maximal independent set of the subgraph
+    induced by ``universe`` (the whole graph by default) that also dominates
+    ``targets`` (by default the universe; it must contain the universe), in
+    lexicographic order of the sets' ascending vertex sequences.
+
+    A true value from ``leaf`` ends the walk and is returned; a walk that
+    runs to its end returns None.  No cap check: callers make it."""
     full = graph.full_mask if universe is None else universe
+    targets = full if targets is None else targets
     closed = graph.closed_adj
 
-    def walk(chosen: int, dominated: int, start: int) -> Iterator[int]:
-        undominated = full & ~dominated
+    def walk(chosen: int, dominated: int, start: int) -> object:
+        undominated = targets & ~dominated
         if not undominated:
-            yield chosen
-            return
-        candidates = (undominated >> start) << start
+            return leaf(chosen)
+        candidates = ((undominated & full) >> start) << start
         # A branch is dead as soon as some vertex can no longer be dominated
         # by any remaining candidate.
         rest = undominated
         while rest:
             low = rest & -rest
             if not closed[low.bit_length() - 1] & candidates:
-                return
+                return None
             rest ^= low
         while candidates:
             low = candidates & -candidates
             v = low.bit_length() - 1
-            yield from walk(chosen | low, dominated | closed[v], v + 1)
+            stop = walk(chosen | low, dominated | closed[v], v + 1)
+            if stop:
+                return stop
             candidates ^= low
+        return None
 
     return walk(0, 0, 0)
 
 
-def _largest_mis(graph: Graph) -> int:
-    """Mask of the first maximum independent set in the order of
-    :func:`_mis_masks`, by branch and bound over the same walk.
+def _search(graph: Graph, bound: Callable[[int, int, int], bool], best_size: int) -> int:
+    """Mask of the first maximal independent set in the order of
+    :func:`_walk` whose size ``bound`` prefers to every earlier one, by branch
+    and bound over the same walk, starting from the size ``best_size``.
 
-    A branch can add at most one vertex per clique of a cover of its
-    candidates, so it is cut, with every sibling still waiting (their
-    candidates are a subset), once ``size + cover <= best``.  Cutting only
-    when no set of the branch can be strictly larger keeps the first set of
-    the largest size."""
-    full, adj, closed = graph.full_mask, graph.adj, graph.closed_adj
-    best_size, best = -1, 0
+    ``bound(undominated, candidates, room)``, with ``room`` the best size
+    less the current one, is false once no set of the branch can beat the
+    best; the branch is then cut, with every sibling still waiting (their
+    candidates are a subset).  At a set, where both masks are empty, it
+    decides whether the set is better.  Cutting only when no set of a new
+    extreme size can remain keeps the first set of that size."""
+    full, closed = graph.full_mask, graph.closed_adj
+    best = 0
 
-    def exceeds(candidates: int, room: int) -> bool:
+    def walk(chosen: int, size: int, dominated: int, start: int) -> None:
+        nonlocal best_size, best
+        undominated = full & ~dominated
+        if not undominated:
+            if bound(0, 0, best_size - size):
+                best_size, best = size, chosen
+            return
+        candidates = (undominated >> start) << start
+        while candidates and bound(undominated, candidates, best_size - size):
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            walk(chosen | low, size + 1, dominated | closed[v], v + 1)
+            candidates ^= low
+
+    walk(0, 0, 0, 0)
+    return best
+
+
+def _cover_bound(graph: Graph) -> Callable[[int, int, int], bool]:
+    """The bound of the largest set, from a best size of -1: a branch can add
+    at most one vertex per clique of a cover of its candidates."""
+    adj = graph.adj
+
+    def exceeds(undominated: int, candidates: int, room: int) -> bool:
         """True once a greedy clique cover of the candidates needs more than
         ``room`` cliques; each grows from the lowest uncovered candidate
         through its lowest common neighbours."""
@@ -180,35 +225,15 @@ def _largest_mis(graph: Graph) -> int:
             room -= 1
         return room < 0
 
-    def walk(chosen: int, size: int, dominated: int, start: int) -> None:
-        nonlocal best_size, best
-        undominated = full & ~dominated
-        if not undominated:
-            if size > best_size:
-                best_size, best = size, chosen
-            return
-        candidates = (undominated >> start) << start
-        while candidates and exceeds(candidates, best_size - size):
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            walk(chosen | low, size + 1, dominated | closed[v], v + 1)
-            candidates ^= low
-
-    walk(0, 0, 0, 0)
-    return best
+    return exceeds
 
 
-def _smallest_mis(graph: Graph) -> int:
-    """Mask of the first minimum maximal independent set in the order of
-    :func:`_mis_masks`, by branch and bound over the same walk.
-
-    Undominated vertices whose dominators among the candidates are pairwise
-    disjoint each need a vertex of their own, so a branch is cut, with every
-    sibling still waiting, once ``size + need >= best``; it is dead when some
-    vertex has no dominator left.  Cutting only when no set of the branch can
-    be strictly smaller keeps the first set of the smallest size."""
-    full, closed = graph.full_mask, graph.closed_adj
-    best_size, best = graph.n + 1, 0
+def _packing_bound(graph: Graph) -> Callable[[int, int, int], bool]:
+    """The bound of the smallest maximal set, from a best size of n + 1:
+    undominated vertices whose dominators among the candidates are pairwise
+    disjoint each need a vertex of their own, and a branch is dead when some
+    vertex has no dominator left."""
+    closed = graph.closed_adj
 
     def below(undominated: int, candidates: int, room: int) -> bool:
         """True while a greedy packing of the undominated vertices, taken
@@ -224,24 +249,9 @@ def _smallest_mis(graph: Graph) -> int:
                     return False
                 used |= dominators
             undominated ^= low
-        return True
+        return room > 0
 
-    def walk(chosen: int, size: int, dominated: int, start: int) -> None:
-        nonlocal best_size, best
-        undominated = full & ~dominated
-        if not undominated:
-            if size < best_size:
-                best_size, best = size, chosen
-            return
-        candidates = (undominated >> start) << start
-        while candidates and below(undominated, candidates, best_size - size):
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            walk(chosen | low, size + 1, dominated | closed[v], v + 1)
-            candidates ^= low
-
-    walk(0, 0, 0, 0)
-    return best
+    return below
 
 
 def _report(graph: Graph, big: int, small: int) -> WellCoveredReport:
@@ -262,17 +272,17 @@ def _mis_profile(graph: Graph, cap: int) -> tuple[WellCoveredReport, dict[int, i
     size -> number of maximal independent sets of that size."""
     _check_cap(graph.n, cap)
     counts = [0] * (graph.n + 1)
-    alpha, low = -1, graph.n + 1
-    big = small = 0
-    for mask in _mis_masks(graph):
+    first: dict[int, int] = {}
+
+    def visit(mask: int) -> None:
         size = mask.bit_count()
+        if not counts[size]:
+            first[size] = mask
         counts[size] += 1
-        if size > alpha:
-            alpha, big = size, mask
-        if size < low:
-            low, small = size, mask
+
+    _walk(graph, visit)
     histogram = {size: count for size, count in enumerate(counts) if count}
-    return _report(graph, big, small), histogram
+    return _report(graph, first[max(first)], first[min(first)]), histogram
 
 
 def _isolating_set(graph: Graph, x: int) -> int | None:
@@ -285,10 +295,9 @@ def _isolating_set(graph: Graph, x: int) -> int | None:
     set of G - N[x] keeps it dominating.  That local test runs first, so a
     vertex that is not isolatable costs no search of G - N[x]; the disjoint
     5-cycles that would make the search visit every set never reach it.  The
-    search walks in the order of :func:`_mis_masks` over G - N[x] and treats
-    N(x) as vertices it must dominate without choosing them: a branch dies as
-    soon as some such vertex, or some undominated vertex of G - N[x], has no
-    candidate dominator left."""
+    search is :func:`_walk` over G - N[x] with N(x) among its targets, the
+    vertices it must dominate without choosing them, and it stops at the
+    first set."""
     adj, closed = graph.adj, graph.closed_adj
     ring = adj[x]
     universe = graph.full_mask & ~closed[x]
@@ -311,35 +320,14 @@ def _isolating_set(graph: Graph, x: int) -> int | None:
 
     if not covers(ring, universe):
         return None
-    targets = universe | ring
-
-    def walk(chosen: int, dominated: int, start: int) -> int | None:
-        undominated = targets & ~dominated
-        if not undominated:
-            return chosen
-        candidates = ((undominated & universe) >> start) << start
-        rest = undominated
-        while rest:
-            low = rest & -rest
-            if not closed[low.bit_length() - 1] & candidates:
-                return None
-            rest ^= low
-        while candidates:
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            found = walk(chosen | low, dominated | closed[v], v + 1)
-            if found is not None:
-                return found
-            candidates ^= low
-        return None
-
-    return walk(0, 0, 0)
+    # The leaf wraps the mask, so that the empty set still stops the walk.
+    return _walk(graph, lambda mask: (mask,), universe, universe | ring)[0]
 
 
 def independence_number(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Size of a largest independent set."""
     _check_cap(graph.n, cap)
-    return _largest_mis(graph).bit_count()
+    return _search(graph, _cover_bound(graph), -1).bit_count()
 
 
 def mis_size_histogram(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
@@ -350,9 +338,13 @@ def mis_size_histogram(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict
 def well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Fast verdict only: stops at the first size disagreement."""
     _check_cap(graph.n, cap)
-    masks = _mis_masks(graph)
-    first = next(masks).bit_count()
-    return all(mask.bit_count() == first for mask in masks)
+    sizes: set[int] = set()
+
+    def differs(mask: int) -> bool:
+        sizes.add(mask.bit_count())
+        return len(sizes) > 1
+
+    return not _walk(graph, differs)
 
 
 def is_well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> WellCoveredReport:
@@ -365,7 +357,9 @@ def is_well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> WellCov
     matters.
     """
     _check_cap(graph.n, cap)
-    return _report(graph, _largest_mis(graph), _smallest_mis(graph))
+    big = _search(graph, _cover_bound(graph), -1)
+    small = _search(graph, _packing_bound(graph), graph.n + 1)
+    return _report(graph, big, small)
 
 
 def isolatable_vertices(
@@ -433,7 +427,9 @@ def enumerate_greedy_decompositions(
         if not remaining:
             yield GreedyDecomposition(graph.n, prefix)
             return
-        for block in _mis_masks(graph, remaining):
+        blocks: list[int] = []
+        _walk(graph, blocks.append, remaining)
+        for block in blocks:
             yield from stage(remaining & ~block, prefix + (VertexSet(block, graph.n),))
 
     stream = stage(graph.full_mask, ())

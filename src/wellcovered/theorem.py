@@ -39,8 +39,9 @@ from .independence import (
     DEFAULT_ENUMERATION_CAP,
     IsolatableWitness,
     WellCoveredReport,
+    _check_cap,
     _maximal_independent_within,
-    enumerate_maximal_independent_sets,
+    _walk,
     is_maximal_independent,
     is_well_covered,
     isolatable_vertices,
@@ -381,7 +382,9 @@ def check_disjoint_mis(
 
 def _factor_disjoint_mis(graph: Graph, cap: int) -> FactorDisjointMis:
     n = graph.n
-    sets = [s.mask for s in enumerate_maximal_independent_sets(graph, cap)]
+    _check_cap(n, cap)
+    sets: list[int] = []
+    _walk(graph, sets.append)
     counterexample = next(
         (VertexSet(s, n) for s in sets if not any(s & t == 0 for t in sets if t != s)), None
     )

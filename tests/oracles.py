@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 import networkx as nx
 from hypothesis import strategies as st
 
-from wellcovered import Graph, independence
+from wellcovered import Graph, independence, theorem
 
 
 def path_graph(n: int) -> Graph:
@@ -44,16 +44,24 @@ def random_graphs(draw, min_n=0, max_n=12):
 
 
 def record_walks(monkeypatch) -> list[int]:
-    """Record the order of every graph whose maximal independent sets are
-    all walked (every walk goes through ``independence._mis_masks``)."""
+    """Record the order of every graph (or induced subgraph) whose maximal
+    independent sets are walked, through ``independence._walk`` as both
+    ``independence`` and ``theorem`` look it up.
+
+    Only walks without ``targets`` are recorded.  The one caller that passes
+    them is the certificate search of an isolatable vertex x, whose targets
+    add N(x) to its universe G - N[x] and which stops at its first set; for
+    an isolated x, N(x) is empty and the targets equal the universe."""
     walked = []
-    original = independence._mis_masks
+    original = independence._walk
 
-    def recorded(graph, universe=None):
-        walked.append(graph.n)
-        return original(graph, universe)
+    def recorded(graph, leaf, universe=None, targets=None):
+        if targets is None:
+            walked.append(graph.n)
+        return original(graph, leaf, universe, targets)
 
-    monkeypatch.setattr(independence, "_mis_masks", recorded)
+    monkeypatch.setattr(independence, "_walk", recorded)
+    monkeypatch.setattr(theorem, "_walk", recorded)
     return walked
 
 

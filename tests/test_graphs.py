@@ -10,13 +10,23 @@ from wellcovered import (
     cartesian_product,
     closed_neighborhood,
     delete_closed_neighborhood,
+    from_graph6,
     induced_subgraph,
     is_clique,
     is_connected,
     is_independent,
+    to_graph6,
 )
 
-from oracles import complete_graph, cycle_graph, empty_graph, path_graph, random_graphs
+from oracles import (
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    nx_encode_graph6,
+    nx_parse_graph6,
+    path_graph,
+    random_graphs,
+)
 
 
 # --- Graph construction invariants -----------------------------------------
@@ -232,6 +242,15 @@ def test_product_matches_networkx_and_passes_the_full_check(g, h):
     assert set(product.edges()) == expected
     # The product skipped the construction checks; they must pass on it.
     assert Graph(product.n, product.adj) == product
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(random_graphs(max_n=9))
+def test_graph6_matches_networkx_codec(graph):
+    line = to_graph6(graph)
+    assert line == nx_encode_graph6(graph.n, graph.edges())
+    assert nx_parse_graph6(line) == (graph.n, set(graph.edges()))
+    assert from_graph6(line) == graph
 
 
 def test_product_cap_and_empty_factor():

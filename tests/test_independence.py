@@ -21,7 +21,7 @@ from wellcovered import (
     well_covered,
 )
 from wellcovered import independence
-from wellcovered.independence import _mis_masks
+from wellcovered.independence import _walk
 
 from oracles import (
     atlas_graphs,
@@ -88,21 +88,67 @@ def test_enumeration_matches_oracle_order_seven_atlas():
         assert mis_list(graph) == brute_maximal_independent_sets(n, edges)
 
 
-def test_mis_masks_match_oracle_on_induced_subgraphs():
+def walk_masks(graph, universe=None, targets=None):
+    masks = []
+    assert _walk(graph, masks.append, universe, targets) is None
+    return masks
+
+
+def brute_walk(n, edges, universe, targets):
+    """Masks of the maximal independent sets of G[universe] that dominate
+    ``targets``, by the brute-force filter over the induced subgraph."""
+    kept = [v for v in range(n) if universe >> v & 1]
+    index = {v: i for i, v in enumerate(kept)}
+    sub_edges = [(index[u], index[v]) for u, v in edges if u in index and v in index]
+    closed = [1 << v for v in range(n)]
+    for u, v in edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    found = []
+    for s in brute_maximal_independent_sets(len(kept), sub_edges):
+        members = [kept[i] for i in s]
+        dominated = 0
+        for v in members:
+            dominated |= closed[v]
+        if not targets & ~dominated:
+            found.append(sum(1 << v for v in members))
+    return found
+
+
+def test_walk_matches_oracle_on_induced_subgraphs():
     rng = random.Random(6681)
     for n, edges in atlas_graphs(1, 7):
         graph = Graph.from_edges(n, edges)
         whole = [s.mask for s in enumerate_maximal_independent_sets(graph)]
-        assert list(_mis_masks(graph)) == whole
+        assert walk_masks(graph) == whole
         for universe in (0, graph.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
-            kept = [v for v in range(n) if universe >> v & 1]
-            index = {v: i for i, v in enumerate(kept)}
-            sub_edges = [(index[u], index[v]) for u, v in edges if u in index and v in index]
-            expected = [
-                sum(1 << kept[i] for i in s)
-                for s in brute_maximal_independent_sets(len(kept), sub_edges)
-            ]
-            assert list(_mis_masks(graph, universe)) == expected
+            expected = brute_walk(n, edges, universe, universe)
+            assert walk_masks(graph, universe) == expected
+            assert walk_masks(graph, universe, universe) == expected
+
+
+def test_walk_with_targets_matches_oracle_and_stops_at_a_true_leaf():
+    rng = random.Random(1204)
+    for n, edges in atlas_graphs(1, 7):
+        graph = Graph.from_edges(n, edges)
+        for _ in range(3):
+            universe = rng.getrandbits(n)
+            targets = universe | rng.getrandbits(n)
+            expected = brute_walk(n, edges, universe, targets)
+            assert walk_masks(graph, universe, targets) == expected
+            for stop_at in (1, 2):
+                seen = []
+
+                def leaf(mask):
+                    seen.append(mask)
+                    return len(seen) == stop_at and ("stop", mask)
+
+                stopped = _walk(graph, leaf, universe, targets)
+                assert seen == expected[:stop_at]
+                if len(expected) >= stop_at:
+                    assert stopped == ("stop", expected[stop_at - 1])
+                else:
+                    assert stopped is None
 
 
 def test_enumeration_on_order_zero():
@@ -199,11 +245,10 @@ def test_search_report_matches_full_walk_on_random_graphs(graph):
 
 
 def test_search_checks_cap_before_any_work(monkeypatch):
-    def forbidden(graph):
+    def forbidden(*args):
         raise AssertionError("searched over the cap")
 
-    monkeypatch.setattr(independence, "_largest_mis", forbidden)
-    monkeypatch.setattr(independence, "_smallest_mis", forbidden)
+    monkeypatch.setattr(independence, "_search", forbidden)
     big = empty_graph(37)
     with pytest.raises(CapExceeded):
         is_well_covered(big)
@@ -295,19 +340,33 @@ def disjoint_union(*graphs):
 def test_isolatable_on_disjoint_five_cycles_walks_no_graph(monkeypatch):
     # No vertex of C5 is isolatable, so for a vertex of the last cycle a
     # search of its residual would visit every maximal independent set of
-    # the cycles before it; the local test answers first.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("walked every maximal independent set")
+    # the cycles before it; the local test answers first.  The two vertices
+    # of P3 that are isolatable each cost one search that stops at its first
+    # set.
+    visits = []
+    original = independence._walk
 
-    monkeypatch.setattr(independence, "_mis_masks", forbidden)
+    def recorded(graph, leaf, universe=None, targets=None):
+        seen = []
+        visits.append(seen)
+
+        def counted(mask):
+            seen.append(mask)
+            return leaf(mask)
+
+        return original(graph, counted, universe, targets)
+
+    monkeypatch.setattr(independence, "_walk", recorded)
     c5 = cycle_graph(5)
     assert isolatable_vertices(disjoint_union(*[c5] * 7)) == []
+    assert visits == []
     witnesses = isolatable_vertices(disjoint_union(*[c5] * 6, path_graph(3)))
     cycles = [5 * k + v for k in range(6) for v in (0, 2)]
     assert [(w.vertex, w.certificate.members) for w in witnesses] == [
         (30, tuple(cycles + [32])),
         (32, tuple(cycles + [30])),
     ]
+    assert [len(seen) for seen in visits] == [1, 1]
 
 
 def test_isolatable_cap_checked_before_any_walk(monkeypatch):

@@ -2,6 +2,7 @@ import pickle
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
 
 from wellcovered import (
     CapExceeded,
@@ -29,6 +30,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_graphs,
     record_walks,
 )
 
@@ -52,10 +54,10 @@ def test_analyze_factor_survives_pickle_with_every_part_computed(monkeypatch):
     for module, name in (
         (theorem, "is_well_covered"),
         (theorem, "isolatable_vertices"),
-        (independence, "_largest_mis"),
-        (independence, "_smallest_mis"),
+        (independence, "_search"),
         (independence, "_isolating_set"),
-        (independence, "_mis_masks"),
+        (independence, "_walk"),
+        (theorem, "_walk"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     assert (copy.report, copy.isolatable) == expected
@@ -130,6 +132,19 @@ def test_witness_c6_square_at_scale():
     )
     assert len(witness.big) > len(witness.small)
     assert all(witness_invariants(c6, c6, witness).values())
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(random_graphs(min_n=1, max_n=9), random_graphs(min_n=1, max_n=9))
+def test_witness_invariants_hold_on_random_pairs(g, h):
+    for left, right in ((g, h), (h, g)):
+        inputs = witness_inputs(left, right)
+        if inputs is None:
+            continue
+        witness = build_product_witness(
+            left, inputs.iso, right, inputs.column_big, inputs.column_small
+        )
+        assert all(witness_invariants(left, right, witness).values())
 
 
 def test_witness_precondition_errors():
