@@ -338,10 +338,9 @@ def to_graph6(graph: Graph) -> str:
     if n > GRAPH6_MAX_ORDER:
         raise Graph6Error(f"order {n} exceeds the graph6 single-byte cap {GRAPH6_MAX_ORDER}")
     acc = 0
-    nbits = 0
+    nbits = n * (n - 1) // 2
     for i, j in triangle_pairs(n):
         acc = (acc << 1) | ((graph.adj[i] >> j) & 1)
-        nbits += 1
     padding = (-nbits) % 6
     acc <<= padding
     out = [chr(63 + n)]
@@ -422,22 +421,23 @@ def cartesian_product(
 def is_clique(graph: Graph, s: VertexSet) -> bool:
     """True iff every pair of distinct members of S is adjacent."""
     _check_set(graph, s)
-    for v in s:
-        if (s.mask & ~(1 << v)) & ~graph.adj[v]:
-            return False
-    return True
+    return all(s.mask & ~graph.closed_adj[v] == 0 for v in s)
+
+
+def component_masks(graph: Graph) -> Iterator[int]:
+    """Vertex masks of the connected components, ordered by least vertex."""
+    rest = graph.full_mask
+    while rest:
+        reached = frontier = rest & -rest
+        while frontier:
+            for v in iter_bits(frontier):
+                frontier |= graph.adj[v]
+            frontier &= ~reached
+            reached |= frontier
+        yield reached
+        rest &= ~reached
 
 
 def is_connected(graph: Graph) -> bool:
     """True for graphs with at most one vertex and for connected graphs."""
-    if graph.n <= 1:
-        return True
-    reached = 1
-    frontier = 1
-    while frontier:
-        grow = 0
-        for v in iter_bits(frontier):
-            grow |= graph.adj[v]
-        frontier = grow & ~reached
-        reached |= frontier
-    return reached == graph.full_mask
+    return next(component_masks(graph), 0) == graph.full_mask

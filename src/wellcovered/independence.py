@@ -18,7 +18,12 @@ certificate exists.  The search, :func:`_search`, is branch and bound over
 the same order with a pluggable bound: a clique cover finds the first
 maximum independent set, a dominator packing the first minimum maximal one,
 so the well-covered report and the independence number come without
-visiting the sets whose sizes the bounds rule out.
+visiting the sets whose sizes the bounds rule out.  The search runs once per
+connected component, and the components' first sets are joined: the
+extreme sets of a disjoint union are unions of extreme sets of its
+components, and of two sets of equal size the first is the one holding the
+least element of their symmetric difference, so the union of the first sets
+is the first set even when the components' labels interleave.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .graphs import (
     SubgraphMap,
     VertexSet,
     _check_set,
+    component_masks,
     delete_closed_neighborhood,
     iter_bits,
 )
@@ -173,23 +179,32 @@ def _walk(
     return walk(0, 0, 0)
 
 
-def _search(graph: Graph, bound: Callable[[int, int, int], bool], best_size: int) -> int:
-    """Mask of the first maximal independent set in the order of
-    :func:`_walk` whose size ``bound`` prefers to every earlier one, by branch
-    and bound over the same walk, starting from the size ``best_size``.
+def _search(
+    graph: Graph, bound: Callable[[int, int, int], bool], best_size: int, universe: int
+) -> int:
+    """Mask of the first maximal independent set of the subgraph induced by
+    ``universe``, in the order of :func:`_walk`, whose size ``bound`` prefers
+    to every earlier one, by branch and bound over the same walk, starting
+    from the size ``best_size``.
 
     ``bound(undominated, candidates, room)``, with ``room`` the best size
     less the current one, is false once no set of the branch can beat the
     best; the branch is then cut, with every sibling still waiting (their
     candidates are a subset).  At a set, where both masks are empty, it
     decides whether the set is better.  Cutting only when no set of a new
-    extreme size can remain keeps the first set of that size."""
-    full, closed = graph.full_mask, graph.closed_adj
+    extreme size can remain keeps the first set of that size.
+
+    Callers pass one connected component at a time: the sets of a disjoint
+    union are the unions of one set per component, so a search of the whole
+    graph would multiply the components' work where one per component adds
+    it (see :func:`is_well_covered` for why the union of the first sets is
+    the first set)."""
+    closed = graph.closed_adj
     best = 0
 
     def walk(chosen: int, size: int, dominated: int, start: int) -> None:
         nonlocal best_size, best
-        undominated = full & ~dominated
+        undominated = universe & ~dominated
         if not undominated:
             if bound(0, 0, best_size - size):
                 best_size, best = size, chosen
@@ -229,10 +244,15 @@ def _cover_bound(graph: Graph) -> Callable[[int, int, int], bool]:
 
 
 def _packing_bound(graph: Graph) -> Callable[[int, int, int], bool]:
-    """The bound of the smallest maximal set, from a best size of n + 1:
-    undominated vertices whose dominators among the candidates are pairwise
-    disjoint each need a vertex of their own, and a branch is dead when some
-    vertex has no dominator left."""
+    """The bound of the smallest maximal set, from a best size of the
+    universe's order plus one: undominated vertices whose dominators among
+    the candidates are pairwise disjoint each need a vertex of their own, and
+    a branch is dead when some vertex has no dominator left.
+
+    At a set the test always passes, so every set the search reaches is a
+    new best.  A branch is entered only while its parent's packing, which
+    always holds the lowest undominated vertex, leaves room after counting
+    it: the parent's room is at least 2, so a child's is at least 1."""
     closed = graph.closed_adj
 
     def below(undominated: int, candidates: int, room: int) -> bool:
@@ -325,9 +345,10 @@ def _isolating_set(graph: Graph, x: int) -> int | None:
 
 
 def independence_number(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Size of a largest independent set."""
+    """Size of a largest independent set, summed over the components."""
     _check_cap(graph.n, cap)
-    return _search(graph, _cover_bound(graph), -1).bit_count()
+    bound = _cover_bound(graph)
+    return sum(_search(graph, bound, -1, part).bit_count() for part in component_masks(graph))
 
 
 def mis_size_histogram(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
@@ -336,29 +357,44 @@ def mis_size_histogram(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict
 
 
 def well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-    """Fast verdict only: stops at the first size disagreement."""
+    """Fast verdict only: a disjoint union is well-covered iff every
+    component is, so each component is walked on its own, up to its first
+    size disagreement."""
     _check_cap(graph.n, cap)
-    sizes: set[int] = set()
+    for part in component_masks(graph):
+        sizes: set[int] = set()
 
-    def differs(mask: int) -> bool:
-        sizes.add(mask.bit_count())
-        return len(sizes) > 1
+        def differs(mask: int) -> bool:
+            sizes.add(mask.bit_count())
+            return len(sizes) > 1
 
-    return not _walk(graph, differs)
+        if _walk(graph, differs, part):
+            return False
+    return True
 
 
 def is_well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> WellCoveredReport:
     """Complete report: verdict, extreme sizes, and certifying sets.
 
-    Two branch-and-bound searches find the first maximum and the first
-    minimum maximal independent set in enumeration order, so the report is
-    the one a full enumeration gives, without visiting the sets whose sizes
-    the bounds rule out; use :func:`well_covered` when only the verdict
-    matters.
+    Two branch-and-bound searches per connected component find the first
+    maximum and the first minimum maximal independent set in enumeration
+    order, so the report is the one a full enumeration gives, without
+    visiting the sets whose sizes the bounds rule out; use
+    :func:`well_covered` when only the verdict matters.
+
+    The union of the components' first sets is the graph's first set, even
+    when the components' labels interleave.  Every largest (or smallest
+    maximal) set of a disjoint union is a union of one largest (smallest
+    maximal) set per component.  Two sets of equal size are ordered by the
+    least element of their symmetric difference, which lies in one
+    component, where the first set of that component holds it.
     """
     _check_cap(graph.n, cap)
-    big = _search(graph, _cover_bound(graph), -1)
-    small = _search(graph, _packing_bound(graph), graph.n + 1)
+    cover, packing = _cover_bound(graph), _packing_bound(graph)
+    big = small = 0
+    for part in component_masks(graph):
+        big |= _search(graph, cover, -1, part)
+        small |= _search(graph, packing, part.bit_count() + 1, part)
     return _report(graph, big, small)
 
 

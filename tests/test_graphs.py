@@ -17,6 +17,7 @@ from wellcovered import (
     is_independent,
     to_graph6,
 )
+from wellcovered.graphs import component_masks
 
 from oracles import (
     complete_graph,
@@ -302,3 +303,15 @@ def test_is_connected():
     assert is_connected(Graph(0, ()))
     assert not is_connected(empty_graph(2))
     assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(random_graphs(max_n=12))
+def test_component_masks_match_networkx(graph):
+    expected = sorted(
+        sum(1 << v for v in part) for part in nx.connected_components(to_networkx(graph))
+    )
+    masks = list(component_masks(graph))
+    assert sorted(masks) == expected
+    assert masks == sorted(masks, key=lambda mask: mask & -mask)
+    assert is_connected(graph) == (len(masks) <= 1)

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellcovered import (
     CapExceeded,
@@ -377,3 +378,56 @@ def test_isolatable_cap_checked_before_any_walk(monkeypatch):
     graph = path_graph(4)
     with pytest.raises(CapExceeded):
         isolatable_vertices(graph, graph.n - 1)
+
+
+# --- disjoint unions -------------------------------------------------------------
+
+
+@st.composite
+def shuffled_unions(draw):
+    """Disjoint unions of 2-4 random graphs, relabelled by a random
+    permutation so that the components' labels interleave."""
+    parts = draw(st.lists(random_graphs(min_n=1, max_n=5), min_size=2, max_size=4))
+    union = disjoint_union(*parts)
+    label = draw(st.permutations(range(union.n)))
+    return Graph.from_edges(union.n, [(label[u], label[v]) for u, v in union.edges()])
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(shuffled_unions())
+def test_component_searches_match_full_walk_on_shuffled_unions(graph):
+    report = full_walk_report(graph)
+    assert is_well_covered(graph) == report
+    assert independence_number(graph) == report.alpha
+    assert well_covered(graph) == report.verdict
+
+
+def test_search_work_grows_linearly_on_disjoint_five_cycles(monkeypatch):
+    # Every maximal independent set of k disjoint 5-cycles has size 2k, and
+    # neither bound is tight on C5, so a search of the whole union would
+    # visit all 5^k sets; one search per cycle costs k times one cycle.
+    calls = [0]
+
+    def counting(make):
+        def made(graph):
+            bound = make(graph)
+
+            def counted(*args):
+                calls[0] += 1
+                return bound(*args)
+
+            return counted
+
+        return made
+
+    for name in ("_cover_bound", "_packing_bound"):
+        monkeypatch.setattr(independence, name, counting(getattr(independence, name)))
+    c5 = cycle_graph(5)
+    counts = []
+    for k in range(1, 8):
+        calls[0] = 0
+        graph = disjoint_union(*[c5] * k)
+        report = is_well_covered(graph)
+        assert (report.verdict, report.alpha, independence_number(graph)) == (True, 2 * k, 2 * k)
+        counts.append(calls[0])
+        assert counts[-1] <= k * counts[0], counts
