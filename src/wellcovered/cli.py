@@ -45,8 +45,7 @@ from .independence import (
     DEFAULT_ENUMERATION_CAP,
     IsolatableWitness,
     WellCoveredReport,
-    _mis_profile,
-    isolatable_vertices,
+    mis_size_histogram,
 )
 from .theorem import (
     FactorAnalysis,
@@ -54,7 +53,6 @@ from .theorem import (
     ProductWitness,
     _orient_witness,
     analyze_factor,
-    build_product_witness,
     verify_pair,
     witness_invariants,
 )
@@ -181,17 +179,18 @@ def load_corpus(config: ScanConfig) -> dict[str, Graph]:
 
 
 def _record_from_verdict(g6_g: str, g6_h: str, verdict: PairVerdict) -> ScanRecord:
+    g, h = verdict.g_analysis, verdict.h_analysis
     return ScanRecord(
         g6_g=g6_g,
         g6_h=g6_h,
-        g_well_covered=verdict.g_report.verdict,
-        g_alpha=verdict.g_report.alpha,
-        g_min_maximal=verdict.g_report.min_maximal,
-        g_isolatable=tuple(w.vertex for w in verdict.g_isolatable),
-        h_well_covered=verdict.h_report.verdict,
-        h_alpha=verdict.h_report.alpha,
-        h_min_maximal=verdict.h_report.min_maximal,
-        h_isolatable=tuple(w.vertex for w in verdict.h_isolatable),
+        g_well_covered=g.report.verdict,
+        g_alpha=g.report.alpha,
+        g_min_maximal=g.report.min_maximal,
+        g_isolatable=tuple(w.vertex for w in g.isolatable),
+        h_well_covered=h.report.verdict,
+        h_alpha=h.report.alpha,
+        h_min_maximal=h.report.min_maximal,
+        h_isolatable=tuple(w.vertex for w in h.isolatable),
         product_n=verdict.product_order,
         product_m=verdict.product_size,
         product_well_covered=verdict.product_report.verdict,
@@ -312,8 +311,8 @@ def render_scan_json(result: ScanResult) -> str:
             "violations": [
                 {
                     "record": _record_dict(rec),
-                    "g_report": _report_dict(verdict.g_report),
-                    "h_report": _report_dict(verdict.h_report),
+                    "g_report": _report_dict(verdict.g_analysis.report),
+                    "h_report": _report_dict(verdict.h_analysis.report),
                     "product_report": _report_dict(verdict.product_report),
                 }
                 for rec, verdict in result.violations
@@ -390,15 +389,18 @@ def _print_json(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _factor_dict(analysis: FactorAnalysis) -> dict:
+    return {**_report_dict(analysis.report), "isolatable": _isolatable_list(analysis.isolatable)}
+
+
 def _analysis_dict(graph: Graph, cap: int) -> dict:
-    report, histogram = _mis_profile(graph, cap)
+    histogram = mis_size_histogram(graph, cap)
     return {
         "graph6": to_graph6(graph),
         "n": graph.n,
         "m": graph.edge_count,
-        **_report_dict(report),
+        **_factor_dict(analyze_factor(graph, cap)),
         "mis_size_histogram": {str(size): count for size, count in histogram.items()},
-        "isolatable": _isolatable_list(isolatable_vertices(graph, cap)),
     }
 
 
@@ -442,14 +444,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
                 "m": verdict.product_size,
                 **_report_dict(verdict.product_report),
             },
-            "g": {
-                **_report_dict(verdict.g_report),
-                "isolatable": _isolatable_list(verdict.g_isolatable),
-            },
-            "h": {
-                **_report_dict(verdict.h_report),
-                "isolatable": _isolatable_list(verdict.h_isolatable),
-            },
+            "g": _factor_dict(verdict.g_analysis),
+            "h": _factor_dict(verdict.h_analysis),
             "theorem_consistent": verdict.theorem_consistent,
             "witness": witness_summary,
         }
@@ -464,7 +460,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     graph_h = from_graph6(args.g6_h)
 
     g, h = analyze_factor(graph_g, enum_cap), analyze_factor(graph_h, enum_cap)
-    oriented = _orient_witness(g, h)
+    oriented = _orient_witness(g, h, product_cap)
     if oriented is None:
         _print_json(
             {
@@ -480,13 +476,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             }
         )
         return EXIT_NOT_APPLICABLE
-    inputs, swapped = oriented
-    left, right = (graph_h, graph_g) if swapped else (graph_g, graph_h)
-    witness = build_product_witness(
-        left, inputs.iso, right, inputs.column_big, inputs.column_small,
-        product_cap=product_cap,
-    )
-    checks = witness_invariants(left, right, witness)
+    witness, swapped = oriented
+    left, right = (h, g) if swapped else (g, h)
+    checks = witness_invariants(left.graph, right.graph, witness)
     _print_json(
         _witness_dict(to_graph6(graph_g), to_graph6(graph_h), swapped, witness, checks)
     )

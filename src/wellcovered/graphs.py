@@ -225,31 +225,8 @@ class SubgraphMap:
     kept: tuple[int, ...]
     host_size: int
 
-    @cached_property
-    def forward(self) -> dict[int, int]:
-        """Original vertex -> new vertex, defined exactly on ``kept``."""
-        return {orig: new for new, orig in enumerate(self.kept)}
-
     def __len__(self) -> int:
         return len(self.kept)
-
-    def to_original(self, s: VertexSet) -> VertexSet:
-        if s.n != len(self.kept):
-            raise ValueError("vertex set does not belong to the subgraph")
-        mask = 0
-        for v in s:
-            mask |= 1 << self.kept[v]
-        return VertexSet(mask, self.host_size)
-
-    def to_sub(self, s: VertexSet) -> VertexSet:
-        if s.n != self.host_size:
-            raise ValueError("vertex set does not belong to the host graph")
-        mask = 0
-        for v in s:
-            if v not in self.forward:
-                raise ValueError(f"vertex {v} was not kept by the subgraph")
-            mask |= 1 << self.forward[v]
-        return VertexSet(mask, len(self.kept))
 
 
 @dataclass(frozen=True)

@@ -285,26 +285,6 @@ def _report(graph: Graph, big: int, small: int) -> WellCoveredReport:
     )
 
 
-def _mis_profile(graph: Graph, cap: int) -> tuple[WellCoveredReport, dict[int, int]]:
-    """One enumeration pass, for callers that need every set (``analyze``,
-    histograms): the well-covered report (with the first sets in enumeration
-    order of the largest and the smallest size) and the map
-    size -> number of maximal independent sets of that size."""
-    _check_cap(graph.n, cap)
-    counts = [0] * (graph.n + 1)
-    first: dict[int, int] = {}
-
-    def visit(mask: int) -> None:
-        size = mask.bit_count()
-        if not counts[size]:
-            first[size] = mask
-        counts[size] += 1
-
-    _walk(graph, visit)
-    histogram = {size: count for size, count in enumerate(counts) if count}
-    return _report(graph, first[max(first)], first[min(first)]), histogram
-
-
 def _isolating_set(graph: Graph, x: int) -> int | None:
     """Mask of the lexicographically first maximal independent set of
     G - N[x] that dominates N(x), or None when there is none, that is, when
@@ -352,8 +332,16 @@ def independence_number(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> int
 
 
 def mis_size_histogram(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
-    """Map size -> number of maximal independent sets of that size."""
-    return _mis_profile(graph, cap)[1]
+    """Map size -> number of maximal independent sets of that size, in
+    ascending size, from one walk of every set."""
+    _check_cap(graph.n, cap)
+    counts = [0] * (graph.n + 1)
+
+    def visit(mask: int) -> None:
+        counts[mask.bit_count()] += 1
+
+    _walk(graph, visit)
+    return {size: count for size, count in enumerate(counts) if count}
 
 
 def well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:

@@ -16,7 +16,11 @@ Two routes certify that a product is or is not well-covered:
 
 Both routes start from :func:`analyze_factor`, which enumerates no graph:
 a factor's report comes from the same searches as a product's, and its
-isolatable vertices from :func:`isolatable_vertices`.
+isolatable vertices from :func:`isolatable_vertices`.  Its
+:class:`FactorAnalysis` is the only record of a factor's facts; a
+:class:`PairVerdict` holds the two analyses beside the product's report,
+and :func:`_orient_witness` is the one place that picks the witness's
+orientation and builds it.
 
 :func:`check_disjoint_mis` verifies the structural conclusions that hold for
 factor pairs without isolatable vertices whose product is well-covered.
@@ -115,16 +119,6 @@ class DisjointMisReport:
 
 
 @dataclass(frozen=True)
-class ViolationCertificate:
-    """All three reports of a pair contradicting the product consistency
-    claim (expected never to occur)."""
-
-    g_report: WellCoveredReport
-    h_report: WellCoveredReport
-    product_report: WellCoveredReport
-
-
-@dataclass(frozen=True)
 class FactorAnalysis:
     """Per-factor analysis reused across many pairs, built by
     :func:`analyze_factor` without enumerating the factor."""
@@ -137,17 +131,18 @@ class FactorAnalysis:
 
 @dataclass(frozen=True)
 class PairVerdict:
-    """Complete verification record for one factor pair."""
+    """Complete verification record for one factor pair: the two factor
+    analyses, the product's report, order and edge count, the consistency
+    flag, and the witness with its orientation.  A pair is inconsistent
+    when its product is well-covered and neither factor is; the three
+    reports are then the certificate."""
 
-    g_report: WellCoveredReport
-    h_report: WellCoveredReport
+    g_analysis: FactorAnalysis
+    h_analysis: FactorAnalysis
     product_report: WellCoveredReport
-    g_isolatable: tuple[IsolatableWitness, ...]
-    h_isolatable: tuple[IsolatableWitness, ...]
     product_order: int
     product_size: int
     theorem_consistent: bool
-    violation: ViolationCertificate | None
     witness: ProductWitness | None
     witness_swapped: bool
 
@@ -280,16 +275,21 @@ def _applicable_inputs(left: FactorAnalysis, right: FactorAnalysis) -> WitnessIn
 
 
 def _orient_witness(
-    g: FactorAnalysis, h: FactorAnalysis
-) -> tuple[WitnessInputs, bool] | None:
+    g: FactorAnalysis, h: FactorAnalysis, product_cap: int | None
+) -> tuple[ProductWitness, bool] | None:
     """The witness orientation rule: (G, H) when G has an isolatable vertex
     and H is not well-covered, else (H, G) when that applies.  Returns the
-    inputs and whether the factors were swapped."""
-    inputs = _applicable_inputs(g, h)
-    if inputs is not None:
-        return inputs, False
-    inputs = _applicable_inputs(h, g)
-    return None if inputs is None else (inputs, True)
+    witness built in that orientation and whether the factors were swapped,
+    or None when neither applies."""
+    for left, right, swapped in ((g, h, False), (h, g, True)):
+        inputs = _applicable_inputs(left, right)
+        if inputs is not None:
+            witness = build_product_witness(
+                left.graph, inputs.iso, right.graph, inputs.column_big,
+                inputs.column_small, product_cap=product_cap,
+            )
+            return witness, swapped
+    return None
 
 
 def witness_invariants(
@@ -381,25 +381,34 @@ def check_disjoint_mis(
 
 
 def _factor_disjoint_mis(graph: Graph, cap: int) -> FactorDisjointMis:
-    n = graph.n
+    """The first maximal independent set S with no disjoint partner, and the
+    first pair S before T of disjoint sets of different sizes, in
+    enumeration order, by one walk of every set and one targeted walk per S.
+
+    The maximal independent sets of G disjoint from S are the maximal
+    independent sets of G - S that dominate V(G), so each targeted walk runs
+    over G - S with V(G) as its targets.  Of two disjoint sets the one
+    holding the least vertex comes first, so the partners T after S are the
+    sets of G - S that also avoid every vertex up to min S."""
+    n, full = graph.n, graph.full_mask
     _check_cap(n, cap)
     sets: list[int] = []
     _walk(graph, sets.append)
+    # Only the empty set of the empty graph is its own disjoint partner.
     counterexample = next(
-        (VertexSet(s, n) for s in sets if not any(s & t == 0 for t in sets if t != s)), None
+        (s for s in sets if not _walk(graph, lambda t: t != s, full & ~s, full)), None
     )
-    unequal = next(
-        (
-            (VertexSet(s, n), VertexSet(t, n))
-            for i, s in enumerate(sets)
-            for t in sets[i + 1:]
-            if s & t == 0 and s.bit_count() != t.bit_count()
-        ),
-        None,
-    )
+    unequal = None
+    for s in sets:
+        size = s.bit_count()
+        later = full & ~s & -((s & -s) << 1)
+        t = _walk(graph, lambda t: t if t.bit_count() != size else 0, later, full)
+        if t:
+            unequal = (VertexSet(s, n), VertexSet(t, n))
+            break
     return FactorDisjointMis(
         all_have_disjoint=counterexample is None,
-        counterexample=counterexample,
+        counterexample=None if counterexample is None else VertexSet(counterexample, n),
         disjoint_equal_size=unequal is None,
         unequal_pair=unequal,
     )
@@ -413,9 +422,10 @@ def verify_pair(
     g_analysis: FactorAnalysis | None = None,
     h_analysis: FactorAnalysis | None = None,
 ) -> PairVerdict:
-    """Full verification of one pair: all three well-covered reports, the
-    isolatable lists, the consistency flag, and the constructive witness
-    whenever it applies (in either orientation)."""
+    """Full verification of one pair: the two factor analyses (computed
+    here unless given), the product's well-covered report, the consistency
+    flag, and the constructive witness whenever it applies (in either
+    orientation)."""
     g_analysis = g_analysis or analyze_factor(graph_left, enum_cap)
     h_analysis = h_analysis or analyze_factor(graph_right, enum_cap)
     product, _ = cartesian_product(graph_left, graph_right, cap=product_cap)
@@ -426,35 +436,14 @@ def verify_pair(
         and not g_analysis.report.verdict
         and not h_analysis.report.verdict
     )
-    violation = None
-    if not consistent:
-        violation = ViolationCertificate(
-            g_report=g_analysis.report,
-            h_report=h_analysis.report,
-            product_report=product_report,
-        )
-
-    witness = None
-    swapped = False
-    oriented = _orient_witness(g_analysis, h_analysis)
-    if oriented is not None:
-        inputs, swapped = oriented
-        left, right = (graph_right, graph_left) if swapped else (graph_left, graph_right)
-        witness = build_product_witness(
-            left, inputs.iso, right, inputs.column_big, inputs.column_small,
-            product_cap=product_cap,
-        )
-
+    witness, swapped = _orient_witness(g_analysis, h_analysis, product_cap) or (None, False)
     return PairVerdict(
-        g_report=g_analysis.report,
-        h_report=h_analysis.report,
+        g_analysis=g_analysis,
+        h_analysis=h_analysis,
         product_report=product_report,
-        g_isolatable=g_analysis.isolatable,
-        h_isolatable=h_analysis.isolatable,
         product_order=product.n,
         product_size=product.edge_count,
         theorem_consistent=consistent,
-        violation=violation,
         witness=witness,
         witness_swapped=swapped,
     )

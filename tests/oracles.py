@@ -3,7 +3,10 @@ the tests.
 
 The oracles recompute everything from first principles over plain Python
 sets (or through networkx, for the reference graph6 codec and the atlas of
-small graphs) and never touch the package's bitmask code paths.
+small graphs) and never touch the package's bitmask code paths.  The one
+exception is :func:`full_walk_report`, the reference for the searches of
+``is_well_covered``, which reads every maximal independent set off the
+package's full enumeration.
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ from itertools import combinations, permutations
 import networkx as nx
 from hypothesis import strategies as st
 
-from wellcovered import Graph, independence, theorem
+from wellcovered import (
+    Graph,
+    VertexSet,
+    WellCoveredReport,
+    enumerate_maximal_independent_sets,
+    independence,
+    theorem,
+)
 
 
 def path_graph(n: int) -> Graph:
@@ -48,10 +58,12 @@ def record_walks(monkeypatch) -> list[int]:
     independent sets are walked, through ``independence._walk`` as both
     ``independence`` and ``theorem`` look it up.
 
-    Only walks without ``targets`` are recorded.  The one caller that passes
-    them is the certificate search of an isolatable vertex x, whose targets
-    add N(x) to its universe G - N[x] and which stops at its first set; for
-    an isolated x, N(x) is empty and the targets equal the universe."""
+    Only walks without ``targets`` are recorded.  The callers that pass them
+    walk a subgraph on behalf of the whole graph: the certificate search of
+    an isolatable vertex x, whose targets add N(x) to its universe G - N[x]
+    and which stops at its first set (for an isolated x, N(x) is empty and
+    the targets equal the universe), and the search for a partner of a set
+    S in the disjoint-set check, over G - S with V(G) as its targets."""
     walked = []
     original = independence._walk
 
@@ -170,3 +182,43 @@ def atlas_graphs(min_n: int = 1, max_n: int = 7) -> list[tuple[int, list[tuple[i
             assert set(g.nodes()) == set(range(n))
             out.append((n, [tuple(sorted(e)) for e in g.edges()]))
     return out
+
+
+def full_walk_report(graph: Graph, cap: int = 36) -> WellCoveredReport:
+    """The well-covered report read off every maximal independent set: the
+    first sets in enumeration order of the largest and the smallest size."""
+    sets = list(enumerate_maximal_independent_sets(graph, cap))
+    big, small = max(sets, key=len), min(sets, key=len)
+    return WellCoveredReport(
+        verdict=len(big) == len(small),
+        alpha=len(big),
+        min_maximal=len(small),
+        witness_max=big,
+        witness_min=small,
+    )
+
+
+def pair_loop_disjoint_mis(n: int, edges) -> theorem.FactorDisjointMis:
+    """The disjoint-set structure of a factor by testing every pair of its
+    brute-force maximal independent sets: the first set with no disjoint
+    partner, and the first pair (S before T) of disjoint sets of different
+    sizes."""
+    sets = brute_maximal_independent_sets(n, edges)
+    counterexample = next(
+        (s for s in sets if not any(not s & t for t in sets if t != s)), None
+    )
+    unequal = next(
+        (
+            (s, t)
+            for i, s in enumerate(sets)
+            for t in sets[i + 1:]
+            if not s & t and len(s) != len(t)
+        ),
+        None,
+    )
+    return theorem.FactorDisjointMis(
+        all_have_disjoint=counterexample is None,
+        counterexample=None if counterexample is None else VertexSet.of(n, counterexample),
+        disjoint_equal_size=unequal is None,
+        unequal_pair=None if unequal is None else tuple(VertexSet.of(n, s) for s in unequal),
+    )

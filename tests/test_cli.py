@@ -1,12 +1,13 @@
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
-from wellcovered import Graph, cli, independence, theorem, to_graph6
+from wellcovered import Graph, cli, theorem, to_graph6
 from wellcovered.cli import ScanConfig, ScanResult, render_scan_json, scan
 
-from oracles import complete_graph, cycle_graph, path_graph, record_walks
+from oracles import complete_graph, cycle_graph, full_walk_report, path_graph, record_walks
 
 
 def run_cli(capsys, argv):
@@ -327,13 +328,14 @@ def test_scan_never_enumerates_a_product(capsys, monkeypatch):
         ["scan", "--gen-up-to", "4", "--max-n", "4"],
         ["scan", "--gen-up-to", "4", "--max-n", "4", "--format", "csv"],
         ["product", "Bg", "Bg"],
+        ["analyze", "Bg"],
+        ["analyze", "Dhc"],  # C5
+        ["analyze", "C`"],  # 2K2
     ],
 )
 def test_search_reports_match_full_walk_byte_for_byte(capsys, monkeypatch, argv):
     searched = run_cli(capsys, argv)
-    monkeypatch.setattr(
-        theorem, "is_well_covered", lambda g, cap: independence._mis_profile(g, cap)[0]
-    )
+    monkeypatch.setattr(theorem, "is_well_covered", full_walk_report)
     assert run_cli(capsys, argv) == searched
     assert searched[0] == 0 and searched[1]
 
@@ -439,6 +441,36 @@ def test_scan_violation_exit_code(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert json.loads(out)["summary"]["violations"]
+
+
+def test_scan_violation_through_verify_pair(tmp_path, capsys, monkeypatch):
+    # Reports in which only the 9-vertex products are well-covered make every
+    # pair of a corpus of 3-vertex factors a violation.  Three pairs, so that
+    # --jobs 2 really sends the verdicts, factor analyses and all, through the
+    # process pool.
+    real = theorem.is_well_covered
+
+    def only_products_well_covered(graph, cap):
+        return replace(real(graph, cap), verdict=graph.n == 9)
+
+    monkeypatch.setattr(theorem, "is_well_covered", only_products_well_covered)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    corpus = tmp_path / "p3.g6"
+    corpus.write_text("Bg\nBW\n")  # P3 centred at vertex 1, then at vertex 2
+    outputs = []
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, ["scan", "--corpus", str(corpus), "--jobs", jobs])
+        assert code == 1 and "3 pairs, 3 violations" in err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    summary = json.loads(outputs[0])["summary"]
+    assert len(summary["violations"]) == 3
+    for violation in summary["violations"]:
+        assert violation["record"]["theorem_consistent"] is False
+        assert violation["product_report"]["well_covered"] is True
+        assert violation["g_report"]["well_covered"] is False
+        assert violation["h_report"]["well_covered"] is False
+        assert violation["product_report"]["alpha"] == 5
 
 
 def test_scan_gen_up_to_validation(capsys):

@@ -31,6 +31,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    full_walk_report,
     path_graph,
     random_graphs,
 )
@@ -216,10 +217,6 @@ def test_report_witnesses_are_first_in_enumeration_order():
             )
             assert report.verdict == (len(set(sizes)) == 1)
             assert well_covered(graph) == report.verdict
-
-
-def full_walk_report(graph):
-    return independence._mis_profile(graph, 36)[0]
 
 
 def test_search_report_matches_full_walk_on_atlas_and_order_zero():

@@ -26,9 +26,11 @@ from wellcovered import (
 from wellcovered import independence, theorem
 
 from oracles import (
+    atlas_graphs,
     brute_maximal_independent_sets,
     complete_graph,
     cycle_graph,
+    pair_loop_disjoint_mis,
     path_graph,
     random_graphs,
     record_walks,
@@ -230,6 +232,17 @@ def test_disjoint_mis_quantified_small_corpus():
     assert met >= 1  # K2 with K2 at minimum
 
 
+def test_factor_disjoint_mis_matches_pair_loop_on_atlas():
+    results = []
+    for n, edges in atlas_graphs(1, 7):
+        result = theorem._factor_disjoint_mis(Graph.from_edges(n, edges), 36)
+        assert result == pair_loop_disjoint_mis(n, edges), (n, edges)
+        results.append(result)
+    # Both outcomes of both questions occur, so neither side is vacuous.
+    assert {r.all_have_disjoint for r in results} == {True, False}
+    assert {r.disjoint_equal_size for r in results} == {True, False}
+
+
 # --- greedy decomposition facts used by the disjoint-MIS argument ----------------
 
 
@@ -269,7 +282,6 @@ def test_verify_pair_p3_square():
     assert verdict.product_report.alpha == 5
     assert verdict.product_report.min_maximal == 3
     assert verdict.theorem_consistent
-    assert verdict.violation is None
     assert verdict.witness is not None and not verdict.witness_swapped
     assert len(verdict.witness.big) == 5 and len(verdict.witness.small) == 3
 
@@ -277,14 +289,14 @@ def test_verify_pair_p3_square():
 def test_verify_pair_k2_square():
     verdict = verify_pair(complete_graph(2), complete_graph(2))
     assert verdict.product_report.verdict
-    assert verdict.g_report.verdict and verdict.h_report.verdict
+    assert verdict.g_analysis.report.verdict and verdict.h_analysis.report.verdict
     assert verdict.theorem_consistent
     assert verdict.witness is None
 
 
 def test_verify_pair_c4_p3_consistent():
     verdict = verify_pair(cycle_graph(4), path_graph(3))
-    assert verdict.g_report.verdict  # C4 well-covered, claim holds trivially
+    assert verdict.g_analysis.report.verdict  # C4 well-covered, claim holds trivially
     assert verdict.theorem_consistent
     # C4 has isolatable vertices and P3 is not well-covered: witness applies
     assert verdict.witness is not None and not verdict.witness_swapped
@@ -309,6 +321,5 @@ def test_verify_pair_witness_agrees_with_enumeration():
         for h in corpus[i:]:
             verdict = verify_pair(g, h)
             assert verdict.theorem_consistent
-            assert verdict.violation is None
             if verdict.witness is not None:
                 assert not verdict.product_report.verdict
