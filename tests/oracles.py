@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from wellcovered import (
     Graph,
-    VertexSet,
     WellCoveredReport,
     enumerate_maximal_independent_sets,
     independence,
@@ -58,12 +57,10 @@ def record_walks(monkeypatch) -> list[int]:
     independent sets are walked, through ``independence._walk`` as both
     ``independence`` and ``theorem`` look it up.
 
-    Only walks without ``targets`` are recorded.  The callers that pass them
-    walk a subgraph on behalf of the whole graph: the certificate search of
-    an isolatable vertex x, whose targets add N(x) to its universe G - N[x]
-    and which stops at its first set (for an isolated x, N(x) is empty and
-    the targets equal the universe), and the search for a partner of a set
-    S in the disjoint-set check, over G - S with V(G) as its targets."""
+    Only walks without ``targets`` are recorded.  The one caller that passes
+    them is the certificate search of an isolatable vertex x, whose targets
+    add N(x) to its universe G - N[x] and which stops at its first set; for
+    an isolated x, N(x) is empty and the targets equal the universe."""
     walked = []
     original = independence._walk
 
@@ -195,30 +192,4 @@ def full_walk_report(graph: Graph, cap: int = 36) -> WellCoveredReport:
         min_maximal=len(small),
         witness_max=big,
         witness_min=small,
-    )
-
-
-def pair_loop_disjoint_mis(n: int, edges) -> theorem.FactorDisjointMis:
-    """The disjoint-set structure of a factor by testing every pair of its
-    brute-force maximal independent sets: the first set with no disjoint
-    partner, and the first pair (S before T) of disjoint sets of different
-    sizes."""
-    sets = brute_maximal_independent_sets(n, edges)
-    counterexample = next(
-        (s for s in sets if not any(not s & t for t in sets if t != s)), None
-    )
-    unequal = next(
-        (
-            (s, t)
-            for i, s in enumerate(sets)
-            for t in sets[i + 1:]
-            if not s & t and len(s) != len(t)
-        ),
-        None,
-    )
-    return theorem.FactorDisjointMis(
-        all_have_disjoint=counterexample is None,
-        counterexample=None if counterexample is None else VertexSet.of(n, counterexample),
-        disjoint_equal_size=unequal is None,
-        unequal_pair=None if unequal is None else tuple(VertexSet.of(n, s) for s in unequal),
     )

@@ -26,11 +26,9 @@ from wellcovered import (
 from wellcovered import independence, theorem
 
 from oracles import (
-    atlas_graphs,
     brute_maximal_independent_sets,
     complete_graph,
     cycle_graph,
-    pair_loop_disjoint_mis,
     path_graph,
     random_graphs,
     record_walks,
@@ -230,17 +228,6 @@ def test_disjoint_mis_quantified_small_corpus():
                 met += 1
                 assert report.passed, (g, h)
     assert met >= 1  # K2 with K2 at minimum
-
-
-def test_factor_disjoint_mis_matches_pair_loop_on_atlas():
-    results = []
-    for n, edges in atlas_graphs(1, 7):
-        result = theorem._factor_disjoint_mis(Graph.from_edges(n, edges), 36)
-        assert result == pair_loop_disjoint_mis(n, edges), (n, edges)
-        results.append(result)
-    # Both outcomes of both questions occur, so neither side is vacuous.
-    assert {r.all_have_disjoint for r in results} == {True, False}
-    assert {r.disjoint_equal_size for r in results} == {True, False}
 
 
 # --- greedy decomposition facts used by the disjoint-MIS argument ----------------
