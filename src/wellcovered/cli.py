@@ -154,9 +154,10 @@ class ScanResult:
 
 def load_corpus(config: ScanConfig) -> dict[str, Graph]:
     """Generated plus ingested graphs, filtered by the factor caps and
-    deduplicated by graph6 line, keyed by that line in sorted order."""
+    deduplicated by graph6 line, keyed by that line in sorted order.  No
+    order above the factor order cap is generated."""
     graphs: list[Graph] = []
-    for n in range(1, config.generate_up_to + 1):
+    for n in range(1, min(config.generate_up_to, config.max_factor_order) + 1):
         graphs.extend(generate_all_graphs(n))
     for path in config.corpus_paths:
         # latin-1 decodes every byte, so from_graph6 rejects a non-ASCII one

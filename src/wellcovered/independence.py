@@ -333,15 +333,24 @@ def independence_number(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> int
 
 def mis_size_histogram(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
     """Map size -> number of maximal independent sets of that size, in
-    ascending size, from one walk of every set."""
+    ascending size.  A maximal independent set of a disjoint union is one
+    per component, so each component is walked on its own and the size
+    counts are convolved."""
     _check_cap(graph.n, cap)
-    counts = [0] * (graph.n + 1)
+    total = [1]
+    for part in component_masks(graph):
+        counts = [0] * (part.bit_count() + 1)
 
-    def visit(mask: int) -> None:
-        counts[mask.bit_count()] += 1
+        def visit(mask: int) -> None:
+            counts[mask.bit_count()] += 1
 
-    _walk(graph, visit)
-    return {size: count for size, count in enumerate(counts) if count}
+        _walk(graph, visit, part)
+        joined = [0] * (len(total) + len(counts) - 1)
+        for a, x in enumerate(total):
+            for b, y in enumerate(counts):
+                joined[a + b] += x * y
+        total = joined
+    return {size: count for size, count in enumerate(total) if count}
 
 
 def well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:

@@ -11,6 +11,7 @@ package's full enumeration.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations, permutations
 
@@ -134,15 +135,15 @@ def brute_canonical_mask(n: int, edges) -> int:
     all vertex relabelings, as an integer with the first pair bit most
     significant."""
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    edge_set = {tuple(sorted(e)) for e in edges}
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
     best = None
     for perm in permutations(range(n)):
         mask = 0
         for i, j in pairs:
-            a, b = perm[i], perm[j]
-            if a > b:
-                a, b = b, a
-            mask = (mask << 1) | ((a, b) in edge_set)
+            mask = (mask << 1) | (perm[j] in adj[perm[i]])
         if best is None or mask < best:
             best = mask
     return best if best is not None else 0
@@ -169,16 +170,20 @@ def burnside_class_count(n: int) -> int:
     return total // math.factorial(n)
 
 
-def atlas_graphs(min_n: int = 1, max_n: int = 7) -> list[tuple[int, list[tuple[int, int]]]]:
-    """All isomorphism classes with min_n..max_n vertices, from the bundled
-    atlas of small graphs."""
+@functools.cache
+def _atlas() -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     out = []
     for g in nx.generators.atlas.graph_atlas_g():
         n = g.number_of_nodes()
-        if min_n <= n <= max_n:
-            assert set(g.nodes()) == set(range(n))
-            out.append((n, [tuple(sorted(e)) for e in g.edges()]))
-    return out
+        assert set(g.nodes()) == set(range(n))
+        out.append((n, tuple(tuple(sorted(e)) for e in g.edges())))
+    return tuple(out)
+
+
+def atlas_graphs(min_n: int = 1, max_n: int = 7) -> list[tuple[int, list[tuple[int, int]]]]:
+    """All isomorphism classes with min_n..max_n vertices, from the bundled
+    atlas of small graphs (read once per session)."""
+    return [(n, list(edges)) for n, edges in _atlas() if min_n <= n <= max_n]
 
 
 def full_walk_report(graph: Graph, cap: int = 36) -> WellCoveredReport:

@@ -41,8 +41,8 @@ def test_gen_order_four_count(capsys):
 
 
 def test_gen_out_of_range(capsys):
-    code, _, err = run_cli(capsys, ["gen", "7"])
-    assert code == 2 and "between 1 and 6" in err
+    code, _, err = run_cli(capsys, ["gen", "8"])
+    assert code == 2 and "between 1 and 7" in err
 
 
 # --- analyze ---------------------------------------------------------------------
@@ -309,6 +309,14 @@ def test_scan_generated_summary(capsys):
             assert record["witness_big_size"] > record["witness_small_size"]
 
 
+def test_scan_generates_only_orders_it_keeps(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "generate_all_graphs")
+    code, doc, _ = run_json(capsys, ["scan", "--gen-up-to", "6", "--max-n", "3"])
+    assert code == 0 and doc["summary"]["pairs"] == 28
+    assert doc["config"]["generate_up_to"] == 6
+    assert calls == [(1,), (2,), (3,)]
+
+
 def test_scan_encodes_each_corpus_graph_once(capsys, monkeypatch):
     calls = count_calls(monkeypatch, "to_graph6")
     code, doc, _ = run_json(capsys, ["scan", "--gen-up-to", "3"])
@@ -480,4 +488,4 @@ def test_scan_violation_through_verify_pair(tmp_path, capsys, monkeypatch):
 
 def test_scan_gen_up_to_validation(capsys):
     code, _, err = run_cli(capsys, ["scan", "--gen-up-to", "9"])
-    assert code == 2 and "between 0 and 6" in err
+    assert code == 2 and "between 0 and 7" in err

@@ -1,6 +1,13 @@
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import networkx as nx
 import pytest
 
 from wellcovered import (
+    cli,
     from_graph6,
     generate_all_graphs,
     graph_to_mask,
@@ -9,13 +16,20 @@ from wellcovered import (
 
 from oracles import atlas_graphs, brute_canonical_mask, burnside_class_count
 
-KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 
-def test_class_counts_match_burnside_oracle():
+@pytest.fixture(scope="module")
+def order_seven():
+    return generate_all_graphs(7)
+
+
+def test_class_counts_match_burnside_oracle(order_seven):
     for n, expected in KNOWN_CLASS_COUNTS.items():
         assert burnside_class_count(n) == expected
-        assert len(generate_all_graphs(n)) == expected
+        assert len(order_seven if n == 7 else generate_all_graphs(n)) == expected
 
 
 def test_order_one():
@@ -24,7 +38,7 @@ def test_order_one():
 
 
 def test_outputs_are_canonical_and_sorted():
-    for n in range(1, 6):
+    for n in range(1, 7):
         masks = [graph_to_mask(g) for g in generate_all_graphs(n)]
         assert masks == sorted(masks)
         assert len(set(masks)) == len(masks)
@@ -53,6 +67,51 @@ def test_matches_reference_atlas():
         assert generated == by_order[n]
 
 
+def test_order_seven_is_sorted_and_canonical_on_a_sample(order_seven):
+    masks = [graph_to_mask(g) for g in order_seven]
+    assert masks == sorted(masks) and len(set(masks)) == len(masks) == 1044
+    for g in random.Random(7).sample(order_seven, 24):
+        assert graph_to_mask(g) == brute_canonical_mask(g.n, g.edges())
+
+
+# networkx 3.5 warns that its unlabelled hashes changed; both sides are
+# hashed by the same version here.
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+def test_order_seven_matches_atlas_up_to_isomorphism(order_seven):
+    # Bucket both sides by Weisfeiler-Lehman hash, then pair each generated
+    # class with exactly one atlas class of its bucket.
+    def nx_graph(n, edges):
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        return g
+
+    buckets: dict[str, list[nx.Graph]] = {}
+    atlas = atlas_graphs(7, 7)
+    for n, edges in atlas:
+        g = nx_graph(n, edges)
+        buckets.setdefault(nx.weisfeiler_lehman_graph_hash(g), []).append(g)
+    assert len(atlas) == len(order_seven)
+    for graph in order_seven:
+        g = nx_graph(graph.n, graph.edges())
+        bucket = buckets[nx.weisfeiler_lehman_graph_hash(g)]
+        matches = [k for k, other in enumerate(bucket) if nx.is_isomorphic(g, other)]
+        assert len(matches) == 1
+        bucket.pop(matches[0])
+    assert not any(buckets.values())
+
+
+def test_gen_output_matches_benchmark_golden_digests(capsys):
+    # The recorded digests of `gen 1..6`, read from the benchmark's golden
+    # file, pin the output byte for byte.
+    digests = json.loads(GOLDEN.read_text(encoding="utf-8"))["corpus-analyze"]["gen"]
+    assert len(digests) == 6
+    for n, digest in enumerate(digests, 1):
+        assert cli.main(["gen", str(n)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_round_trip_through_graph6():
     for n in range(1, 6):
         for g in generate_all_graphs(n):
@@ -60,6 +119,6 @@ def test_round_trip_through_graph6():
 
 
 def test_rejects_out_of_range_order():
-    for n in (0, 7, -1):
+    for n in (0, 8, -1):
         with pytest.raises(ValueError):
             generate_all_graphs(n)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from wellcovered import (
     cartesian_product,
     delete_closed_neighborhood,
     enumerate_maximal_independent_sets,
+    from_graph6,
     generate_all_graphs,
     independence_number,
     is_independent,
@@ -220,11 +222,14 @@ def test_report_witnesses_are_first_in_enumeration_order():
 
 
 def test_search_report_matches_full_walk_on_atlas_and_order_zero():
+    # Many atlas classes are disjoint unions, whose size histograms are
+    # convolved from one walk per component; sizes come out ascending.
     for n, edges in [(0, [])] + atlas_graphs(1, 7):
         graph = Graph.from_edges(n, edges)
         assert is_well_covered(graph) == full_walk_report(graph)
-        alpha = max(len(s) for s in brute_maximal_independent_sets(n, edges))
-        assert independence_number(graph) == alpha
+        sizes = Counter(len(s) for s in brute_maximal_independent_sets(n, edges))
+        assert list(mis_size_histogram(graph).items()) == sorted(sizes.items())
+        assert independence_number(graph) == max(sizes)
 
 
 def test_search_report_matches_full_walk_on_small_products():
@@ -257,6 +262,9 @@ def test_search_checks_cap_before_any_work(monkeypatch):
 def test_mis_size_histogram():
     assert mis_size_histogram(path_graph(3)) == {1: 1, 2: 1}
     assert mis_size_histogram(cycle_graph(6)) == {2: 3, 3: 2}
+    # Five disjoint 5-cycles: one of the five 2-sets of each cycle.
+    five_cycles, _ = cartesian_product(from_graph6("D??"), from_graph6("DLo"))
+    assert mis_size_histogram(five_cycles) == {10: 5**5}
 
 
 # --- isolatable vertices -------------------------------------------------------
