@@ -10,6 +10,10 @@ Subcommands:
 
 Graphs are read as graph6 lines from arguments, files (--corpus), or
 standard input (one per line).  Reports are JSON (scan also supports CSV).
+Every indented JSON report goes through ``_render_json``, which writes the
+same bytes as ``json.dumps`` with a two-space indent and sorted keys, with
+fast paths for the flat int lists and int pairs that witness reports are made
+of; ``analyze -`` writes compact one-line records with ``json.dumps``.
 
 Exit codes: 0 success/consistent, 1 scan found a consistency violation,
 2 input error, 3 resource cap exceeded, 4 witness hypotheses not applicable.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -29,6 +34,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import chain, combinations_with_replacement, product as iter_product
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, TextIO
 
 from .corpus import GENERATION_CAP, generate_all_graphs
@@ -251,6 +257,64 @@ def scan(config: ScanConfig) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
+_INDENT = "  "
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _render_json(value, newline: str = "\n") -> str:
+    """``json.dumps`` with a two-space indent and sorted keys, byte for byte,
+    for the types the reports hold: dicts with ``str`` keys, lists, tuples,
+    ``str``, ``int``, ``bool`` and ``None``.  Any other type raises
+    ``TypeError``.
+
+    ``json.dumps`` never uses its C encoder when it indents, so this renders
+    the common shapes in bulk: a list of ints with one join, a list of
+    equal-length int tuples with one ``%`` template, and scalar dict values
+    without a recursive call.  ``newline`` is a line break plus the
+    indentation of the line ``value`` starts on."""
+    kind = type(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + _INDENT
+        items = []
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            item = value[key]
+            scalar = _SCALARS.get(type(item))
+            text = scalar(item) if scalar is not None else _render_json(item, inner)
+            items.append(f"{encode_basestring_ascii(key)}: {text}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + _INDENT
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif (
+            kinds == {tuple}
+            and len(widths := set(map(len, value))) == 1
+            and set(map(type, chain.from_iterable(value))) == {int}
+        ):
+            deeper = inner + _INDENT
+            template = "[" + deeper + ("," + deeper).join(["%d"] * widths.pop()) + inner + "]"
+            items = map(template.__mod__, value)
+        else:
+            items = [_render_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"cannot render {kind.__name__} as JSON")
+
+
 def _report_dict(report: WellCoveredReport) -> dict:
     return {
         "well_covered": report.verdict,
@@ -320,14 +384,17 @@ def render_scan_json(result: ScanResult) -> str:
             ],
         },
     }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return _render_json(document) + "\n"
 
 
-def _witness_set_dict(s: VertexSet, witness: ProductWitness) -> dict:
+def _witness_set_dict(s: VertexSet, n_right: int) -> dict:
+    # The members come from a product VertexSet, already in range, so each
+    # pair is a plain divmod and not a checked ProductIndexMap.decode.
+    members = list(s)
     return {
-        "size": len(s),
-        "indices": list(s),
-        "pairs": [list(witness.index_map.decode(p)) for p in s],
+        "size": len(members),
+        "indices": members,
+        "pairs": [divmod(p, n_right) for p in members],
     }
 
 
@@ -343,7 +410,7 @@ def _witness_dict(
         "column_big": list(witness.column_big),
         "column_small": list(witness.column_small),
         "sets": {
-            name: _witness_set_dict(getattr(witness, name), witness)
+            name: _witness_set_dict(getattr(witness, name), witness.index_map.n_right)
             for name in (
                 "core", "core_big", "core_small",
                 "gaps_big", "gaps_small",
@@ -387,7 +454,7 @@ def _resolve_cap(args: argparse.Namespace, dest: str, fallback: int) -> int:
 
 
 def _print_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_render_json(obj))
 
 
 def _factor_dict(analysis: FactorAnalysis) -> dict:
@@ -535,7 +602,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and reused by every later ``main``
+    call in the process; ``parse_args`` gives each call a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="wellcovered",
         description=(
@@ -595,8 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -489,3 +489,40 @@ def test_scan_violation_through_verify_pair(tmp_path, capsys, monkeypatch):
 def test_scan_gen_up_to_validation(capsys):
     code, _, err = run_cli(capsys, ["scan", "--gen-up-to", "9"])
     assert code == 2 and "between 0 and 7" in err
+
+
+# --- parser reuse --------------------------------------------------------------
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    corpus = tmp_path / "p3.g6"
+    corpus.write_text("Bg\n")
+    argvs = [
+        ["analyze", "Bg"],
+        ["product", "Bg", "Bg"],
+        ["witness", "A_", "A_"],
+        ["gen", "3"],
+        ["scan", "--gen-up-to", "2", "--corpus", str(corpus), "--connected-only"],
+        ["scan", "--frobnicate"],
+        ["scan", "--gen-up-to", "3", "--connected-only"],
+        ["scan", "--gen-up-to", "3"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the bad argv
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    reused = [outcome(argv) for argv in argvs]
+    assert cli.build_parser() is parser
+    assert [code for code, _, _ in reused] == [0, 0, 4, 0, 0, 2, 0, 0]
+    assert reused == fresh
