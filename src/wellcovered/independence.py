@@ -7,23 +7,24 @@ and raises :class:`CapExceeded` before doing any work when the input is too
 large.  All outputs are deterministic: maximal independent sets come in
 lexicographic order of their ascending vertex sequences.
 
-Everything runs on two depth-first skeletons in that order.  The walk,
+Everything runs on depth-first loops in that order.  The walk,
 :func:`_walk`, hands each maximal independent set of an induced subgraph
 (that also dominates some target vertices) to a callback, which can end it;
 it serves every full enumeration (size histograms, the early-exit verdict
 of :func:`well_covered`, greedy decompositions) and, stopped at its first
 set, the certificate search of each isolatable vertex x over G - N[x], run
 only once a local test over the second neighbourhood of x shows that a
-certificate exists.  The search, :func:`_search`, is branch and bound over
-the same order with a pluggable bound: a clique cover finds the first
-maximum independent set, a dominator packing the first minimum maximal one,
-so the well-covered report and the independence number come without
-visiting the sets whose sizes the bounds rule out.  The search runs once per
-connected component, and the components' first sets are joined: the
-extreme sets of a disjoint union are unions of extreme sets of its
-components, and of two sets of equal size the first is the one holding the
-least element of their symmetric difference, so the union of the first sets
-is the first set even when the components' labels interleave.
+certificate exists.  Two branch-and-bound loops over the same order give
+the well-covered report and the independence number without visiting the
+sets whose sizes their bounds rule out: :func:`_largest` cuts by a greedy
+clique cover of the candidates, :func:`_smallest` by a packing of
+undominated vertices with disjoint dominator sets, built once per node and
+updated as each sibling drops a candidate.  Both run once per connected
+component, and the components' first sets are joined: the extreme sets of
+a disjoint union are unions of extreme sets of its components, and of two
+sets of equal size the first is the one holding the least element of their
+symmetric difference, so the union of the first sets is the first set even
+when the components' labels interleave.
 """
 
 from __future__ import annotations
@@ -179,38 +180,44 @@ def _walk(
     return walk(0, 0, 0)
 
 
-def _search(
-    graph: Graph, bound: Callable[[int, int, int], bool], best_size: int, universe: int
-) -> int:
-    """Mask of the first maximal independent set of the subgraph induced by
-    ``universe``, in the order of :func:`_walk`, whose size ``bound`` prefers
-    to every earlier one, by branch and bound over the same walk, starting
-    from the size ``best_size``.
+def _largest(graph: Graph, universe: int) -> int:
+    """Mask of the first maximum independent set of the subgraph induced by
+    ``universe``, in the order of :func:`_walk`, by branch and bound over the
+    same walk.  A branch can add at most one vertex per clique of a cover of
+    its candidates, so it is cut, with every sibling still waiting (their
+    candidates are a subset), once its size plus a greedy clique cover
+    cannot beat the best set found, which keeps the first largest set.
 
-    ``bound(undominated, candidates, room)``, with ``room`` the best size
-    less the current one, is false once no set of the branch can beat the
-    best; the branch is then cut, with every sibling still waiting (their
-    candidates are a subset).  At a set, where both masks are empty, it
-    decides whether the set is better.  Cutting only when no set of a new
-    extreme size can remain keeps the first set of that size.
-
-    Callers pass one connected component at a time: the sets of a disjoint
-    union are the unions of one set per component, so a search of the whole
-    graph would multiply the components' work where one per component adds
+    Callers pass one connected component at a time: a search of a disjoint
+    union would multiply the components' work where one per component adds
     it (see :func:`is_well_covered` for why the union of the first sets is
     the first set)."""
-    closed = graph.closed_adj
-    best = 0
+    adj, closed = graph.adj, graph.closed_adj
+    best_size, best = -1, 0
 
     def walk(chosen: int, size: int, dominated: int, start: int) -> None:
         nonlocal best_size, best
         undominated = universe & ~dominated
         if not undominated:
-            if bound(0, 0, best_size - size):
+            if size > best_size:
                 best_size, best = size, chosen
             return
         candidates = (undominated >> start) << start
-        while candidates and bound(undominated, candidates, best_size - size):
+        while candidates:
+            # Each clique grows from the lowest uncovered candidate through
+            # its lowest common neighbours.
+            room, rest = best_size - size, candidates
+            while rest and room >= 0:
+                low = rest & -rest
+                common = adj[low.bit_length() - 1] & rest
+                rest ^= low
+                while common:
+                    low = common & -common
+                    common &= adj[low.bit_length() - 1]
+                    rest ^= low
+                room -= 1
+            if room >= 0:
+                return
             low = candidates & -candidates
             v = low.bit_length() - 1
             walk(chosen | low, size + 1, dominated | closed[v], v + 1)
@@ -220,58 +227,66 @@ def _search(
     return best
 
 
-def _cover_bound(graph: Graph) -> Callable[[int, int, int], bool]:
-    """The bound of the largest set, from a best size of -1: a branch can add
-    at most one vertex per clique of a cover of its candidates."""
-    adj = graph.adj
+def _smallest(graph: Graph, universe: int) -> int:
+    """Mask of the first minimum maximal independent set of the subgraph
+    induced by ``universe``, in the order of :func:`_walk`, by branch and
+    bound over the same walk, one component at a time as in :func:`_largest`.
 
-    def exceeds(undominated: int, candidates: int, room: int) -> bool:
-        """True once a greedy clique cover of the candidates needs more than
-        ``room`` cliques; each grows from the lowest uncovered candidate
-        through its lowest common neighbours."""
-        while candidates and room >= 0:
-            low = candidates & -candidates
-            common = adj[low.bit_length() - 1] & candidates
-            candidates ^= low
-            while common:
-                low = common & -common
-                common &= adj[low.bit_length() - 1]
-                candidates ^= low
-            room -= 1
-        return room < 0
+    Undominated vertices with pairwise disjoint dominator sets among the
+    candidates each need a vertex of their own, so a node ends, with every
+    sibling still waiting, once its size plus such a packing cannot beat the
+    best, or once some vertex has no dominator left.  The packing is built on
+    entering a node, over the undominated vertices ascending: each joins
+    with its dominators D, and N[D] leaves the scan.  Dropping the lowest
+    candidate v for the next sibling only shrinks dominator sets, so only
+    the undominated vertices of N[v] change: the node ends if one has no
+    dominator left, and one whose dominators now miss those in use joins.
+    Any such packing is a lower bound, so the first smallest set is kept.
 
-    return exceeds
-
-
-def _packing_bound(graph: Graph) -> Callable[[int, int, int], bool]:
-    """The bound of the smallest maximal set, from a best size of the
-    universe's order plus one: undominated vertices whose dominators among
-    the candidates are pairwise disjoint each need a vertex of their own, and
-    a branch is dead when some vertex has no dominator left.
-
-    At a set the test always passes, so every set the search reaches is a
-    new best.  A branch is entered only while its parent's packing, which
-    always holds the lowest undominated vertex, leaves room after counting
-    it: the parent's room is at least 2, so a child's is at least 1."""
+    The packing holds the lowest undominated vertex from entry on.  So the
+    node ends before its candidates run out, and a child is entered only at
+    a room over the packing of at least 2: every set reached is a new best,
+    stored without a test."""
     closed = graph.closed_adj
+    best_size, best = universe.bit_count() + 1, 0
 
-    def below(undominated: int, candidates: int, room: int) -> bool:
-        """True while a greedy packing of the undominated vertices, taken
-        ascending, by disjoint dominator sets stays under ``room`` and every
-        vertex keeps a dominator."""
-        used = 0
-        while undominated:
-            low = undominated & -undominated
+    def walk(chosen: int, size: int, dominated: int, start: int) -> None:
+        nonlocal best_size, best
+        undominated = universe & ~dominated
+        if not undominated:
+            best_size, best = size, chosen
+            return
+        candidates = (undominated >> start) << start
+        need, used, rest = size, 0, undominated
+        while rest:
+            low = rest & -rest
             dominators = closed[low.bit_length() - 1] & candidates
-            if not dominators & used:
-                room -= 1
-                if not dominators or room <= 0:
-                    return False
-                used |= dominators
-            undominated ^= low
-        return room > 0
+            need += 1
+            if not dominators or need >= best_size:
+                return
+            used |= dominators
+            while dominators:
+                low = dominators & -dominators
+                rest &= ~closed[low.bit_length() - 1]
+                dominators ^= low
+        while need < best_size:
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            walk(chosen | low, size + 1, dominated | closed[v], v + 1)
+            candidates ^= low
+            touched = closed[v] & undominated
+            while touched:
+                low = touched & -touched
+                dominators = closed[low.bit_length() - 1] & candidates
+                if not dominators:
+                    return
+                if not dominators & used:
+                    used |= dominators
+                    need += 1
+                touched ^= low
 
-    return below
+    walk(0, 0, 0, 0)
+    return best
 
 
 def _report(graph: Graph, big: int, small: int) -> WellCoveredReport:
@@ -327,8 +342,7 @@ def _isolating_set(graph: Graph, x: int) -> int | None:
 def independence_number(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Size of a largest independent set, summed over the components."""
     _check_cap(graph.n, cap)
-    bound = _cover_bound(graph)
-    return sum(_search(graph, bound, -1, part).bit_count() for part in component_masks(graph))
+    return sum(_largest(graph, part).bit_count() for part in component_masks(graph))
 
 
 def mis_size_histogram(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
@@ -387,11 +401,10 @@ def is_well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> WellCov
     component, where the first set of that component holds it.
     """
     _check_cap(graph.n, cap)
-    cover, packing = _cover_bound(graph), _packing_bound(graph)
     big = small = 0
     for part in component_masks(graph):
-        big |= _search(graph, cover, -1, part)
-        small |= _search(graph, packing, part.bit_count() + 1, part)
+        big |= _largest(graph, part)
+        small |= _smallest(graph, part)
     return _report(graph, big, small)
 
 

@@ -36,7 +36,6 @@ from .graphs import (
     VertexSet,
     cartesian_product,
     closed_neighborhood,
-    delete_closed_neighborhood,
     iter_bits,
 )
 from .independence import (
@@ -46,6 +45,7 @@ from .independence import (
     _check_cap,
     _maximal_independent_within,
     _walk,
+    is_independent,
     is_maximal_independent,
     is_well_covered,
     isolatable_vertices,
@@ -170,11 +170,13 @@ def _greedy_extend(graph: Graph, allowed_mask: int, seed_mask: int) -> int:
 def _validate_isolatable(graph: Graph, iso: IsolatableWitness) -> None:
     if not 0 <= iso.vertex < graph.n:
         raise ValueError(f"vertex {iso.vertex} out of range")
-    remainder, back = delete_closed_neighborhood(graph, iso.certificate)
-    if back.kept != (iso.vertex,):
+    if not is_independent(graph, iso.certificate):
+        raise ValueError("set is not independent")
+    kept = graph.full_mask & ~closed_neighborhood(graph, iso.certificate).mask
+    if kept != 1 << iso.vertex:
         raise ValueError(
             "certificate does not isolate the claimed vertex: deletion leaves "
-            f"{back.kept}"
+            f"{tuple(iter_bits(kept))}"
         )
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import types
 from collections import Counter
 from itertools import combinations
 
@@ -16,6 +18,7 @@ from wellcovered import (
     from_graph6,
     generate_all_graphs,
     independence_number,
+    is_connected,
     is_independent,
     is_maximal_independent,
     is_well_covered,
@@ -241,6 +244,17 @@ def test_search_report_matches_full_walk_on_small_products():
             assert is_well_covered(product) == full_walk_report(product)
 
 
+def test_search_report_matches_full_walk_on_large_products():
+    # Products of 25 and 36 vertices, where the smallest-set search updates
+    # its packing over longer runs of siblings than in the products above.
+    rng = random.Random(12)
+    five, six = ([g for g in generate_all_graphs(n) if is_connected(g)] for n in (5, 6))
+    pairs = [rng.choices(five, k=2) for _ in range(20)] + [rng.choices(six, k=2) for _ in range(4)]
+    for left, right in pairs:
+        product, _ = cartesian_product(left, right)
+        assert is_well_covered(product) == full_walk_report(product)
+
+
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)
 @given(random_graphs())
 def test_search_report_matches_full_walk_on_random_graphs(graph):
@@ -251,7 +265,8 @@ def test_search_checks_cap_before_any_work(monkeypatch):
     def forbidden(*args):
         raise AssertionError("searched over the cap")
 
-    monkeypatch.setattr(independence, "_search", forbidden)
+    for name in ("_largest", "_smallest"):
+        monkeypatch.setattr(independence, name, forbidden)
     big = empty_graph(37)
     with pytest.raises(CapExceeded):
         is_well_covered(big)
@@ -407,32 +422,35 @@ def test_component_searches_match_full_walk_on_shuffled_unions(graph):
     assert well_covered(graph) == report.verdict
 
 
-def test_search_work_grows_linearly_on_disjoint_five_cycles(monkeypatch):
+def test_search_work_grows_linearly_on_disjoint_five_cycles():
     # Every maximal independent set of k disjoint 5-cycles has size 2k, and
     # neither bound is tight on C5, so a search of the whole union would
-    # visit all 5^k sets; one search per cycle costs k times one cycle.
+    # visit all 5^k sets; one search per cycle costs k times one cycle.  The
+    # work counted is the calls of both searches' inner recursion.
+    inner = {
+        const
+        for search in (independence._largest, independence._smallest)
+        for const in search.__code__.co_consts
+        if isinstance(const, types.CodeType)
+    }
     calls = [0]
 
-    def counting(make):
-        def made(graph):
-            bound = make(graph)
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in inner:
+            calls[0] += 1
 
-            def counted(*args):
-                calls[0] += 1
-                return bound(*args)
-
-            return counted
-
-        return made
-
-    for name in ("_cover_bound", "_packing_bound"):
-        monkeypatch.setattr(independence, name, counting(getattr(independence, name)))
     c5 = cycle_graph(5)
     counts = []
     for k in range(1, 8):
-        calls[0] = 0
         graph = disjoint_union(*[c5] * k)
-        report = is_well_covered(graph)
-        assert (report.verdict, report.alpha, independence_number(graph)) == (True, 2 * k, 2 * k)
+        calls[0] = 0
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            report = is_well_covered(graph)
+            alpha = independence_number(graph)
+        finally:
+            sys.setprofile(previous)
+        assert (report.verdict, report.alpha, alpha) == (True, 2 * k, 2 * k)
         counts.append(calls[0])
         assert counts[-1] <= k * counts[0], counts

@@ -54,7 +54,8 @@ def test_analyze_factor_survives_pickle_with_every_part_computed(monkeypatch):
     for module, name in (
         (theorem, "is_well_covered"),
         (theorem, "isolatable_vertices"),
-        (independence, "_search"),
+        (independence, "_largest"),
+        (independence, "_smallest"),
         (independence, "_isolating_set"),
         (independence, "_walk"),
         (theorem, "_walk"),
@@ -151,8 +152,12 @@ def test_witness_precondition_errors():
     p3 = path_graph(3)
     big = VertexSet.of(3, [0, 2])
     small = VertexSet.of(3, [1])
-    with pytest.raises(ValueError, match="isolate"):
+    with pytest.raises(ValueError, match=r"isolate the claimed vertex: deletion leaves \(2,\)"):
         build_product_witness(p3, IsolatableWitness(1, VertexSet.of(3, [0])), p3, big, small)
+    with pytest.raises(ValueError, match="not independent"):
+        build_product_witness(p3, IsolatableWitness(2, VertexSet.of(3, [0, 1])), p3, big, small)
+    with pytest.raises(ValueError, match="host order 4"):
+        build_product_witness(p3, IsolatableWitness(0, VertexSet.of(4, [2])), p3, big, small)
     with pytest.raises(ValueError, match="maximal"):
         build_product_witness(
             p3, IsolatableWitness(0, VertexSet.of(3, [2])), p3, big, VertexSet.of(3, [0])
