@@ -43,6 +43,7 @@ from .graphs import (
     Graph,
     Graph6Error,
     VertexSet,
+    _check_product_cap,
     from_graph6,
     is_connected,
     to_graph6,
@@ -57,6 +58,7 @@ from .theorem import (
     FactorAnalysis,
     PairVerdict,
     ProductWitness,
+    _LemmaFacts,
     _orient_witness,
     analyze_factor,
     verify_pair,
@@ -423,6 +425,20 @@ def _witness_dict(
     }
 
 
+def _not_applicable_dict(g: FactorAnalysis, h: FactorAnalysis) -> dict:
+    return {
+        "applicable": False,
+        "reason": (
+            "neither orientation pairs an isolatable vertex with a "
+            "non-well-covered co-factor"
+        ),
+        "g_well_covered": g.report.verdict,
+        "h_well_covered": h.report.verdict,
+        "g_isolatable": [w.vertex for w in g.isolatable],
+        "h_isolatable": [w.vertex for w in h.isolatable],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -527,26 +543,19 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     graph_g = from_graph6(args.g6_g)
     graph_h = from_graph6(args.g6_h)
 
-    g, h = analyze_factor(graph_g, enum_cap), analyze_factor(graph_h, enum_cap)
+    # Every limit is checked before any search: the enumeration cap of G,
+    # then of H, then the product cap.
+    g, h = _LemmaFacts(graph_g, enum_cap), _LemmaFacts(graph_h, enum_cap)
+    _check_product_cap(graph_g.n * graph_h.n, product_cap)
     oriented = _orient_witness(g, h, product_cap)
     if oriented is None:
-        _print_json(
-            {
-                "applicable": False,
-                "reason": (
-                    "neither orientation pairs an isolatable vertex with a "
-                    "non-well-covered co-factor"
-                ),
-                "g_well_covered": g.report.verdict,
-                "h_well_covered": h.report.verdict,
-                "g_isolatable": [w.vertex for w in g.isolatable],
-                "h_isolatable": [w.vertex for w in h.isolatable],
-            }
-        )
+        _print_json(_not_applicable_dict(
+            analyze_factor(graph_g, enum_cap), analyze_factor(graph_h, enum_cap)
+        ))
         return EXIT_NOT_APPLICABLE
     witness, swapped = oriented
-    left, right = (h, g) if swapped else (g, h)
-    checks = witness_invariants(left.graph, right.graph, witness)
+    left, right = (graph_h, graph_g) if swapped else (graph_g, graph_h)
+    checks = witness_invariants(left, right, witness)
     _print_json(
         _witness_dict(to_graph6(graph_g), to_graph6(graph_h), swapped, witness, checks)
     )

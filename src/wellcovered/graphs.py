@@ -371,6 +371,11 @@ def delete_closed_neighborhood(graph: Graph, s: VertexSet) -> tuple[Graph, Subgr
     return induced_subgraph(graph, remainder)
 
 
+def _check_product_cap(order: int, cap: int | None) -> None:
+    if cap is not None and order > cap:
+        raise CapExceeded(f"product order {order} exceeds cap {cap}")
+
+
 def cartesian_product(
     graph_left: Graph, graph_right: Graph, cap: int | None = None
 ) -> tuple[Graph, ProductIndexMap]:
@@ -379,8 +384,7 @@ def cartesian_product(
     if graph_left.n < 1 or graph_right.n < 1:
         raise ValueError("product factors must have at least one vertex")
     size = graph_left.n * graph_right.n
-    if cap is not None and size > cap:
-        raise CapExceeded(f"product order {size} exceeds cap {cap}")
+    _check_product_cap(size, cap)
     n_right = graph_right.n
     # Template of {(g', 0) : g' ~ g}; shift by h to get the column part.
     column = [

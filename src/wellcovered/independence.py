@@ -420,12 +420,16 @@ def isolatable_vertices(
     G itself is enumerated.  The cap applies to the order of G.
     """
     _check_cap(graph.n, cap)
-    found = []
+    return list(_isolatable(graph))
+
+
+def _isolatable(graph: Graph) -> Iterator[IsolatableWitness]:
+    """The isolatable vertices of :func:`isolatable_vertices`, each searched
+    only when the caller asks for the next, so ``next`` stops at the first."""
     for x in range(graph.n):
         certificate = _isolating_set(graph, x)
         if certificate is not None:
-            found.append(IsolatableWitness(x, VertexSet(certificate, graph.n)))
-    return found
+            yield IsolatableWitness(x, VertexSet(certificate, graph.n))
 
 
 def greedy_decomposition(

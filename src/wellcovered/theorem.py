@@ -14,13 +14,17 @@ Two routes certify that a product is or is not well-covered:
   :func:`verify_pair`, which also cross-checks the main consistency claim:
   a well-covered product forces at least one well-covered factor.
 
-Both routes start from :func:`analyze_factor`, which enumerates no graph:
-a factor's report comes from the same searches as a product's, and its
-isolatable vertices from :func:`isolatable_vertices`.  Its
-:class:`FactorAnalysis` is the only record of a factor's facts; a
-:class:`PairVerdict` holds the two analyses beside the product's report,
-and :func:`_orient_witness` is the one place that picks the witness's
-orientation and builds it.
+No factor is enumerated.  :func:`analyze_factor` gives a factor's report
+from the same searches as a product's, and its isolatable vertices from
+:func:`isolatable_vertices`; its :class:`FactorAnalysis` is the record of a
+factor that :func:`verify_pair` and the scan read, and a
+:class:`PairVerdict` holds the two analyses beside the product's report.
+:func:`_orient_witness` is the one place that picks the witness's
+orientation and builds it.  It reads only the lemma's hypotheses: the left
+factor's first isolatable vertex and the right factor's report.  So
+:func:`witness_inputs` and the ``witness`` command search just those
+(:class:`_LemmaFacts`), and the command runs both full analyses only to
+report a pair to which neither orientation applies.
 
 :func:`check_disjoint_mis` verifies the structural conclusions that hold for
 factor pairs without isolatable vertices whose product is well-covered.
@@ -29,6 +33,7 @@ factor pairs without isolatable vertices whose product is well-covered.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (
     Graph,
@@ -43,6 +48,7 @@ from .independence import (
     IsolatableWitness,
     WellCoveredReport,
     _check_cap,
+    _isolatable,
     _maximal_independent_within,
     _walk,
     is_independent,
@@ -127,6 +133,30 @@ class FactorAnalysis:
     cap: int
     report: WellCoveredReport
     isolatable: tuple[IsolatableWitness, ...]
+
+    @property
+    def first_isolatable(self) -> IsolatableWitness | None:
+        return self.isolatable[0] if self.isolatable else None
+
+
+class _LemmaFacts:
+    """The two facts of one factor that the witness orientation rule reads,
+    each searched on first read: the well-covered report, and the first
+    isolatable vertex with its certificate, whose search over x = 0, 1, ...
+    stops at the first hit.  The enumeration cap is checked on construction,
+    before any search."""
+
+    def __init__(self, graph: Graph, cap: int) -> None:
+        _check_cap(graph.n, cap)
+        self.graph, self.cap = graph, cap
+
+    @cached_property
+    def report(self) -> WellCoveredReport:
+        return is_well_covered(self.graph, self.cap)
+
+    @cached_property
+    def first_isolatable(self) -> IsolatableWitness | None:
+        return next(_isolatable(self.graph), None)
 
 
 @dataclass(frozen=True)
@@ -260,24 +290,28 @@ def witness_inputs(
 
     Applicable when the left factor has an isolatable vertex and the right
     factor is not well-covered; the earliest isolatable witness and the first
-    extreme sets of the right factor are chosen.
+    extreme sets of the right factor are chosen.  Both enumeration caps are
+    checked first; then only the left factor's first isolatable vertex is
+    searched and, when it exists, the right factor's report.
     """
-    left, right = analyze_factor(graph_left, cap), analyze_factor(graph_right, cap)
-    return _applicable_inputs(left, right)
+    return _applicable_inputs(_LemmaFacts(graph_left, cap), _LemmaFacts(graph_right, cap))
 
 
-def _applicable_inputs(left: FactorAnalysis, right: FactorAnalysis) -> WitnessInputs | None:
-    if not left.isolatable or right.report.verdict:
+def _applicable_inputs(
+    left: FactorAnalysis | _LemmaFacts, right: FactorAnalysis | _LemmaFacts
+) -> WitnessInputs | None:
+    iso = left.first_isolatable
+    if iso is None or right.report.verdict:
         return None
     return WitnessInputs(
-        iso=left.isolatable[0],
+        iso=iso,
         column_big=right.report.witness_max,
         column_small=right.report.witness_min,
     )
 
 
 def _orient_witness(
-    g: FactorAnalysis, h: FactorAnalysis, product_cap: int | None
+    g: FactorAnalysis | _LemmaFacts, h: FactorAnalysis | _LemmaFacts, product_cap: int | None
 ) -> tuple[ProductWitness, bool] | None:
     """The witness orientation rule: (G, H) when G has an isolatable vertex
     and H is not well-covered, else (H, G) when that applies.  Returns the

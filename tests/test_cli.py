@@ -1,11 +1,21 @@
 import io
+import itertools
 import json
 import multiprocessing
 from dataclasses import replace
 
 import pytest
 
-from wellcovered import Graph, cli, theorem, to_graph6
+from wellcovered import (
+    Graph,
+    analyze_factor,
+    cli,
+    generate_all_graphs,
+    independence,
+    theorem,
+    to_graph6,
+    witness_invariants,
+)
 from wellcovered.cli import ScanConfig, ScanResult, render_scan_json, scan
 
 from oracles import complete_graph, cycle_graph, full_walk_report, path_graph, record_walks
@@ -247,6 +257,74 @@ def test_witness_star_k1_36_needs_cap_of_its_order(capsys):
     assert code == 3 and "graph order 37 exceeds enumeration cap 36" in err
     code, doc, _ = run_json(capsys, ["witness", star, "Bg", "--enum-cap", "37"])
     assert code == 0 and doc["all_checks_pass"] is True
+
+
+def record_searches(monkeypatch, forbid=False):
+    """Record (search, factor order, universe or vertex) for every call of
+    the two report searches and the certificate search, or fail on the
+    first."""
+    calls = []
+    for name in ("_largest", "_smallest", "_isolating_set"):
+        original = getattr(independence, name)
+
+        def recorded(graph, arg, _name=name, _original=original):
+            if forbid:
+                raise AssertionError(f"{_name} ran")
+            calls.append((_name, graph.n, arg))
+            return _original(graph, arg)
+
+        monkeypatch.setattr(independence, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["DLs", "E@r?", "--enum-cap", "4", "--product-cap", "1"],
+         "graph order 5 exceeds enumeration cap 4"),
+        (["Bg", "E@r?", "--enum-cap", "4", "--product-cap", "1"],
+         "graph order 6 exceeds enumeration cap 4"),
+        (["Bg", "Bg", "--product-cap", "8"], "product order 9 exceeds cap 8"),
+        (["A_", "A_", "--product-cap", "3"], "product order 4 exceeds cap 3"),
+    ],
+)
+def test_witness_checks_every_cap_before_any_search(capsys, monkeypatch, argv, message):
+    record_searches(monkeypatch, forbid=True)
+    code, out, err = run_cli(capsys, ["witness", *argv])
+    assert code == 3 and out == "" and err == f"error: {message}\n"
+
+
+def test_witness_searches_only_the_lemma_hypotheses(capsys, monkeypatch):
+    # P5 labelled 1-0-2-3-4: vertex 0 is not isolatable, 1, 2 and 4 are.
+    left = to_graph6(Graph.from_edges(5, [(1, 0), (0, 2), (2, 3), (3, 4)]))
+    calls = record_searches(monkeypatch)
+    code, doc, _ = run_json(capsys, ["witness", left, "Bg"])
+    assert code == 0 and doc["swapped"] is False and doc["isolatable_vertex"] == 1
+    assert [(n, x) for name, n, x in calls if name == "_isolating_set"] == [(5, 0), (5, 1)]
+    assert {n for name, n, _ in calls if name != "_isolating_set"} == {3}
+
+
+def test_witness_matches_the_full_analysis_route_on_small_pairs(capsys):
+    """Every ordered pair of classes of order <= 4, against the report built
+    from both factors' full analyses through the same orientation rule."""
+    graphs = [g for n in range(1, 5) for g in generate_all_graphs(n)]
+    outcomes = []
+    for graph_g, graph_h in itertools.product(graphs, repeat=2):
+        g6_g, g6_h = to_graph6(graph_g), to_graph6(graph_h)
+        g, h = analyze_factor(graph_g), analyze_factor(graph_h)
+        oriented = theorem._orient_witness(g, h, cli.DEFAULT_WITNESS_CMD_CAP)
+        if oriented is None:
+            expected, document = 4, cli._not_applicable_dict(g, h)
+        else:
+            witness, swapped = oriented
+            left, right = (graph_h, graph_g) if swapped else (graph_g, graph_h)
+            checks = witness_invariants(left, right, witness)
+            expected, document = 0, cli._witness_dict(g6_g, g6_h, swapped, witness, checks)
+            outcomes.append(swapped)
+        assert run_cli(capsys, ["witness", g6_g, g6_h]) == (
+            expected, cli._render_json(document) + "\n", ""
+        )
+    assert len(graphs) == 18 and len(outcomes) == 115 and 0 < sum(outcomes) < 115
 
 
 # --- scan --------------------------------------------------------------------------
