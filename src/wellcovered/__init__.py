@@ -15,49 +15,34 @@ from .graphs import (
     Graph,
     Graph6Error,
     ProductIndexMap,
-    SubgraphMap,
     VertexSet,
     cartesian_product,
     closed_neighborhood,
-    delete_closed_neighborhood,
     from_graph6,
-    induced_subgraph,
-    is_clique,
     is_connected,
     to_graph6,
     triangle_pairs,
 )
 from .independence import (
-    DEFAULT_DECOMPOSITION_CAP,
     DEFAULT_ENUMERATION_CAP,
-    GreedyDecomposition,
     IsolatableWitness,
     WellCoveredReport,
-    clique_remainder,
-    diagonal_set,
-    enumerate_greedy_decompositions,
     enumerate_maximal_independent_sets,
-    greedy_decomposition,
     independence_number,
-    is_greedy_decomposition,
     is_independent,
     is_maximal_independent,
     is_well_covered,
     isolatable_vertices,
     mis_size_histogram,
-    swap_step,
     well_covered,
 )
 from .theorem import (
-    DisjointMisReport,
     FactorAnalysis,
-    FactorDisjointMis,
     PairVerdict,
     ProductWitness,
     WitnessInputs,
     analyze_factor,
     build_product_witness,
-    check_disjoint_mis,
     verify_pair,
     witness_inputs,
     witness_invariants,
@@ -67,49 +52,34 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded",
-    "DEFAULT_DECOMPOSITION_CAP",
     "DEFAULT_ENUMERATION_CAP",
-    "DisjointMisReport",
     "FactorAnalysis",
-    "FactorDisjointMis",
     "GENERATION_CAP",
     "GRAPH6_MAX_ORDER",
     "Graph",
     "Graph6Error",
-    "GreedyDecomposition",
     "IsolatableWitness",
     "PairVerdict",
     "ProductIndexMap",
     "ProductWitness",
-    "SubgraphMap",
     "VertexSet",
     "WellCoveredReport",
     "WitnessInputs",
     "analyze_factor",
     "build_product_witness",
     "cartesian_product",
-    "check_disjoint_mis",
-    "clique_remainder",
     "closed_neighborhood",
-    "delete_closed_neighborhood",
-    "diagonal_set",
-    "enumerate_greedy_decompositions",
     "enumerate_maximal_independent_sets",
     "from_graph6",
     "generate_all_graphs",
     "graph_to_mask",
-    "greedy_decomposition",
     "independence_number",
-    "induced_subgraph",
-    "is_clique",
     "is_connected",
-    "is_greedy_decomposition",
     "is_independent",
     "is_maximal_independent",
     "is_well_covered",
     "isolatable_vertices",
     "mis_size_histogram",
-    "swap_step",
     "to_graph6",
     "triangle_pairs",
     "verify_pair",

@@ -1,5 +1,5 @@
-"""Immutable simple-graph core: bitmask adjacency, graph6 codec, induced
-subgraphs, and the Cartesian product.
+"""Immutable simple-graph core: bitmask adjacency, graph6 codec, closed
+neighborhoods, connected components, and the Cartesian product.
 
 Every vertex set is a fixed-width bitmask tied to its host graph, so the
 independence machinery in the rest of the package runs on word-parallel
@@ -139,8 +139,8 @@ class Graph:
 
     ``adj[v]`` is the bitmask of the open neighborhood N(v).  Construction
     checks symmetry, irreflexivity, and vertex range, so a Graph instance is
-    always a valid simple graph; only the products and induced subgraphs
-    built here from valid graphs skip the check.
+    always a valid simple graph; only the products built here from valid
+    graphs skip the check.
     """
 
     n: int
@@ -163,10 +163,9 @@ class Graph:
 
     @classmethod
     def _derived(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """A graph this module built from valid graphs (a product or an
-        induced subgraph), valid by construction, so the checks of
-        ``__post_init__`` are skipped; every graph from outside the package
-        goes through them."""
+        """A product this module built from valid graphs, valid by
+        construction, so the checks of ``__post_init__`` are skipped; every
+        graph from outside the package goes through them."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "adj", adj)
@@ -212,21 +211,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(iter_bits(self.adj[v]))
-
-
-@dataclass(frozen=True)
-class SubgraphMap:
-    """Vertex correspondence created by taking an induced subgraph.
-
-    New vertex i corresponds to original vertex ``kept[i]``; ``kept`` is
-    strictly increasing, so induced subgraphs preserve relative vertex order.
-    """
-
-    kept: tuple[int, ...]
-    host_size: int
-
-    def __len__(self) -> int:
-        return len(self.kept)
 
 
 @dataclass(frozen=True)
@@ -327,7 +311,7 @@ def to_graph6(graph: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Neighborhood and subgraph operations
+# Neighborhoods, products and components
 # ---------------------------------------------------------------------------
 
 
@@ -345,30 +329,6 @@ def closed_neighborhood(graph: Graph, s: VertexSet) -> VertexSet:
     for v in s:
         mask |= graph.adj[v]
     return VertexSet(mask, graph.n)
-
-
-def induced_subgraph(graph: Graph, s: VertexSet) -> tuple[Graph, SubgraphMap]:
-    """Subgraph induced by S, with the vertex correspondence."""
-    _check_set(graph, s)
-    kept = s.members
-    index = {orig: new for new, orig in enumerate(kept)}
-    rows = []
-    for orig in kept:
-        row = 0
-        for u in iter_bits(graph.adj[orig] & s.mask):
-            row |= 1 << index[u]
-        rows.append(row)
-    return Graph._derived(len(kept), tuple(rows)), SubgraphMap(kept, graph.n)
-
-
-def delete_closed_neighborhood(graph: Graph, s: VertexSet) -> tuple[Graph, SubgraphMap]:
-    """G - N[S] for an independent set S."""
-    _check_set(graph, s)
-    for v in s:
-        if graph.adj[v] & s.mask:
-            raise ValueError("set is not independent")
-    remainder = closed_neighborhood(graph, s).complement()
-    return induced_subgraph(graph, remainder)
 
 
 def _check_product_cap(order: int, cap: int | None) -> None:
@@ -397,12 +357,6 @@ def cartesian_product(
         for h in range(n_right):
             rows.append((graph_right.adj[h] << base) | (column[g] << h))
     return Graph._derived(size, tuple(rows)), ProductIndexMap(graph_left.n, n_right)
-
-
-def is_clique(graph: Graph, s: VertexSet) -> bool:
-    """True iff every pair of distinct members of S is adjacent."""
-    _check_set(graph, s)
-    return all(s.mask & ~graph.closed_adj[v] == 0 for v in s)
 
 
 def component_masks(graph: Graph) -> Iterator[int]:

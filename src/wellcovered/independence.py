@@ -1,6 +1,5 @@
 """Independent-set machinery: maximal independent set enumeration,
-well-coveredness, isolatable vertices, greedy independent decompositions,
-diagonal sets, and the clique-remainder / swap-step primitives.
+well-coveredness, the independence number and isolatable vertices.
 
 Enumeration is exponential by nature; every entry point takes an order cap
 and raises :class:`CapExceeded` before doing any work when the input is too
@@ -10,10 +9,10 @@ lexicographic order of their ascending vertex sequences.
 Everything runs on depth-first loops in that order.  The walk,
 :func:`_walk`, hands each maximal independent set of an induced subgraph
 (that also dominates some target vertices) to a callback, which can end it;
-it serves every full enumeration (size histograms, the early-exit verdict
-of :func:`well_covered`, greedy decompositions) and, stopped at its first
-set, the certificate search of each isolatable vertex x over G - N[x], run
-only once a local test over the second neighbourhood of x shows that a
+it serves every full enumeration (size histograms and the early-exit
+verdict of :func:`well_covered`) and, stopped at its first set, the
+certificate search of each isolatable vertex x over G - N[x], run only
+once a local test over the second neighbourhood of x shows that a
 certificate exists.  Two branch-and-bound loops over the same order give
 the well-covered report and the independence number without visiting the
 sets whose sizes their bounds rule out: :func:`_largest` cuts by a greedy
@@ -29,24 +28,19 @@ when the components' labels interleave.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .graphs import (
     CapExceeded,
     Graph,
-    ProductIndexMap,
-    SubgraphMap,
     VertexSet,
     _check_set,
     component_masks,
-    delete_closed_neighborhood,
     iter_bits,
 )
 
 DEFAULT_ENUMERATION_CAP = 36
-DEFAULT_DECOMPOSITION_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -72,21 +66,6 @@ class IsolatableWitness:
 
     vertex: int
     certificate: VertexSet
-
-
-@dataclass(frozen=True)
-class GreedyDecomposition:
-    """Ordered partition of V(G) where each block is maximal independent in
-    the graph left after removing the earlier blocks."""
-
-    n: int
-    blocks: tuple[VertexSet, ...]
-
-    def __iter__(self) -> Iterator[VertexSet]:
-        return iter(self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 def _check_cap(order: int, cap: int) -> None:
@@ -430,145 +409,3 @@ def _isolatable(graph: Graph) -> Iterator[IsolatableWitness]:
         certificate = _isolating_set(graph, x)
         if certificate is not None:
             yield IsolatableWitness(x, VertexSet(certificate, graph.n))
-
-
-def greedy_decomposition(
-    graph: Graph, order: Iterable[int] | None = None
-) -> GreedyDecomposition:
-    """Greedy independent decomposition along a vertex scan order.
-
-    Each block is built by scanning the residual vertices in ``order`` and
-    adding a vertex whenever it is not adjacent to the block so far, which
-    makes the block maximal independent in the residual graph.  Deterministic
-    given ``order``; the natural order 0..n-1 is the default.
-    """
-    scan = tuple(range(graph.n)) if order is None else tuple(order)
-    if sorted(scan) != list(range(graph.n)):
-        raise ValueError("order is not a permutation of the vertices")
-    remaining = graph.full_mask
-    blocks: list[VertexSet] = []
-    while remaining:
-        block = 0
-        blocked = 0
-        for v in scan:
-            bit = 1 << v
-            if bit & remaining and not bit & blocked:
-                block |= bit
-                blocked |= graph.closed_adj[v]
-        blocks.append(VertexSet(block, graph.n))
-        remaining &= ~block
-    return GreedyDecomposition(graph.n, tuple(blocks))
-
-
-def enumerate_greedy_decompositions(
-    graph: Graph,
-    limit: int | None = None,
-    cap: int = DEFAULT_DECOMPOSITION_CAP,
-) -> Iterator[GreedyDecomposition]:
-    """Stream all greedy independent decompositions by backtracking over the
-    choice of maximal independent set at each stage.
-
-    Decompositions are ordered lists: the same blocks in a different order
-    count as distinct.  Complete when not truncated by ``limit``.
-    """
-    _check_cap(graph.n, cap)
-
-    def stage(remaining: int, prefix: tuple[VertexSet, ...]) -> Iterator[GreedyDecomposition]:
-        if not remaining:
-            yield GreedyDecomposition(graph.n, prefix)
-            return
-        blocks: list[int] = []
-        _walk(graph, blocks.append, remaining)
-        for block in blocks:
-            yield from stage(remaining & ~block, prefix + (VertexSet(block, graph.n),))
-
-    stream = stage(graph.full_mask, ())
-    return stream if limit is None else itertools.islice(stream, limit)
-
-
-def is_greedy_decomposition(graph: Graph, decomposition: GreedyDecomposition) -> bool:
-    """Validate the decomposition invariants against its host graph."""
-    if decomposition.n != graph.n:
-        return False
-    remaining = graph.full_mask
-    for block in decomposition.blocks:
-        if block.n != graph.n:
-            return False
-        if not _maximal_independent_within(graph, remaining, block.mask):
-            return False
-        remaining &= ~block.mask
-    return remaining == 0
-
-
-def diagonal_set(
-    left: GreedyDecomposition,
-    right: GreedyDecomposition,
-    index_map: ProductIndexMap,
-) -> VertexSet:
-    """Union of the blockwise rectangles A_i x B_i, i up to the shorter
-    decomposition.  Always maximal independent in the Cartesian product."""
-    if left.n != index_map.n_left or right.n != index_map.n_right:
-        raise ValueError("decompositions do not match the index map hosts")
-    depth = min(len(left.blocks), len(right.blocks))
-    mask = 0
-    for i in range(depth):
-        mask |= index_map.rectangle(left.blocks[i], right.blocks[i]).mask
-    return VertexSet(mask, index_map.size)
-
-
-def _check_alpha_set(graph: Graph, s: VertexSet, cap: int) -> None:
-    if not is_maximal_independent(graph, s):
-        raise ValueError("set is not maximal independent")
-    if len(s) != independence_number(graph, cap):
-        raise ValueError("set is not a maximum independent set")
-
-
-def clique_remainder(
-    graph: Graph, maximum_set: VertexSet, x: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[Graph, SubgraphMap]:
-    """G - N[I - {x}] for a maximum independent set I and x in I.
-
-    In a graph with no isolatable vertex this remainder is a clique of order
-    at least two; x always survives in it.
-    """
-    _check_set(graph, maximum_set)
-    _check_alpha_set(graph, maximum_set, cap)
-    if x not in maximum_set:
-        raise ValueError(f"vertex {x} is not in the given set")
-    return delete_closed_neighborhood(graph, maximum_set.without_vertex(x))
-
-
-def swap_step(
-    graph: Graph,
-    maximum_set: VertexSet,
-    v: int,
-    other_set: VertexSet,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> VertexSet:
-    """Exchange v in a maximum independent set I for the least remainder
-    vertex outside J.
-
-    With I a maximum independent set, v in I, and J maximal independent, the
-    remainder F = G - N[I - {v}] is scanned for the least vertex w != v with
-    w not in J; the result (I - {v}) | {w} is independent, has the same size
-    as I, and meets J in one vertex fewer whenever v is in J.
-    """
-    _check_set(graph, maximum_set)
-    _check_set(graph, other_set)
-    _check_alpha_set(graph, maximum_set, cap)
-    if v not in maximum_set:
-        raise ValueError(f"vertex {v} is not in the given set")
-    if not is_maximal_independent(graph, other_set):
-        raise ValueError("swap partner set is not maximal independent")
-    remainder, back = delete_closed_neighborhood(graph, maximum_set.without_vertex(v))
-    if remainder.n < 2:
-        raise ValueError(
-            "remainder has fewer than two vertices; the graph has an isolatable vertex"
-        )
-    for w in back.kept:
-        if w != v and w not in other_set:
-            return maximum_set.without_vertex(v).with_vertex(w)
-    raise ValueError(
-        "every remainder vertex other than v lies in the partner set; "
-        "the remainder is not a clique"
-    )

@@ -25,9 +25,6 @@ factor's first isolatable vertex and the right factor's report.  So
 :func:`witness_inputs` and the ``witness`` command search just those
 (:class:`_LemmaFacts`), and the command runs both full analyses only to
 report a pair to which neither orientation applies.
-
-:func:`check_disjoint_mis` verifies the structural conclusions that hold for
-factor pairs without isolatable vertices whose product is well-covered.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from .graphs import (
     Graph,
     ProductIndexMap,
     VertexSet,
+    _check_product_cap,
     cartesian_product,
     closed_neighborhood,
     iter_bits,
@@ -50,7 +48,6 @@ from .independence import (
     _check_cap,
     _isolatable,
     _maximal_independent_within,
-    _walk,
     is_independent,
     is_maximal_independent,
     is_well_covered,
@@ -94,34 +91,6 @@ class WitnessInputs:
     iso: IsolatableWitness
     column_big: VertexSet
     column_small: VertexSet
-
-
-@dataclass(frozen=True)
-class FactorDisjointMis:
-    """Disjoint maximal-independent-set structure of one factor."""
-
-    all_have_disjoint: bool
-    counterexample: VertexSet | None
-    disjoint_equal_size: bool
-    unequal_pair: tuple[VertexSet, VertexSet] | None
-
-
-@dataclass(frozen=True)
-class DisjointMisReport:
-    """Outcome of the disjoint-MIS check on a factor pair.
-
-    The hypotheses are: neither factor has an isolatable vertex and the
-    product is well-covered.  When they fail no judgment is made and the
-    factor fields are None.
-    """
-
-    hypotheses_met: bool
-    g_isolatable_free: bool
-    h_isolatable_free: bool
-    product_well_covered: bool
-    g_result: FactorDisjointMis | None
-    h_result: FactorDisjointMis | None
-    passed: bool | None
 
 
 @dataclass(frozen=True)
@@ -371,80 +340,6 @@ def witness_invariants(
     }
 
 
-def check_disjoint_mis(
-    graph_left: Graph,
-    graph_right: Graph,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    product_cap: int | None = None,
-) -> DisjointMisReport:
-    """Verify the disjoint-MIS conclusions for an isolatable-free pair with a
-    well-covered product.
-
-    When the hypotheses hold, every maximal independent set of each factor
-    must admit a disjoint maximal independent set, and at least one factor
-    must have all its disjoint maximal-independent-set pairs equal in size.
-    """
-    g_free = not isolatable_vertices(graph_left, cap)
-    h_free = not isolatable_vertices(graph_right, cap)
-    product, _ = cartesian_product(graph_left, graph_right, cap=product_cap)
-    product_wc = is_well_covered(product, cap).verdict
-    if not (g_free and h_free and product_wc):
-        return DisjointMisReport(
-            hypotheses_met=False,
-            g_isolatable_free=g_free,
-            h_isolatable_free=h_free,
-            product_well_covered=product_wc,
-            g_result=None,
-            h_result=None,
-            passed=None,
-        )
-    g_result = _factor_disjoint_mis(graph_left, cap)
-    h_result = _factor_disjoint_mis(graph_right, cap)
-    passed = (
-        g_result.all_have_disjoint
-        and h_result.all_have_disjoint
-        and (g_result.disjoint_equal_size or h_result.disjoint_equal_size)
-    )
-    return DisjointMisReport(
-        hypotheses_met=True,
-        g_isolatable_free=True,
-        h_isolatable_free=True,
-        product_well_covered=True,
-        g_result=g_result,
-        h_result=h_result,
-        passed=passed,
-    )
-
-
-def _factor_disjoint_mis(graph: Graph, cap: int) -> FactorDisjointMis:
-    """The first maximal independent set with no disjoint partner, and the
-    first pair S before T of disjoint sets of different sizes, in
-    enumeration order, by testing every pair of the factor's k maximal
-    independent sets: O(k^2) mask ANDs, with k at most 12 on seven vertices."""
-    n = graph.n
-    _check_cap(n, cap)
-    sets: list[int] = []
-    _walk(graph, sets.append)
-    counterexample = next(
-        (VertexSet(s, n) for s in sets if not any(s & t == 0 for t in sets if t != s)), None
-    )
-    unequal = next(
-        (
-            (VertexSet(s, n), VertexSet(t, n))
-            for i, s in enumerate(sets)
-            for t in sets[i + 1:]
-            if s & t == 0 and s.bit_count() != t.bit_count()
-        ),
-        None,
-    )
-    return FactorDisjointMis(
-        all_have_disjoint=counterexample is None,
-        counterexample=counterexample,
-        disjoint_equal_size=unequal is None,
-        unequal_pair=unequal,
-    )
-
-
 def verify_pair(
     graph_left: Graph,
     graph_right: Graph,
@@ -456,7 +351,16 @@ def verify_pair(
     """Full verification of one pair: the two factor analyses (computed
     here unless given), the product's well-covered report, the consistency
     flag, and the constructive witness whenever it applies (in either
-    orientation)."""
+    orientation).
+
+    Every limit is checked before any search: the enumeration cap of G,
+    then of H, then the product cap, then the enumeration cap of the
+    product."""
+    product_order = graph_left.n * graph_right.n
+    _check_cap(graph_left.n, enum_cap)
+    _check_cap(graph_right.n, enum_cap)
+    _check_product_cap(product_order, product_cap)
+    _check_cap(product_order, enum_cap)
     g_analysis = g_analysis or analyze_factor(graph_left, enum_cap)
     h_analysis = h_analysis or analyze_factor(graph_right, enum_cap)
     product, _ = cartesian_product(graph_left, graph_right, cap=product_cap)

@@ -23,7 +23,6 @@ from wellcovered import (
     WellCoveredReport,
     enumerate_maximal_independent_sets,
     independence,
-    theorem,
 )
 
 
@@ -55,8 +54,9 @@ def random_graphs(draw, min_n=0, max_n=12):
 
 def record_walks(monkeypatch) -> list[int]:
     """Record the order of every graph (or induced subgraph) whose maximal
-    independent sets are walked, through ``independence._walk`` as both
-    ``independence`` and ``theorem`` look it up.
+    independent sets are walked, through ``independence._walk``: the package
+    looks it up in ``independence`` only, and :mod:`paper_lemmas` through
+    that module.
 
     Only walks without ``targets`` are recorded.  The one caller that passes
     them is the certificate search of an isolatable vertex x, whose targets
@@ -71,7 +71,6 @@ def record_walks(monkeypatch) -> list[int]:
         return original(graph, leaf, universe, targets)
 
     monkeypatch.setattr(independence, "_walk", recorded)
-    monkeypatch.setattr(theorem, "_walk", recorded)
     return walked
 
 

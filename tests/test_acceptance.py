@@ -12,16 +12,11 @@ from wellcovered import (
     VertexSet,
     build_product_witness,
     cartesian_product,
-    check_disjoint_mis,
     cli,
-    clique_remainder,
-    diagonal_set,
     enumerate_maximal_independent_sets,
     from_graph6,
     generate_all_graphs,
-    greedy_decomposition,
     independence_number,
-    is_clique,
     is_maximal_independent,
     is_well_covered,
     isolatable_vertices,
@@ -30,6 +25,13 @@ from wellcovered import (
 )
 import random
 
+from paper_lemmas import (
+    check_disjoint_mis,
+    clique_remainder,
+    diagonal_set,
+    greedy_decomposition,
+    is_clique,
+)
 from oracles import (
     atlas_graphs,
     brute_canonical_mask,

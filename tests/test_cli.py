@@ -1,11 +1,15 @@
+import importlib
 import io
 import itertools
 import json
 import multiprocessing
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import wellcovered
 from wellcovered import (
     Graph,
     analyze_factor,
@@ -291,6 +295,19 @@ def record_searches(monkeypatch, forbid=False):
 def test_witness_checks_every_cap_before_any_search(capsys, monkeypatch, argv, message):
     record_searches(monkeypatch, forbid=True)
     code, out, err = run_cli(capsys, ["witness", *argv])
+    assert code == 3 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["Bg", "Bg", "--product-cap", "4"], "product order 9 exceeds cap 4"),
+        (["Bg", "Bg", "--enum-cap", "5"], "graph order 9 exceeds enumeration cap 5"),
+    ],
+)
+def test_product_checks_every_cap_before_any_search(capsys, monkeypatch, argv, message):
+    record_searches(monkeypatch, forbid=True)
+    code, out, err = run_cli(capsys, ["product", *argv])
     assert code == 3 and out == "" and err == f"error: {message}\n"
 
 
@@ -604,3 +621,19 @@ def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
     assert cli.build_parser() is parser
     assert [code for code, _, _ in reused] == [0, 0, 4, 0, 0, 2, 0, 0]
     assert reused == fresh
+
+
+# --- documented API ------------------------------------------------------------
+
+
+def test_readme_library_table_and_all_name_only_real_attributes():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    table = readme.split("## Library overview", 1)[1].split("\n\n")[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `")]
+    assert len(rows) == 5
+    for module_cell, contents in rows:
+        module = importlib.import_module(module_cell.strip().strip("`"))
+        names = re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", contents)
+        assert names and [n for n in names if not hasattr(module, n)] == [], module
+    assert wellcovered.__all__ == sorted(set(wellcovered.__all__))
+    assert [n for n in wellcovered.__all__ if not hasattr(wellcovered, n)] == []

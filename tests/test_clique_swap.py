@@ -2,16 +2,14 @@ import pytest
 
 from wellcovered import (
     VertexSet,
-    clique_remainder,
     enumerate_maximal_independent_sets,
     generate_all_graphs,
     independence_number,
-    is_clique,
     is_independent,
     isolatable_vertices,
-    swap_step,
 )
 
+from paper_lemmas import clique_remainder, is_clique, swap_step
 from oracles import complete_graph, cycle_graph
 
 

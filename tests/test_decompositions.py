@@ -6,14 +6,16 @@ from wellcovered import (
     CapExceeded,
     Graph,
     cartesian_product,
-    diagonal_set,
-    enumerate_greedy_decompositions,
-    greedy_decomposition,
-    is_greedy_decomposition,
     is_maximal_independent,
     generate_all_graphs,
 )
 
+from paper_lemmas import (
+    diagonal_set,
+    enumerate_greedy_decompositions,
+    greedy_decomposition,
+    is_greedy_decomposition,
+)
 from oracles import complete_graph, cycle_graph, empty_graph, path_graph
 
 

@@ -9,16 +9,14 @@ from wellcovered import (
     VertexSet,
     cartesian_product,
     closed_neighborhood,
-    delete_closed_neighborhood,
     from_graph6,
-    induced_subgraph,
-    is_clique,
     is_connected,
     is_independent,
     to_graph6,
 )
 from wellcovered.graphs import component_masks
 
+from paper_lemmas import delete_closed_neighborhood, induced_subgraph, is_clique
 from oracles import (
     complete_graph,
     cycle_graph,

@@ -13,7 +13,6 @@ from wellcovered import (
     Graph,
     VertexSet,
     cartesian_product,
-    delete_closed_neighborhood,
     enumerate_maximal_independent_sets,
     from_graph6,
     generate_all_graphs,
@@ -29,6 +28,7 @@ from wellcovered import (
 from wellcovered import independence
 from wellcovered.independence import _walk
 
+from paper_lemmas import delete_closed_neighborhood
 from oracles import (
     atlas_graphs,
     brute_isolatable_vertices,

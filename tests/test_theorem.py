@@ -12,10 +12,7 @@ from wellcovered import (
     VertexSet,
     build_product_witness,
     cartesian_product,
-    check_disjoint_mis,
-    enumerate_greedy_decompositions,
     generate_all_graphs,
-    is_greedy_decomposition,
     is_maximal_independent,
     isolatable_vertices,
     analyze_factor,
@@ -25,6 +22,11 @@ from wellcovered import (
 )
 from wellcovered import independence, theorem
 
+from paper_lemmas import (
+    check_disjoint_mis,
+    enumerate_greedy_decompositions,
+    is_greedy_decomposition,
+)
 from oracles import (
     brute_maximal_independent_sets,
     complete_graph,
@@ -58,7 +60,6 @@ def test_analyze_factor_survives_pickle_with_every_part_computed(monkeypatch):
         (independence, "_smallest"),
         (independence, "_isolating_set"),
         (independence, "_walk"),
-        (theorem, "_walk"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     assert (copy.report, copy.isolatable) == expected
