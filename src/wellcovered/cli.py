@@ -214,12 +214,32 @@ def _record_from_verdict(g6_g: str, g6_h: str, verdict: PairVerdict) -> ScanReco
 
 
 def _evaluate_pair(
-    task: tuple[str, str, FactorAnalysis, FactorAnalysis],
+    task: tuple[str, str, FactorAnalysis, FactorAnalysis], reports: dict
 ) -> tuple[ScanRecord, PairVerdict | None]:
     g6_g, g6_h, g, h = task
-    verdict = verify_pair(g.graph, h.graph, enum_cap=g.cap, g_analysis=g, h_analysis=h)
+    verdict = verify_pair(
+        g.graph, h.graph, enum_cap=g.cap, g_analysis=g, h_analysis=h,
+        component_reports=reports,
+    )
     record = _record_from_verdict(g6_g, g6_h, verdict)
     return record, (verdict if not verdict.theorem_consistent else None)
+
+
+# The component-product reports shared by the pairs one pool worker
+# evaluates.  Each worker process starts with an empty dict and ends with
+# its scan's pool, so no report outlives the scan.
+_worker_reports: dict | None = None
+
+
+def _start_worker() -> None:
+    global _worker_reports
+    _worker_reports = {}
+
+
+def _evaluate_in_worker(
+    task: tuple[str, str, FactorAnalysis, FactorAnalysis],
+) -> tuple[ScanRecord, PairVerdict | None]:
+    return _evaluate_pair(task, _worker_reports)
 
 
 def _worker_count(requested: int, tasks: int) -> int:
@@ -229,7 +249,8 @@ def _worker_count(requested: int, tasks: int) -> int:
 
 def scan(config: ScanConfig) -> ScanResult:
     """Evaluate every unordered corpus pair whose product fits the cap.
-    Only the factors of those pairs are analysed."""
+    Only the factors of those pairs are analysed.  The pairs share one dict
+    of component-product reports per scan, one per worker with ``--jobs``."""
     graphs = load_corpus(config)
     pairs = [
         (g, h)
@@ -242,10 +263,11 @@ def scan(config: ScanConfig) -> ScanResult:
     workers = _worker_count(config.parallelism, len(tasks))
     if workers > 1:
         chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_evaluate_pair, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
+            outcomes = list(pool.map(_evaluate_in_worker, tasks, chunksize=chunk))
     else:
-        outcomes = [_evaluate_pair(task) for task in tasks]
+        reports: dict = {}
+        outcomes = [_evaluate_pair(task, reports) for task in tasks]
     outcomes.sort(key=lambda item: (item[0].g6_g, item[0].g6_h))
     records = tuple(record for record, _ in outcomes)
     violations = tuple(
@@ -555,7 +577,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         return EXIT_NOT_APPLICABLE
     witness, swapped = oriented
     left, right = (graph_h, graph_g) if swapped else (graph_g, graph_h)
-    checks = witness_invariants(left, right, witness)
+    checks = witness_invariants(left, right, witness, witness.product)
     _print_json(
         _witness_dict(to_graph6(graph_g), to_graph6(graph_h), swapped, witness, checks)
     )

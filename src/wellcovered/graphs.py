@@ -163,9 +163,9 @@ class Graph:
 
     @classmethod
     def _derived(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """A product this module built from valid graphs, valid by
-        construction, so the checks of ``__post_init__`` are skipped; every
-        graph from outside the package goes through them."""
+        """A product or a component this module built from valid graphs,
+        valid by construction, so the checks of ``__post_init__`` are
+        skipped; every graph from outside the package goes through them."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "adj", adj)
@@ -371,6 +371,19 @@ def component_masks(graph: Graph) -> Iterator[int]:
             reached |= frontier
         yield reached
         rest &= ~reached
+
+
+def compact_components(graph: Graph) -> tuple[tuple[tuple[int, ...], Graph], ...]:
+    """Each connected component, ordered by least vertex, as its vertices
+    ascending and the subgraph they induce, relabelled 0, 1, ... in that
+    order."""
+    parts = []
+    for mask in component_masks(graph):
+        vertices = tuple(iter_bits(mask))
+        rank = {v: i for i, v in enumerate(vertices)}
+        rows = tuple(sum(1 << rank[u] for u in iter_bits(graph.adj[v])) for v in vertices)
+        parts.append((vertices, Graph._derived(len(vertices), rows)))
+    return tuple(parts)
 
 
 def is_connected(graph: Graph) -> bool:

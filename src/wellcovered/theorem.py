@@ -9,10 +9,24 @@ Two routes certify that a product is or is not well-covered:
   cardinalities, and :func:`build_product_witness` produces them explicitly
   (checked by direct independence and domination tests, never by
   enumeration);
-* the product's well-covered report from a branch-and-bound search of its
+* the product's well-covered report from branch-and-bound searches of its
   maximal independent sets (:func:`is_well_covered`), wrapped by
   :func:`verify_pair`, which also cross-checks the main consistency claim:
   a well-covered product forces at least one well-covered factor.
+
+:func:`verify_pair` searches the product one component at a time, and
+never builds the whole product for that.  The components of G □ H are the
+products Gi □ Hj of the factors' components.  In the product's row-major
+labels the vertices of Gi □ Hj come in lexicographic order of (rank in Gi,
+rank in Hj), so the component relabelled in that order is exactly the
+product of the compacted components (:func:`compact_components`), and the
+first extreme sets of the two correspond through that order-preserving
+map.  The product's report joins the component reports: it is well-covered
+iff every component is, its sizes are the sums, and its first sets are the
+unions of the lifted component sets (see :func:`is_well_covered` for why
+the union of first sets is the first set).  A scan passes one dict of
+component reports to all its pairs, so each distinct pair of compacted
+components is searched once per scan.
 
 No factor is enumerated.  :func:`analyze_factor` gives a factor's report
 from the same searches as a product's, and its isolatable vertices from
@@ -29,7 +43,7 @@ report a pair to which neither orientation applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graphs import (
@@ -39,6 +53,7 @@ from .graphs import (
     _check_product_cap,
     cartesian_product,
     closed_neighborhood,
+    compact_components,
     iter_bits,
 )
 from .independence import (
@@ -82,6 +97,7 @@ class ProductWitness:
     big: VertexSet
     small: VertexSet
     index_map: ProductIndexMap
+    product: Graph = field(repr=False)  # the product the sets were built in
 
 
 @dataclass(frozen=True)
@@ -106,6 +122,12 @@ class FactorAnalysis:
     @property
     def first_isolatable(self) -> IsolatableWitness | None:
         return self.isolatable[0] if self.isolatable else None
+
+    @cached_property
+    def components(self) -> tuple[tuple[tuple[int, ...], Graph], ...]:
+        """The factor's compacted components, computed once per analysis
+        and read by every pair it is in."""
+        return compact_components(self.graph)
 
 
 class _LemmaFacts:
@@ -249,6 +271,7 @@ def build_product_witness(
         big=big,
         small=small,
         index_map=index_map,
+        product=product,
     )
 
 
@@ -298,10 +321,15 @@ def _orient_witness(
 
 
 def witness_invariants(
-    graph_left: Graph, graph_right: Graph, witness: ProductWitness
+    graph_left: Graph, graph_right: Graph, witness: ProductWitness,
+    product: Graph | None = None,
 ) -> dict[str, bool]:
-    """Recheck every structural claim of a witness against the product."""
-    product, index_map = cartesian_product(graph_left, graph_right)
+    """Recheck every structural claim of a witness against the product of
+    the factors, built here unless the caller already holds it (the
+    ``witness`` command passes the one the witness was built in)."""
+    if product is None:
+        product, _ = cartesian_product(graph_left, graph_right)
+    index_map = ProductIndexMap(graph_left.n, graph_right.n)
     all_right = VertexSet.full(graph_right.n)
     x = witness.isolatable_vertex
     closed_block = index_map.rectangle(
@@ -340,6 +368,41 @@ def witness_invariants(
     }
 
 
+def _product_report(
+    g: FactorAnalysis, h: FactorAnalysis, cap: int, reports: dict
+) -> WellCoveredReport:
+    """The report of G □ H joined from the reports of its components
+    Gi □ Hj, each taken from ``reports`` (keyed by the two compacted
+    components' adjacency) or searched and stored there."""
+    parts = []
+    for g_vertices, g_part in g.components:
+        for h_vertices, h_part in h.components:
+            key = g_part.adj, h_part.adj
+            report = reports.get(key)
+            if report is None:
+                product, _ = cartesian_product(g_part, h_part)
+                report = reports[key] = is_well_covered(product, cap)
+            parts.append((g_vertices, h_vertices, report))
+    if len(parts) == 1:
+        return report  # a connected product is its own component, same labels
+    n_right = h.graph.n
+    verdict, alpha, min_maximal, big, small = True, 0, 0, 0, 0
+    for g_vertices, h_vertices, report in parts:
+        # Component vertex a * |Hj| + b is (g_vertices[a], h_vertices[b]).
+        lifted = [x * n_right + y for x in g_vertices for y in h_vertices]
+        for p in iter_bits(report.witness_max.mask):
+            big |= 1 << lifted[p]
+        for p in iter_bits(report.witness_min.mask):
+            small |= 1 << lifted[p]
+        verdict = verdict and report.verdict
+        alpha += report.alpha
+        min_maximal += report.min_maximal
+    order = g.graph.n * n_right
+    return WellCoveredReport(
+        verdict, alpha, min_maximal, VertexSet(big, order), VertexSet(small, order)
+    )
+
+
 def verify_pair(
     graph_left: Graph,
     graph_right: Graph,
@@ -347,11 +410,18 @@ def verify_pair(
     product_cap: int | None = None,
     g_analysis: FactorAnalysis | None = None,
     h_analysis: FactorAnalysis | None = None,
+    component_reports: dict | None = None,
 ) -> PairVerdict:
     """Full verification of one pair: the two factor analyses (computed
     here unless given), the product's well-covered report, the consistency
     flag, and the constructive witness whenever it applies (in either
     orientation).
+
+    The product's report is joined from one search per component product
+    (see the module docstring).  ``component_reports`` holds those
+    searches' reports; a caller that verifies many pairs passes the same
+    dict to each, and by default every call starts an empty one.  The whole
+    product is built only for the witness.
 
     Every limit is checked before any search: the enumeration cap of G,
     then of H, then the product cap, then the enumeration cap of the
@@ -363,8 +433,10 @@ def verify_pair(
     _check_cap(product_order, enum_cap)
     g_analysis = g_analysis or analyze_factor(graph_left, enum_cap)
     h_analysis = h_analysis or analyze_factor(graph_right, enum_cap)
-    product, _ = cartesian_product(graph_left, graph_right, cap=product_cap)
-    product_report = is_well_covered(product, enum_cap)
+    product_report = _product_report(
+        g_analysis, h_analysis, enum_cap,
+        {} if component_reports is None else component_reports,
+    )
 
     consistent = not (
         product_report.verdict
@@ -376,8 +448,9 @@ def verify_pair(
         g_analysis=g_analysis,
         h_analysis=h_analysis,
         product_report=product_report,
-        product_order=product.n,
-        product_size=product.edge_count,
+        product_order=product_order,
+        product_size=graph_left.n * graph_right.edge_count
+        + graph_right.n * graph_left.edge_count,
         theorem_consistent=consistent,
         witness=witness,
         witness_swapped=swapped,

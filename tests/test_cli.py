@@ -7,6 +7,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import wellcovered
@@ -233,9 +234,11 @@ def count_calls(monkeypatch, name):
 
 def test_witness_walks_each_factor_once(capsys, monkeypatch):
     walked = record_walks(monkeypatch)
+    built = count_calls(monkeypatch, "cartesian_product")
     code, doc, _ = run_json(capsys, ["witness", "Bg", "Bg"])
-    assert code == 0 and doc["swapped"] is False
+    assert code == 0 and doc["swapped"] is False and doc["all_checks_pass"] is True
     assert walked == []  # no factor is enumerated, and no product
+    assert len(built) == 1  # the witness and its checks share one product
 
 
 def test_witness_not_applicable_reuses_factor_analysis(capsys, monkeypatch):
@@ -419,6 +422,86 @@ def test_scan_encodes_each_corpus_graph_once(capsys, monkeypatch):
     assert len(calls) == 7  # one per class of order <= 3
 
 
+def component_products(graphs, product_cap):
+    """Over the unordered pairs of ``graphs`` whose product fits the cap:
+    the number of components of their products, and the set of distinct
+    pairs of factor components, each relabelled in the order of its
+    vertices; computed with networkx."""
+
+    def compacted(graph):
+        nx_graph = nx.Graph()
+        nx_graph.add_nodes_from(range(graph.n))
+        nx_graph.add_edges_from(graph.edges())
+        parts = []
+        for part in nx.connected_components(nx_graph):
+            rank = {v: i for i, v in enumerate(sorted(part))}
+            edges = nx_graph.subgraph(part).edges()
+            parts.append((len(part), frozenset(tuple(sorted((rank[u], rank[v]))) for u, v in edges)))
+        return parts
+
+    count, distinct = 0, set()
+    for g, h in itertools.combinations_with_replacement(graphs, 2):
+        if g.n * h.n <= product_cap:
+            pieces = [(a, b) for a in compacted(g) for b in compacted(h)]
+            count += len(pieces)
+            distinct.update(pieces)
+    return count, distinct
+
+
+def test_scan_builds_a_pair_product_only_for_its_witness(capsys, monkeypatch):
+    """The product of a pair's own factors is built once per witnessed pair
+    and for no other pair; every other build is a component product, one
+    per distinct pair of compacted components.  (For two connected factors
+    the component product has the pair product's order too, and it counts
+    among the component products.)"""
+    corpus = {}
+    real_load, real_product = cli.load_corpus, theorem.cartesian_product
+    built = []
+
+    def load(config):
+        corpus.update(real_load(config))
+        return corpus
+
+    def recorded(left, right, cap=None):
+        built.append((left, right))
+        return real_product(left, right, cap)
+
+    monkeypatch.setattr(cli, "load_corpus", load)
+    monkeypatch.setattr(theorem, "cartesian_product", recorded)
+    code, doc, _ = run_json(capsys, ["scan", "--gen-up-to", "3"])
+    assert code == 0 and doc["summary"]["pairs"] == 28
+    name = {id(graph): g6 for g6, graph in corpus.items()}
+    whole = [
+        (name[id(left)], name[id(right)])
+        for left, right in built if id(left) in name and id(right) in name
+    ]
+    witnessed = [
+        (r["g6_h"], r["g6_g"]) if r["witness_swapped"] else (r["g6_g"], r["g6_h"])
+        for r in doc["records"] if r["witness_applicable"]
+    ]
+    assert sorted(whole) == sorted(witnessed) and len(witnessed) == 5
+    assert len(built) - len(whole) == len(component_products(corpus.values(), 30)[1])
+
+
+def test_scan_searches_each_distinct_component_product_once_per_scan(monkeypatch):
+    config = ScanConfig(generate_up_to=4)
+    corpus = cli.load_corpus(config)
+    components, distinct = component_products(corpus.values(), config.max_product_order)
+    real, searched = theorem.is_well_covered, []
+
+    def counted(graph, cap):
+        searched.append(graph)
+        return real(graph, cap)
+
+    monkeypatch.setattr(theorem, "is_well_covered", counted)
+    for _ in range(2):  # the second scan searches as much as the first
+        searched.clear()
+        scan(config)
+        # One report per factor, then one per distinct component product.
+        assert len(searched) == len(corpus) + len(distinct)
+    assert len(distinct) < components
+
+
 def test_scan_never_enumerates_a_product(capsys, monkeypatch):
     walked = record_walks(monkeypatch)
     code, doc, _ = run_json(capsys, ["scan", "--gen-up-to", "3"])
@@ -432,6 +515,7 @@ def test_scan_never_enumerates_a_product(capsys, monkeypatch):
         ["scan", "--gen-up-to", "4", "--max-n", "4"],
         ["scan", "--gen-up-to", "4", "--max-n", "4", "--format", "csv"],
         ["product", "Bg", "Bg"],
+        ["product", "C`", "Bg"],  # 2K2 x P3: two components
         ["analyze", "Bg"],
         ["analyze", "Dhc"],  # C5
         ["analyze", "C`"],  # 2K2

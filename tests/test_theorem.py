@@ -1,4 +1,5 @@
 import pickle
+import random
 from dataclasses import fields
 
 import pytest
@@ -13,7 +14,9 @@ from wellcovered import (
     build_product_witness,
     cartesian_product,
     generate_all_graphs,
+    is_connected,
     is_maximal_independent,
+    is_well_covered,
     isolatable_vertices,
     analyze_factor,
     verify_pair,
@@ -21,6 +24,7 @@ from wellcovered import (
     witness_invariants,
 )
 from wellcovered import independence, theorem
+from wellcovered.graphs import component_masks
 
 from paper_lemmas import (
     check_disjoint_mis,
@@ -316,3 +320,41 @@ def test_verify_pair_witness_agrees_with_enumeration():
             assert verdict.theorem_consistent
             if verdict.witness is not None:
                 assert not verdict.product_report.verdict
+
+
+def _interleaved_union(rng, max_n=6):
+    """A random graph of order <= max_n with at least two components, whose
+    labels are shuffled so that the components interleave."""
+    sizes = [rng.randint(1, max_n - 1)]
+    while sum(sizes) < max_n and (len(sizes) < 2 or rng.random() < 0.5):
+        sizes.append(rng.randint(1, max_n - sum(sizes)))
+    n = sum(sizes)
+    label = rng.sample(range(n), n)
+    edges, base = [], 0
+    for size in sizes:
+        # A path through the part keeps it connected; the rest is random.
+        edges += [
+            (label[base + i], label[base + j])
+            for i in range(size) for j in range(i + 1, size)
+            if j == i + 1 or rng.random() < 0.5
+        ]
+        base += size
+    return Graph.from_edges(n, edges)
+
+
+def test_component_product_reports_match_the_whole_product_search():
+    """The report joined from the component products, with one dict of
+    component reports shared by all pairs as a scan shares it, against one
+    search of the whole product, on seeded disconnected factors whose
+    components interleave."""
+    rng = random.Random(1204)
+    reports, components = {}, 0
+    for _ in range(300):
+        g, h = _interleaved_union(rng), _interleaved_union(rng)
+        assert not is_connected(g) and not is_connected(h)
+        verdict = verify_pair(g, h, component_reports=reports)
+        product, _ = cartesian_product(g, h)
+        assert verdict.product_report == is_well_covered(product), (g, h)
+        assert (verdict.product_order, verdict.product_size) == (product.n, product.edge_count)
+        components += len(list(component_masks(product)))
+    assert len(reports) < components
