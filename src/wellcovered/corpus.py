@@ -16,15 +16,23 @@ every canonical parent by every column and keeps the children no relabeling
 makes smaller; taking parents and columns in ascending order yields the
 output already sorted, exactly one representative per class.
 
-Affordable up to the cap of n = 7 (1044 classes); larger corpora must be
+Children are filtered before that test by the parent's twins, two
+vertices u < v with the same neighbours apart from each other.  A column
+holding u but not v is skipped: swapping u and v is an automorphism of the
+parent, and it maps the child to one with the same prefix and a smaller
+last column, since the pair (u, k) is the more significant bit, so the
+child cannot be canonical.  The outputs are valid by construction and are
+not checked again.
+
+The cap is n = 8 (12,346 classes, a few seconds); larger corpora must be
 supplied externally as graph6 files.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, iter_bits, triangle_pairs
+from .graphs import Graph, triangle_pairs
 
-GENERATION_CAP = 7
+GENERATION_CAP = 8
 
 
 def graph_to_mask(graph: Graph) -> int:
@@ -46,7 +54,9 @@ def _is_canonical(adj: tuple[int, ...]) -> bool:
     smaller column proves the graph is not canonical and a larger one prunes
     the branch.  Of two free twins (same neighbours apart from each other)
     only the first is tried: swapping them is an automorphism that fixes
-    the placed vertices, so their subtrees hold the same strings.
+    the placed vertices, so their subtrees hold the same strings.  The
+    loops over bit masks are written out, since this search is nearly all
+    of the generator's time.
     """
     n = len(adj)
     target = [adj[j] & ((1 << j) - 1) for j in range(n)]
@@ -57,7 +67,11 @@ def _is_canonical(adj: tuple[int, ...]) -> bool:
             return True
         want = target[j]
         ties = []
-        for v in iter_bits(free):
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             diff = placed[v] ^ want
             if not diff:
                 ties.append(v)
@@ -66,17 +80,26 @@ def _is_canonical(adj: tuple[int, ...]) -> bool:
         bit = 1 << j
         tried: list[int] = []
         for v in ties:
-            if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in tried):
-                continue
-            tried.append(v)
-            rest = free & ~(1 << v)
-            for u in iter_bits(adj[v] & rest):
-                placed[u] |= bit
-            ok = search(j + 1, rest)
-            for u in iter_bits(adj[v] & rest):
-                placed[u] ^= bit
-            if not ok:
-                return False
+            row = adj[v]
+            for u in tried:
+                if adj[u] & ~(1 << v) == row & ~(1 << u):
+                    break
+            else:
+                tried.append(v)
+                rest = free & ~(1 << v)
+                nbrs = row & rest
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    placed[low.bit_length() - 1] |= bit
+                ok = search(j + 1, rest)
+                nbrs = row & rest
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    placed[low.bit_length() - 1] ^= bit
+                if not ok:
+                    return False
         return True
 
     return search(0, (1 << n) - 1)
@@ -94,9 +117,20 @@ def generate_all_graphs(n: int) -> list[Graph]:
         columns = [int(f"{c:0{k}b}"[::-1], 2) for c in range(1 << k)]
         children = []
         for rows in level:
+            twins = [
+                (1 << u, 1 << v)
+                for v in range(k)
+                for u in range(v)
+                if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
+            ]
             for s in columns:
-                child = tuple(r | (s >> i & 1) << k for i, r in enumerate(rows)) + (s,)
-                if _is_canonical(child):
-                    children.append(child)
+                # The twin rule: skip a column holding u but not v.
+                for bit_u, bit_v in twins:
+                    if s & bit_u and not s & bit_v:
+                        break
+                else:
+                    child = tuple(r | (s >> i & 1) << k for i, r in enumerate(rows)) + (s,)
+                    if _is_canonical(child):
+                        children.append(child)
         level = children
-    return [Graph(n, rows) for rows in level]
+    return [Graph._derived(n, rows) for rows in level]

@@ -139,8 +139,8 @@ class Graph:
 
     ``adj[v]`` is the bitmask of the open neighborhood N(v).  Construction
     checks symmetry, irreflexivity, and vertex range, so a Graph instance is
-    always a valid simple graph; only the products built here from valid
-    graphs skip the check.
+    always a valid simple graph; only the products, components and
+    generated classes the package builds from valid graphs skip the check.
     """
 
     n: int
@@ -163,9 +163,10 @@ class Graph:
 
     @classmethod
     def _derived(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """A product or a component this module built from valid graphs,
-        valid by construction, so the checks of ``__post_init__`` are
-        skipped; every graph from outside the package goes through them."""
+        """A product, a component or a generated class that the package
+        built from valid graphs, valid by construction, so the checks of
+        ``__post_init__`` are skipped; every graph from outside the package
+        goes through them."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "adj", adj)

@@ -403,6 +403,13 @@ def _product_report(
     )
 
 
+def _largest_component(graph: Graph, analysis: FactorAnalysis | None) -> int:
+    """Order of the graph's largest component, from the analysis's cached
+    components when there is one; searches nothing."""
+    parts = compact_components(graph) if analysis is None else analysis.components
+    return max((len(vertices) for vertices, _ in parts), default=0)
+
+
 def verify_pair(
     graph_left: Graph,
     graph_right: Graph,
@@ -425,12 +432,16 @@ def verify_pair(
 
     Every limit is checked before any search: the enumeration cap of G,
     then of H, then the product cap, then the enumeration cap of the
-    product."""
+    largest component product Gi □ Hj, the largest graph searched."""
     product_order = graph_left.n * graph_right.n
     _check_cap(graph_left.n, enum_cap)
     _check_cap(graph_right.n, enum_cap)
     _check_product_cap(product_order, product_cap)
-    _check_cap(product_order, enum_cap)
+    _check_cap(
+        _largest_component(graph_left, g_analysis)
+        * _largest_component(graph_right, h_analysis),
+        enum_cap,
+    )
     g_analysis = g_analysis or analyze_factor(graph_left, enum_cap)
     h_analysis = h_analysis or analyze_factor(graph_right, enum_cap)
     product_report = _product_report(

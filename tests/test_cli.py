@@ -56,8 +56,8 @@ def test_gen_order_four_count(capsys):
 
 
 def test_gen_out_of_range(capsys):
-    code, _, err = run_cli(capsys, ["gen", "8"])
-    assert code == 2 and "between 1 and 7" in err
+    code, _, err = run_cli(capsys, ["gen", "9"])
+    assert code == 2 and "between 1 and 8" in err
 
 
 # --- analyze ---------------------------------------------------------------------
@@ -173,6 +173,13 @@ def test_product_with_k1_mirrors_factor(capsys):
 def test_product_cap_exit(capsys):
     code, _, err = run_cli(capsys, ["product", "Bg", "Bg", "--product-cap", "8"])
     assert code == 3 and "cap" in err
+
+
+def test_product_enum_cap_applies_to_the_largest_component_product(capsys):
+    # C` is 2K2: its product with P3 has order 12, but the largest
+    # graph searched, K2 x P3, has 6 vertices.
+    code, doc, _ = run_json(capsys, ["product", "C`", "Bg", "--enum-cap", "8"])
+    assert code == 0 and doc["product"]["n"] == 12
 
 
 def test_product_enum_cap_below_factor_order_exits_3(capsys):
@@ -306,6 +313,8 @@ def test_witness_checks_every_cap_before_any_search(capsys, monkeypatch, argv, m
     [
         (["Bg", "Bg", "--product-cap", "4"], "product order 9 exceeds cap 4"),
         (["Bg", "Bg", "--enum-cap", "5"], "graph order 9 exceeds enumeration cap 5"),
+        # 2K2 with P3: the largest component product, K2 x P3, has 6 vertices.
+        (["C`", "Bg", "--enum-cap", "5"], "graph order 6 exceeds enumeration cap 5"),
     ],
 )
 def test_product_checks_every_cap_before_any_search(capsys, monkeypatch, argv, message):
@@ -667,7 +676,7 @@ def test_scan_violation_through_verify_pair(tmp_path, capsys, monkeypatch):
 
 def test_scan_gen_up_to_validation(capsys):
     code, _, err = run_cli(capsys, ["scan", "--gen-up-to", "9"])
-    assert code == 2 and "between 0 and 7" in err
+    assert code == 2 and "between 0 and 8" in err
 
 
 # --- parser reuse --------------------------------------------------------------

@@ -13,10 +13,13 @@ from wellcovered import (
     graph_to_mask,
     to_graph6,
 )
+from wellcovered.corpus import _is_canonical
 
 from oracles import atlas_graphs, brute_canonical_mask, burnside_class_count
 
-KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+
+GEN_SEVEN_SHA256 = "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f"
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
@@ -29,7 +32,8 @@ def order_seven():
 def test_class_counts_match_burnside_oracle(order_seven):
     for n, expected in KNOWN_CLASS_COUNTS.items():
         assert burnside_class_count(n) == expected
-        assert len(order_seven if n == 7 else generate_all_graphs(n)) == expected
+        if n < 8:  # generating order 8 takes seconds; CI checks it with `gen 8`
+            assert len(order_seven if n == 7 else generate_all_graphs(n)) == expected
 
 
 def test_order_one():
@@ -112,6 +116,33 @@ def test_gen_output_matches_benchmark_golden_digests(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_order_seven_output_is_pinned_byte_for_byte(order_seven):
+    out = "".join(to_graph6(g) + "\n" for g in order_seven)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GEN_SEVEN_SHA256
+
+
+def test_twin_rule_skips_only_noncanonical_children(order_seven):
+    # Every column the generator skips for holding a twin u but not its
+    # twin v > u gives a child that the full search rejects.
+    rng = random.Random(16)
+    parents = rng.sample(generate_all_graphs(6), 20) + rng.sample(order_seven, 20)
+    skipped = 0
+    for parent in parents:
+        k, rows = parent.n, parent.adj
+        twins = [
+            (u, v)
+            for v in range(k)
+            for u in range(v)
+            if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
+        ]
+        for s in range(1 << k):
+            if any(s >> u & 1 and not s >> v & 1 for u, v in twins):
+                child = tuple(r | (s >> i & 1) << k for i, r in enumerate(rows)) + (s,)
+                assert not _is_canonical(child)
+                skipped += 1
+    assert skipped > 0
+
+
 def test_round_trip_through_graph6():
     for n in range(1, 6):
         for g in generate_all_graphs(n):
@@ -119,6 +150,6 @@ def test_round_trip_through_graph6():
 
 
 def test_rejects_out_of_range_order():
-    for n in (0, 8, -1):
+    for n in (0, 9, -1):
         with pytest.raises(ValueError):
             generate_all_graphs(n)
