@@ -298,9 +298,10 @@ def _render_json(value, newline: str = "\n") -> str:
 
     ``json.dumps`` never uses its C encoder when it indents, so this renders
     the common shapes in bulk: a list of ints with one join, a list of
-    equal-length int tuples with one ``%`` template, and scalar dict values
-    without a recursive call.  ``newline`` is a line break plus the
-    indentation of the line ``value`` starts on."""
+    equal-length int tuples with one ``%`` over one joined template and the
+    flattened tuples, and scalar dict values without a recursive call.
+    ``newline`` is a line break plus the indentation of the line ``value``
+    starts on."""
     kind = type(value)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
@@ -332,7 +333,8 @@ def _render_json(value, newline: str = "\n") -> str:
         ):
             deeper = inner + _INDENT
             template = "[" + deeper + ("," + deeper).join(["%d"] * widths.pop()) + inner + "]"
-            items = map(template.__mod__, value)
+            joined = "[" + inner + ("," + inner).join([template] * len(value)) + newline + "]"
+            return joined % tuple(chain.from_iterable(value))
         else:
             items = [_render_json(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

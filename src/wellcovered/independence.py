@@ -24,12 +24,26 @@ a disjoint union are unions of extreme sets of its components, and of two
 sets of equal size the first is the one holding the least element of their
 symmetric difference, so the union of the first sets is the first set even
 when the components' labels interleave.
+
+Both searches can also prune by symmetry (McKay-Piperno, "Practical graph
+isomorphism II", 2014), given orbit rows: entry s maps each vertex v >= s
+to its orbit under automorphisms that fix every vertex below s.  Once a
+node at start s has explored its child v, every vertex of the orbit of v
+leaves the remaining siblings and is banned below them: it must still be
+dominated, but is never chosen.  A set of the node's family holding
+w = σ(v), with σ fixing every vertex below s, maps under σ⁻¹ to a set of
+the node's family of the same size holding v, which an explored branch has
+already held or ruled out, so the cut set cannot beat the best.  The first
+extreme set has no earlier set of its size, so it is never cut, and every
+report stays the same.  ``theorem``
+passes the rows of Aut(G) × Aut(H) for each component product it
+searches; factors are searched without.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .graphs import (
     CapExceeded,
@@ -41,6 +55,10 @@ from .graphs import (
 )
 
 DEFAULT_ENUMERATION_CAP = 36
+
+# Entry s maps each vertex v >= s to the mask of its orbit under a group of
+# automorphisms that fix every vertex below s; None stands for {v} alone.
+Orbits = Sequence["tuple[int, ...] | None"]
 
 
 @dataclass(frozen=True)
@@ -159,22 +177,26 @@ def _walk(
     return walk(0, 0, 0)
 
 
-def _largest(graph: Graph, universe: int) -> int:
+def _largest(graph: Graph, universe: int, orbits: Orbits | None = None) -> int:
     """Mask of the first maximum independent set of the subgraph induced by
     ``universe``, in the order of :func:`_walk`, by branch and bound over the
     same walk.  A branch can add at most one vertex per clique of a cover of
     its candidates, so it is cut, with every sibling still waiting (their
     candidates are a subset), once its size plus a greedy clique cover
     cannot beat the best set found, which keeps the first largest set.
+    With ``orbits``, each explored child's orbit leaves the siblings and is
+    banned below them, by the rule of the module docstring; the cover then
+    bounds only the sets still allowed, and the first largest set stays.
 
     Callers pass one connected component at a time: a search of a disjoint
     union would multiply the components' work where one per component adds
     it (see :func:`is_well_covered` for why the union of the first sets is
     the first set)."""
     adj, closed = graph.adj, graph.closed_adj
+    rows = orbits or (None,) * (graph.n + 1)
     best_size, best = -1, 0
 
-    def walk(chosen: int, size: int, dominated: int, start: int) -> None:
+    def walk(chosen: int, size: int, dominated: int, start: int, banned: int) -> None:
         nonlocal best_size, best
         undominated = universe & ~dominated
         if not undominated:
@@ -182,6 +204,9 @@ def _largest(graph: Graph, universe: int) -> int:
                 best_size, best = size, chosen
             return
         candidates = (undominated >> start) << start
+        if banned:
+            candidates &= ~banned
+        row = rows[start]
         while candidates:
             # Each clique grows from the lowest uncovered candidate through
             # its lowest common neighbours.
@@ -199,14 +224,18 @@ def _largest(graph: Graph, universe: int) -> int:
                 return
             low = candidates & -candidates
             v = low.bit_length() - 1
-            walk(chosen | low, size + 1, dominated | closed[v], v + 1)
-            candidates ^= low
+            walk(chosen | low, size + 1, dominated | closed[v], v + 1, banned)
+            if row is None:
+                candidates ^= low
+            else:
+                candidates &= ~row[v]
+                banned |= row[v]
 
-    walk(0, 0, 0, 0)
+    walk(0, 0, 0, 0, 0)
     return best
 
 
-def _smallest(graph: Graph, universe: int) -> int:
+def _smallest(graph: Graph, universe: int, orbits: Orbits | None = None) -> int:
     """Mask of the first minimum maximal independent set of the subgraph
     induced by ``universe``, in the order of :func:`_walk`, by branch and
     bound over the same walk, one component at a time as in :func:`_largest`.
@@ -225,17 +254,27 @@ def _smallest(graph: Graph, universe: int) -> int:
     The packing holds the lowest undominated vertex from entry on.  So the
     node ends before its candidates run out, and a child is entered only at
     a room over the packing of at least 2: every set reached is a new best,
-    stored without a test."""
+    stored without a test.
+
+    With ``orbits``, each explored child's whole orbit is dropped, and
+    banned below the siblings, by the rule of the module docstring, and the
+    undominated vertices of the dropped vertices' closed neighbourhoods are
+    updated as above.  A banned vertex must still be dominated but is no
+    dominator, so the packing and the dead-vertex test only tighten, and
+    the first smallest set stays."""
     closed = graph.closed_adj
+    rows = orbits or (None,) * (graph.n + 1)
     best_size, best = universe.bit_count() + 1, 0
 
-    def walk(chosen: int, size: int, dominated: int, start: int) -> None:
+    def walk(chosen: int, size: int, dominated: int, start: int, banned: int) -> None:
         nonlocal best_size, best
         undominated = universe & ~dominated
         if not undominated:
             best_size, best = size, chosen
             return
         candidates = (undominated >> start) << start
+        if banned:
+            candidates &= ~banned
         need, used, rest = size, 0, undominated
         while rest:
             low = rest & -rest
@@ -248,12 +287,24 @@ def _smallest(graph: Graph, universe: int) -> int:
                 low = dominators & -dominators
                 rest &= ~closed[low.bit_length() - 1]
                 dominators ^= low
+        row = rows[start]
         while need < best_size:
             low = candidates & -candidates
             v = low.bit_length() - 1
-            walk(chosen | low, size + 1, dominated | closed[v], v + 1)
-            candidates ^= low
-            touched = closed[v] & undominated
+            walk(chosen | low, size + 1, dominated | closed[v], v + 1, banned)
+            if row is None:
+                candidates ^= low
+                touched = closed[v] & undominated
+            else:
+                dropped = row[v] & candidates
+                candidates ^= dropped
+                banned |= row[v]
+                touched = 0
+                while dropped:
+                    low = dropped & -dropped
+                    touched |= closed[low.bit_length() - 1]
+                    dropped ^= low
+                touched &= undominated
             while touched:
                 low = touched & -touched
                 dominators = closed[low.bit_length() - 1] & candidates
@@ -264,7 +315,7 @@ def _smallest(graph: Graph, universe: int) -> int:
                     need += 1
                 touched ^= low
 
-    walk(0, 0, 0, 0)
+    walk(0, 0, 0, 0, 0)
     return best
 
 
@@ -363,14 +414,18 @@ def well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     return True
 
 
-def is_well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> WellCoveredReport:
+def is_well_covered(
+    graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP, orbits: Orbits | None = None
+) -> WellCoveredReport:
     """Complete report: verdict, extreme sizes, and certifying sets.
 
     Two branch-and-bound searches per connected component find the first
     maximum and the first minimum maximal independent set in enumeration
     order, so the report is the one a full enumeration gives, without
     visiting the sets whose sizes the bounds rule out; use
-    :func:`well_covered` when only the verdict matters.
+    :func:`well_covered` when only the verdict matters.  ``orbits``, orbit
+    rows of the graph's automorphisms (see the module docstring), prune
+    both searches without changing the report.
 
     The union of the components' first sets is the graph's first set, even
     when the components' labels interleave.  Every largest (or smallest
@@ -382,8 +437,8 @@ def is_well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> WellCov
     _check_cap(graph.n, cap)
     big = small = 0
     for part in component_masks(graph):
-        big |= _largest(graph, part)
-        small |= _smallest(graph, part)
+        big |= _largest(graph, part, orbits)
+        small |= _smallest(graph, part, orbits)
     return _report(graph, big, small)
 
 

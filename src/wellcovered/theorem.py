@@ -26,7 +26,9 @@ iff every component is, its sizes are the sums, and its first sets are the
 unions of the lifted component sets (see :func:`is_well_covered` for why
 the union of first sets is the first set).  A scan passes one dict of
 component reports to all its pairs, so each distinct pair of compacted
-components is searched once per scan.
+components is searched once per scan.  Each search prunes by the orbits of
+Aut(Gi) × Aut(Hj) (:func:`product_orbits`), from one table per compacted
+component (:func:`stabilizer_orbits`, cached on the :class:`FactorAnalysis`).
 
 No factor is enumerated.  :func:`analyze_factor` gives a factor's report
 from the same searches as a product's, and its isolatable vertices from
@@ -55,6 +57,8 @@ from .graphs import (
     closed_neighborhood,
     compact_components,
     iter_bits,
+    product_orbits,
+    stabilizer_orbits,
 )
 from .independence import (
     DEFAULT_ENUMERATION_CAP,
@@ -128,6 +132,12 @@ class FactorAnalysis:
         """The factor's compacted components, computed once per analysis
         and read by every pair it is in."""
         return compact_components(self.graph)
+
+    @cached_property
+    def component_orbits(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The :func:`stabilizer_orbits` rows of each compacted component,
+        computed on the first component product searched."""
+        return tuple(stabilizer_orbits(part) for _, part in self.components)
 
 
 class _LemmaFacts:
@@ -208,6 +218,7 @@ def build_product_witness(
     column_big: VertexSet,
     column_small: VertexSet,
     product_cap: int | None = None,
+    product: Graph | None = None,
 ) -> ProductWitness:
     """Construct maximal independent sets of distinct sizes in the product.
 
@@ -216,7 +227,9 @@ def build_product_witness(
     ``len(column_big) > len(column_small)``.  Every extension step scans
     candidates in ascending product index, so the witness is deterministic.
     The returned sets are rechecked by direct independence and domination
-    tests; no enumeration of the product takes place.
+    tests; no enumeration of the product takes place.  The product is built
+    here unless the caller already holds it (``verify_pair`` passes a
+    connected pair's product from its search); only its order is checked.
     """
     _validate_isolatable(graph_left, iso)
     for column in (column_big, column_small):
@@ -225,7 +238,12 @@ def build_product_witness(
     if len(column_big) <= len(column_small):
         raise ValueError("column sets must have strictly decreasing sizes")
 
-    product, index_map = cartesian_product(graph_left, graph_right, cap=product_cap)
+    if product is None:
+        product, index_map = cartesian_product(graph_left, graph_right, cap=product_cap)
+    else:
+        index_map = ProductIndexMap(graph_left.n, graph_right.n)
+        if product.n != index_map.size:
+            raise ValueError(f"product of order {product.n} is not of order {index_map.size}")
     x = iso.vertex
     all_right = VertexSet.full(graph_right.n)
 
@@ -303,18 +321,23 @@ def _applicable_inputs(
 
 
 def _orient_witness(
-    g: FactorAnalysis | _LemmaFacts, h: FactorAnalysis | _LemmaFacts, product_cap: int | None
+    g: FactorAnalysis | _LemmaFacts,
+    h: FactorAnalysis | _LemmaFacts,
+    product_cap: int | None,
+    product: Graph | None = None,
 ) -> tuple[ProductWitness, bool] | None:
     """The witness orientation rule: (G, H) when G has an isolatable vertex
     and H is not well-covered, else (H, G) when that applies.  Returns the
     witness built in that orientation and whether the factors were swapped,
-    or None when neither applies."""
+    or None when neither applies.  ``product``, when given, is G □ H; a
+    swapped witness builds H □ G."""
     for left, right, swapped in ((g, h, False), (h, g, True)):
         inputs = _applicable_inputs(left, right)
         if inputs is not None:
             witness = build_product_witness(
                 left.graph, inputs.iso, right.graph, inputs.column_big,
                 inputs.column_small, product_cap=product_cap,
+                product=None if swapped else product,
             )
             return witness, swapped
     return None
@@ -370,21 +393,26 @@ def witness_invariants(
 
 def _product_report(
     g: FactorAnalysis, h: FactorAnalysis, cap: int, reports: dict
-) -> WellCoveredReport:
+) -> tuple[WellCoveredReport, Graph | None]:
     """The report of G □ H joined from the reports of its components
     Gi □ Hj, each taken from ``reports`` (keyed by the two compacted
-    components' adjacency) or searched and stored there."""
-    parts = []
-    for g_vertices, g_part in g.components:
-        for h_vertices, h_part in h.components:
+    components' adjacency) or searched and stored there.  Each search is
+    pruned by the orbits of Aut(Gi) × Aut(Hj) (:func:`product_orbits`).
+
+    The graph returned beside the report is G □ H itself when the product
+    is its own only component and was searched in this call, else None."""
+    parts, product = [], None
+    for i, (g_vertices, g_part) in enumerate(g.components):
+        for j, (h_vertices, h_part) in enumerate(h.components):
             key = g_part.adj, h_part.adj
             report = reports.get(key)
             if report is None:
                 product, _ = cartesian_product(g_part, h_part)
-                report = reports[key] = is_well_covered(product, cap)
+                orbits = product_orbits(g.component_orbits[i], h.component_orbits[j])
+                report = reports[key] = is_well_covered(product, cap, orbits)
             parts.append((g_vertices, h_vertices, report))
     if len(parts) == 1:
-        return report  # a connected product is its own component, same labels
+        return report, product  # a connected product is its own component, same labels
     n_right = h.graph.n
     verdict, alpha, min_maximal, big, small = True, 0, 0, 0, 0
     for g_vertices, h_vertices, report in parts:
@@ -400,7 +428,7 @@ def _product_report(
     order = g.graph.n * n_right
     return WellCoveredReport(
         verdict, alpha, min_maximal, VertexSet(big, order), VertexSet(small, order)
-    )
+    ), None
 
 
 def _largest_component(graph: Graph, analysis: FactorAnalysis | None) -> int:
@@ -428,7 +456,10 @@ def verify_pair(
     (see the module docstring).  ``component_reports`` holds those
     searches' reports; a caller that verifies many pairs passes the same
     dict to each, and by default every call starts an empty one.  The whole
-    product is built only for the witness.
+    product is built only for the witness, and only when the search did not
+    just build it: a connected product searched in this call is the
+    product itself, under the same labels, and an unswapped witness is
+    built in it.
 
     Every limit is checked before any search: the enumeration cap of G,
     then of H, then the product cap, then the enumeration cap of the
@@ -444,7 +475,7 @@ def verify_pair(
     )
     g_analysis = g_analysis or analyze_factor(graph_left, enum_cap)
     h_analysis = h_analysis or analyze_factor(graph_right, enum_cap)
-    product_report = _product_report(
+    product_report, product = _product_report(
         g_analysis, h_analysis, enum_cap,
         {} if component_reports is None else component_reports,
     )
@@ -454,7 +485,8 @@ def verify_pair(
         and not g_analysis.report.verdict
         and not h_analysis.report.verdict
     )
-    witness, swapped = _orient_witness(g_analysis, h_analysis, product_cap) or (None, False)
+    oriented = _orient_witness(g_analysis, h_analysis, product_cap, product)
+    witness, swapped = oriented or (None, False)
     return PairVerdict(
         g_analysis=g_analysis,
         h_analysis=h_analysis,

@@ -148,6 +148,26 @@ def brute_canonical_mask(n: int, edges) -> int:
     return best if best is not None else 0
 
 
+def brute_automorphisms(n: int, edges) -> list[tuple[int, ...]]:
+    """Every vertex permutation that maps the edge set onto itself."""
+    edges = list(edges)
+    edge_set = {frozenset(edge) for edge in edges}
+    return [
+        perm for perm in permutations(range(n))
+        if all(frozenset((perm[u], perm[v])) in edge_set for u, v in edges)
+    ]
+
+
+def brute_stabilizer_orbits(n: int, automorphisms) -> list[list[frozenset[int]]]:
+    """Row k, for k = 0, ..., n: the orbit of each vertex under the given
+    permutations that fix each of 0, ..., k-1."""
+    rows = []
+    for k in range(n + 1):
+        fixing = [perm for perm in automorphisms if perm[:k] == tuple(range(k))]
+        rows.append([frozenset(perm[v] for perm in fixing) for v in range(n)])
+    return rows
+
+
 def burnside_class_count(n: int) -> int:
     """Number of isomorphism classes of simple graphs on n vertices, via
     orbit counting over the pair action of the symmetric group."""

@@ -4,6 +4,7 @@ import itertools
 import json
 import multiprocessing
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -458,11 +459,12 @@ def component_products(graphs, product_cap):
 
 
 def test_scan_builds_a_pair_product_only_for_its_witness(capsys, monkeypatch):
-    """The product of a pair's own factors is built once per witnessed pair
-    and for no other pair; every other build is a component product, one
-    per distinct pair of compacted components.  (For two connected factors
-    the component product has the pair product's order too, and it counts
-    among the component products.)"""
+    """The product of a pair's own factors is built at most once per
+    witnessed pair and for no other pair; every other build is a component
+    product, one per distinct pair of compacted components.  A witnessed
+    pair of two connected factors whose product was searched for that pair
+    builds its witness in the searched product, so it builds nothing of its
+    own."""
     corpus = {}
     real_load, real_product = cli.load_corpus, theorem.cartesian_product
     built = []
@@ -488,8 +490,20 @@ def test_scan_builds_a_pair_product_only_for_its_witness(capsys, monkeypatch):
         (r["g6_h"], r["g6_g"]) if r["witness_swapped"] else (r["g6_g"], r["g6_h"])
         for r in doc["records"] if r["witness_applicable"]
     ]
-    assert sorted(whole) == sorted(witnessed) and len(witnessed) == 5
+    reused = Counter(witnessed) - Counter(whole)
+    assert not Counter(whole) - Counter(witnessed) and len(witnessed) == 5
+    assert sorted(reused) == [("@", "BW"), ("BW", "BW")]  # K1 x P3 and P3 x P3
     assert len(built) - len(whole) == len(component_products(corpus.values(), 30)[1])
+
+
+def test_default_scan_builds_each_connected_witnessed_product_once(monkeypatch):
+    """The default scan builds 586 distinct component products and 824
+    witnesses.  322 witnessed pairs have two connected factors; 256 of them
+    keep their orientation and build the witness in the product searched
+    for that pair, while the 66 swapped ones still build H x G."""
+    built = count_calls(monkeypatch, "cartesian_product")
+    scan(ScanConfig())
+    assert len(built) <= 1410 - 256
 
 
 def test_scan_searches_each_distinct_component_product_once_per_scan(monkeypatch):
@@ -498,7 +512,7 @@ def test_scan_searches_each_distinct_component_product_once_per_scan(monkeypatch
     components, distinct = component_products(corpus.values(), config.max_product_order)
     real, searched = theorem.is_well_covered, []
 
-    def counted(graph, cap):
+    def counted(graph, cap, orbits=None):
         searched.append(graph)
         return real(graph, cap)
 
@@ -532,7 +546,9 @@ def test_scan_never_enumerates_a_product(capsys, monkeypatch):
 )
 def test_search_reports_match_full_walk_byte_for_byte(capsys, monkeypatch, argv):
     searched = run_cli(capsys, argv)
-    monkeypatch.setattr(theorem, "is_well_covered", full_walk_report)
+    monkeypatch.setattr(
+        theorem, "is_well_covered", lambda graph, cap, orbits=None: full_walk_report(graph, cap)
+    )
     assert run_cli(capsys, argv) == searched
     assert searched[0] == 0 and searched[1]
 
@@ -647,7 +663,7 @@ def test_scan_violation_through_verify_pair(tmp_path, capsys, monkeypatch):
     # process pool.
     real = theorem.is_well_covered
 
-    def only_products_well_covered(graph, cap):
+    def only_products_well_covered(graph, cap, orbits=None):
         return replace(real(graph, cap), verdict=graph.n == 9)
 
     monkeypatch.setattr(theorem, "is_well_covered", only_products_well_covered)

@@ -26,6 +26,7 @@ from wellcovered import (
     well_covered,
 )
 from wellcovered import independence
+from wellcovered.graphs import component_masks, product_orbits, stabilizer_orbits
 from wellcovered.independence import _walk
 
 from paper_lemmas import delete_closed_neighborhood
@@ -253,6 +254,29 @@ def test_search_report_matches_full_walk_on_large_products():
     for left, right in pairs:
         product, _ = cartesian_product(left, right)
         assert is_well_covered(product) == full_walk_report(product)
+
+
+def test_searches_with_orbits_match_the_searches_without():
+    # Seeded factor pairs of order <= 5, many of them disconnected, plus
+    # isomorphic pairs and edgeless, K1 and disconnected factors; each
+    # component of each product is searched with the product's orbit rows
+    # and without them, over the same component mask.
+    rng = random.Random(31)
+    graphs = [g for n in range(1, 6) for g in generate_all_graphs(n)]
+    pairs = [rng.sample(graphs, 2) for _ in range(60)] + [(g, g) for g in rng.sample(graphs, 12)]
+    pairs += [
+        (empty_graph(4), cycle_graph(5)),
+        (complete_graph(1), empty_graph(5)),
+        (cycle_graph(5), complete_graph(1)),
+        (from_graph6("C`"), from_graph6("C`")),  # 2K2 x 2K2
+        (from_graph6("C`"), path_graph(3)),
+    ]
+    for left, right in pairs:
+        product, _ = cartesian_product(left, right)
+        orbits = product_orbits(stabilizer_orbits(left), stabilizer_orbits(right))
+        for part in component_masks(product):
+            for search in (independence._largest, independence._smallest):
+                assert search(product, part, orbits) == search(product, part), (left, right)
 
 
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)

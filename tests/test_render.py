@@ -47,6 +47,8 @@ documents = st.recursive(
 @example({"": [[], {}, ()], "b": {"c": [{}]}})
 @example([(1, 2), (3, 4, 5)])
 @example([(True, 1), (2, 3)])
+@example([(), ()])
+@example({"pairs": [(0, -1), (2**70, 3)], "single": [(7,)]})
 @example([1, True, False, -1])
 def test_render_json_matches_json_dumps(document):
     assert cli._render_json(document) == stdlib(document)

@@ -1,6 +1,7 @@
 import pickle
 import random
 from dataclasses import fields
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from oracles import (
     brute_maximal_independent_sets,
     complete_graph,
     cycle_graph,
+    full_walk_report,
     path_graph,
     random_graphs,
     record_walks,
@@ -358,3 +360,58 @@ def test_component_product_reports_match_the_whole_product_search():
         assert (verdict.product_order, verdict.product_size) == (product.n, product.edge_count)
         components += len(list(component_masks(product)))
     assert len(reports) < components
+
+
+def test_product_searches_consult_the_factor_orbits(monkeypatch):
+    # C5 x C5: Aut(C5) x Aut(C5) is transitive, so the root's orbit row
+    # holds all 25 vertices and the searches drop siblings by it.
+    real, consulted = theorem.is_well_covered, []
+
+    class Counted(tuple):
+        def __getitem__(self, start):
+            consulted.append(start)
+            return tuple.__getitem__(self, start)
+
+    def search(graph, cap, orbits=None):
+        if graph.n < 25:  # a factor's own search takes no orbits
+            assert orbits is None
+            return real(graph, cap)
+        assert orbits[0][0] == graph.full_mask
+        return real(graph, cap, Counted(orbits))
+
+    monkeypatch.setattr(theorem, "is_well_covered", search)
+    c5 = cycle_graph(5)
+    verdict = verify_pair(c5, c5)
+    assert consulted
+    assert verdict.product_report == full_walk_report(cartesian_product(c5, c5)[0])
+
+
+def test_connected_pair_builds_its_witness_in_the_searched_product(monkeypatch):
+    real, built = theorem.cartesian_product, []
+
+    def recorded(left, right, cap=None):
+        built.append((left.n, right.n))
+        return real(left, right, cap)
+
+    monkeypatch.setattr(theorem, "cartesian_product", recorded)
+    k1, p3 = complete_graph(1), path_graph(3)
+    verdict = verify_pair(k1, p3)  # K1 is isolatable and P3 is not well-covered
+    assert not verdict.witness_swapped and built == [(1, 3)]
+    assert all(witness_invariants(k1, p3, verdict.witness).values())
+    built.clear()
+    verdict = verify_pair(p3, k1)  # a swapped witness still builds H x G
+    assert verdict.witness_swapped and built == [(3, 1), (1, 3)]
+    assert all(witness_invariants(k1, p3, verdict.witness).values())
+    inputs = witness_inputs(k1, p3)
+    with pytest.raises(ValueError, match="not of order 3"):
+        build_product_witness(
+            k1, inputs.iso, p3, inputs.column_big, inputs.column_small, product=k1
+        )
+
+
+def test_k1_times_k37_takes_milliseconds():
+    # 37! automorphisms of K37: one search per orbit row, none listed.
+    begin = perf_counter()
+    verdict = verify_pair(complete_graph(1), complete_graph(37), enum_cap=37)
+    assert perf_counter() - begin < 0.5
+    assert verdict.product_report.verdict and verdict.product_report.alpha == 1
