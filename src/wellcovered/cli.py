@@ -25,17 +25,18 @@ default caps; explicit flags take precedence over both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import chain, combinations_with_replacement, product as iter_product
+from operator import attrgetter
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .corpus import GENERATION_CAP, generate_all_graphs
 from .graphs import (
@@ -55,6 +56,7 @@ from .independence import (
     mis_size_histogram,
 )
 from .theorem import (
+    PRODUCT_SETS,
     FactorAnalysis,
     PairVerdict,
     ProductWitness,
@@ -214,9 +216,8 @@ def _record_from_verdict(g6_g: str, g6_h: str, verdict: PairVerdict) -> ScanReco
 
 
 def _evaluate_pair(
-    task: tuple[str, str, FactorAnalysis, FactorAnalysis], reports: dict
+    g6_g: str, g6_h: str, g: FactorAnalysis, h: FactorAnalysis, reports: dict
 ) -> tuple[ScanRecord, PairVerdict | None]:
-    g6_g, g6_h, g, h = task
     verdict = verify_pair(
         g.graph, h.graph, enum_cap=g.cap, g_analysis=g, h_analysis=h,
         component_reports=reports,
@@ -225,21 +226,21 @@ def _evaluate_pair(
     return record, (verdict if not verdict.theorem_consistent else None)
 
 
-# The component-product reports shared by the pairs one pool worker
-# evaluates.  Each worker process starts with an empty dict and ends with
-# its scan's pool, so no report outlives the scan.
-_worker_reports: dict | None = None
+# A pool worker's factor analyses, set once by the initializer so that each
+# builds its components and orbit tables once per worker, and the component-
+# product reports its pairs share, which end with the scan's pool.
+_worker_analyses: dict[str, FactorAnalysis] = {}
+_worker_reports: dict = {}
 
 
-def _start_worker() -> None:
-    global _worker_reports
-    _worker_reports = {}
+def _start_worker(analyses: dict[str, FactorAnalysis]) -> None:
+    global _worker_analyses, _worker_reports
+    _worker_analyses, _worker_reports = analyses, {}
 
 
-def _evaluate_in_worker(
-    task: tuple[str, str, FactorAnalysis, FactorAnalysis],
-) -> tuple[ScanRecord, PairVerdict | None]:
-    return _evaluate_pair(task, _worker_reports)
+def _evaluate_in_worker(pair: tuple[str, str]) -> tuple[ScanRecord, PairVerdict | None]:
+    g, h = pair
+    return _evaluate_pair(g, h, _worker_analyses[g], _worker_analyses[h], _worker_reports)
 
 
 def _worker_count(requested: int, tasks: int) -> int:
@@ -259,15 +260,15 @@ def scan(config: ScanConfig) -> ScanResult:
     ]
     used = dict.fromkeys(chain.from_iterable(pairs))
     analyses = {g6: analyze_factor(graphs[g6], config.enum_cap) for g6 in used}
-    tasks = [(g, h, analyses[g], analyses[h]) for g, h in pairs]
-    workers = _worker_count(config.parallelism, len(tasks))
+    workers = _worker_count(config.parallelism, len(pairs))
     if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
-            outcomes = list(pool.map(_evaluate_in_worker, tasks, chunksize=chunk))
+        from concurrent.futures import ProcessPoolExecutor
+        chunk = max(1, len(pairs) // (workers * 4))
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(analyses,)) as pool:
+            outcomes = list(pool.map(_evaluate_in_worker, pairs, chunksize=chunk))
     else:
         reports: dict = {}
-        outcomes = [_evaluate_pair(task, reports) for task in tasks]
+        outcomes = [_evaluate_pair(g, h, analyses[g], analyses[h], reports) for g, h in pairs]
     outcomes.sort(key=lambda item: (item[0].g6_g, item[0].g6_h))
     records = tuple(record for record, _ in outcomes)
     violations = tuple(
@@ -281,20 +282,25 @@ def scan(config: ScanConfig) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
+class _Rendered(str):
+    """JSON text already rendered for the place it is inserted at."""
+
+
 _INDENT = "  "
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
+    _Rendered: str,
 }
 
 
 def _render_json(value, newline: str = "\n") -> str:
     """``json.dumps`` with a two-space indent and sorted keys, byte for byte,
     for the types the reports hold: dicts with ``str`` keys, lists, tuples,
-    ``str``, ``int``, ``bool`` and ``None``.  Any other type raises
-    ``TypeError``.
+    ``str``, ``int``, ``bool`` and ``None``; a ``_Rendered`` text is written
+    as it is.  Any other type raises ``TypeError``.
 
     ``json.dumps`` never uses its C encoder when it indents, so this renders
     the common shapes in bulk: a list of ints with one join, a list of
@@ -365,6 +371,24 @@ def _record_dict(rec: ScanRecord) -> dict:
     return {name: getattr(rec, name) for name in CSV_COLUMNS}
 
 
+# One record of the scan document's "records" list, whose fields start
+# three indents deep, as one template over the sorted field names.
+_RECORD_NEWLINE = "\n" + 3 * _INDENT
+_RECORD_TEMPLATE = "{" + _RECORD_NEWLINE + ("," + _RECORD_NEWLINE).join(
+    encode_basestring_ascii(name) + ": %s" for name in sorted(CSV_COLUMNS)
+) + "\n" + 2 * _INDENT + "}"
+_record_values = attrgetter(*sorted(CSV_COLUMNS))
+
+
+def _render_record(rec: ScanRecord) -> _Rendered:
+    """``_render_json`` of ``_record_dict(rec)`` in that list, by one ``%``."""
+    return _Rendered(_RECORD_TEMPLATE % tuple([
+        scalar(value) if (scalar := _SCALARS.get(type(value)))
+        else _render_json(value, _RECORD_NEWLINE)
+        for value in _record_values(rec)
+    ]))
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -395,7 +419,7 @@ def render_scan_json(result: ScanResult) -> str:
             "connected_only": config.connected_only,
             "enum_cap": config.enum_cap,
         },
-        "records": [_record_dict(rec) for rec in result.records],
+        "records": [_render_record(rec) for rec in result.records],
         "summary": {
             "pairs": len(result.records),
             "cells": result.cells,
@@ -437,12 +461,7 @@ def _witness_dict(
         "column_small": list(witness.column_small),
         "sets": {
             name: _witness_set_dict(getattr(witness, name), witness.index_map.n_right)
-            for name in (
-                "core", "core_big", "core_small",
-                "gaps_big", "gaps_small",
-                "patch_small", "patch_big",
-                "big", "small",
-            )
+            for name in PRODUCT_SETS
         },
         "checks": checks,
         "all_checks_pass": all(checks.values()),
@@ -601,17 +620,34 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         connected_only=args.connected_only,
         enum_cap=enum_cap,
     )
-    result = scan(config)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        with _report_file(args.out) as handle:
+            result = scan(config)
+            handle.truncate(0)
             _write_scan(result, args.format, handle)
     else:
+        result = scan(config)
         _write_scan(result, args.format, sys.stdout)
     print(
         f"scanned {len(result.records)} pairs, {len(result.violations)} violations",
         file=sys.stderr,
     )
     return EXIT_VIOLATION if result.violations else EXIT_OK
+
+
+@contextlib.contextmanager
+def _report_file(path: str) -> Iterator[TextIO]:
+    """``scan --out PATH``, opened before the scan so that an unwritable path
+    fails at once; appended to, and removed on error only if created here."""
+    created = not os.path.exists(path)
+    handle = open(path, "a", encoding="utf-8", newline="")
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _write_scan(result: ScanResult, output_format: str, out: TextIO) -> None:

@@ -240,11 +240,16 @@ class ProductIndexMap:
         """Image of left x right as a vertex set of the product."""
         if left.n != self.n_left or right.n != self.n_right:
             raise ValueError("factor vertex sets do not match the index map")
-        mask = 0
-        if right.mask:
-            for g in left:
-                mask |= right.mask << (g * self.n_right)
-        return VertexSet(mask, self.size)
+        return VertexSet(_rectangle_mask(left.mask, right.mask, self.n_right), self.size)
+
+
+def _rectangle_mask(left_mask: int, right_mask: int, n_right: int) -> int:
+    """The product mask of left x right in row-major labels: the right mask
+    shifted once to the row of each left vertex."""
+    mask = 0
+    for g in iter_bits(left_mask):
+        mask |= right_mask << g * n_right
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +332,17 @@ def _check_set(graph: Graph, s: VertexSet) -> None:
 def closed_neighborhood(graph: Graph, s: VertexSet) -> VertexSet:
     """N[S]: S together with every vertex adjacent to S."""
     _check_set(graph, s)
-    mask = s.mask
-    for v in s:
-        mask |= graph.adj[v]
-    return VertexSet(mask, graph.n)
+    return VertexSet(_closed_mask(graph, s.mask), graph.n)
+
+
+def _closed_mask(graph: Graph, mask: int) -> int:
+    """The mask of N[S] for the vertex mask of S, unchecked."""
+    closed, adj = mask, graph.adj
+    while mask:
+        low = mask & -mask
+        closed |= adj[low.bit_length() - 1]
+        mask ^= low
+    return closed
 
 
 def _check_product_cap(order: int, cap: int | None) -> None:
@@ -349,10 +361,7 @@ def cartesian_product(
     _check_product_cap(size, cap)
     n_right = graph_right.n
     # Template of {(g', 0) : g' ~ g}; shift by h to get the column part.
-    column = [
-        sum(1 << (gp * n_right) for gp in iter_bits(graph_left.adj[g]))
-        for g in range(graph_left.n)
-    ]
+    column = [_rectangle_mask(row, 1, n_right) for row in graph_left.adj]
     rows = []
     for g in range(graph_left.n):
         base = g * n_right
@@ -504,7 +513,7 @@ def product_orbits(
         if k >= plain_g and j >= plain_h:
             return None
         if k not in spreads:
-            unit = {m: sum(1 << (g * n_h) for g in iter_bits(m)) for m in set(left[k])}
+            unit = {m: _rectangle_mask(m, 1, n_h) for m in set(left[k])}
             spreads[k] = [unit[mask] for mask in left[k]]
         return tuple([a * b for a in spreads[k] for b in right[j]])
 

@@ -94,10 +94,7 @@ def _check_cap(order: int, cap: int) -> None:
 def is_independent(graph: Graph, s: VertexSet) -> bool:
     """True iff no edge joins two members of S."""
     _check_set(graph, s)
-    for v in s:
-        if graph.adj[v] & s.mask:
-            return False
-    return True
+    return _greedy_within(graph, s.mask, 0) == s.mask
 
 
 def is_maximal_independent(graph: Graph, s: VertexSet) -> bool:
@@ -111,12 +108,29 @@ def _maximal_independent_within(graph: Graph, allowed_mask: int, chosen_mask: in
     ``allowed_mask``, checked without building the subgraph."""
     if chosen_mask & ~allowed_mask:
         return False
-    dominated = chosen_mask
-    for v in iter_bits(chosen_mask):
-        if graph.adj[v] & chosen_mask:
+    adj, dominated, rest = graph.adj, chosen_mask, chosen_mask
+    while rest:
+        low = rest & -rest
+        row = adj[low.bit_length() - 1]
+        if row & chosen_mask:
             return False
-        dominated |= graph.adj[v]
+        dominated |= row
+        rest ^= low
     return allowed_mask & ~dominated == 0
+
+
+def _greedy_within(graph: Graph, allowed_mask: int, chosen_mask: int) -> int:
+    """Extend an independent ``chosen_mask`` to a maximal independent set of
+    G[allowed_mask] by each allowed vertex, ascending, with no chosen neighbour."""
+    adj, free = graph.adj, allowed_mask & ~chosen_mask
+    while free:
+        low = free & -free
+        row = adj[low.bit_length() - 1]
+        free ^= low
+        if not row & chosen_mask:
+            chosen_mask |= low
+            free &= ~row
+    return chosen_mask
 
 
 def enumerate_maximal_independent_sets(

@@ -4,43 +4,35 @@ products.
 Two routes certify that a product is or is not well-covered:
 
 * a constructive witness: when one factor has an isolatable vertex and the
-  other factor has maximal independent sets of two different sizes, the
-  product provably carries maximal independent sets of distinct
-  cardinalities, and :func:`build_product_witness` produces them explicitly
-  (checked by direct independence and domination tests, never by
-  enumeration);
-* the product's well-covered report from branch-and-bound searches of its
-  maximal independent sets (:func:`is_well_covered`), wrapped by
-  :func:`verify_pair`, which also cross-checks the main consistency claim:
-  a well-covered product forces at least one well-covered factor.
+  other has maximal independent sets of two different sizes, the product
+  has maximal independent sets of distinct cardinalities, and
+  :func:`build_product_witness` builds them on int masks, checked by direct
+  independence and domination tests, never by enumeration;
+* the product's report from branch-and-bound searches of its maximal
+  independent sets (:func:`is_well_covered`), wrapped by :func:`verify_pair`,
+  which also cross-checks the main claim: a well-covered product forces a
+  well-covered factor.
 
-:func:`verify_pair` searches the product one component at a time, and
-never builds the whole product for that.  The components of G □ H are the
+:func:`verify_pair` searches the product one component at a time and never
+builds the whole product for that.  The components of G □ H are the
 products Gi □ Hj of the factors' components.  In the product's row-major
 labels the vertices of Gi □ Hj come in lexicographic order of (rank in Gi,
-rank in Hj), so the component relabelled in that order is exactly the
-product of the compacted components (:func:`compact_components`), and the
-first extreme sets of the two correspond through that order-preserving
-map.  The product's report joins the component reports: it is well-covered
-iff every component is, its sizes are the sums, and its first sets are the
-unions of the lifted component sets (see :func:`is_well_covered` for why
-the union of first sets is the first set).  A scan passes one dict of
+rank in Hj), so each is the product of the compacted components
+(:func:`compact_components`) under an order-preserving map, which keeps the
+first extreme sets.  The product is well-covered iff every component is,
+its sizes are the sums, and its first sets are the unions of the lifted
+component sets (see :func:`is_well_covered`).  A scan passes one dict of
 component reports to all its pairs, so each distinct pair of compacted
-components is searched once per scan.  Each search prunes by the orbits of
-Aut(Gi) × Aut(Hj) (:func:`product_orbits`), from one table per compacted
+components is searched once per scan, pruned by the orbits of
+Aut(Gi) × Aut(Hj) (:func:`product_orbits`) from one table per compacted
 component (:func:`stabilizer_orbits`, cached on the :class:`FactorAnalysis`).
 
-No factor is enumerated.  :func:`analyze_factor` gives a factor's report
-from the same searches as a product's, and its isolatable vertices from
-:func:`isolatable_vertices`; its :class:`FactorAnalysis` is the record of a
-factor that :func:`verify_pair` and the scan read, and a
-:class:`PairVerdict` holds the two analyses beside the product's report.
-:func:`_orient_witness` is the one place that picks the witness's
-orientation and builds it.  It reads only the lemma's hypotheses: the left
-factor's first isolatable vertex and the right factor's report.  So
-:func:`witness_inputs` and the ``witness`` command search just those
-(:class:`_LemmaFacts`), and the command runs both full analyses only to
-report a pair to which neither orientation applies.
+No factor is enumerated: :func:`analyze_factor` takes a factor's report
+from the same searches and its isolatable vertices from
+:func:`isolatable_vertices`.  :func:`_orient_witness`, the one place that
+picks the witness's orientation and builds it, reads only the lemma's
+hypotheses (the left factor's first isolatable vertex and the right
+factor's report), which :class:`_LemmaFacts` searches on first read.
 """
 
 from __future__ import annotations
@@ -53,6 +45,8 @@ from .graphs import (
     ProductIndexMap,
     VertexSet,
     _check_product_cap,
+    _closed_mask,
+    _rectangle_mask,
     cartesian_product,
     closed_neighborhood,
     compact_components,
@@ -65,6 +59,7 @@ from .independence import (
     IsolatableWitness,
     WellCoveredReport,
     _check_cap,
+    _greedy_within,
     _isolatable,
     _maximal_independent_within,
     is_independent,
@@ -102,6 +97,14 @@ class ProductWitness:
     small: VertexSet
     index_map: ProductIndexMap
     product: Graph = field(repr=False)  # the product the sets were built in
+
+
+# The ProductWitness fields that are sets of product vertices, in the order
+# of the construction.
+PRODUCT_SETS = (
+    "core", "core_big", "core_small", "gaps_big", "gaps_small",
+    "patch_small", "patch_big", "big", "small",
+)
 
 
 @dataclass(frozen=True)
@@ -188,16 +191,6 @@ def analyze_factor(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> FactorAn
     )
 
 
-def _greedy_extend(graph: Graph, allowed_mask: int, seed_mask: int) -> int:
-    """Extend an independent seed to a maximal independent set of the
-    subgraph induced by ``allowed_mask``, scanning ascending vertex index."""
-    chosen = seed_mask
-    for v in iter_bits(allowed_mask & ~seed_mask):
-        if not graph.adj[v] & chosen:
-            chosen |= 1 << v
-    return chosen
-
-
 def _validate_isolatable(graph: Graph, iso: IsolatableWitness) -> None:
     if not 0 <= iso.vertex < graph.n:
         raise ValueError(f"vertex {iso.vertex} out of range")
@@ -224,13 +217,12 @@ def build_product_witness(
 
     Requires an isolatable vertex of the left factor (with its certificate)
     and two maximal independent sets of the right factor with
-    ``len(column_big) > len(column_small)``.  Every extension step scans
-    candidates in ascending product index, so the witness is deterministic.
-    The returned sets are rechecked by direct independence and domination
-    tests; no enumeration of the product takes place.  The product is built
-    here unless the caller already holds it (``verify_pair`` passes a
-    connected pair's product from its search); only its order is checked.
-    """
+    ``len(column_big) > len(column_small)``.  Once these are checked, the
+    construction runs on int masks; every greedy step scans candidates in
+    ascending product index, and the finished sets are rechecked by direct
+    independence and domination tests, never by enumeration.  The product
+    is built here unless the caller holds it (``verify_pair`` passes a
+    connected pair's searched product); only its order is checked."""
     _validate_isolatable(graph_left, iso)
     for column in (column_big, column_small):
         if not is_maximal_independent(graph_right, column):
@@ -244,52 +236,37 @@ def build_product_witness(
         index_map = ProductIndexMap(graph_left.n, graph_right.n)
         if product.n != index_map.size:
             raise ValueError(f"product of order {product.n} is not of order {index_map.size}")
-    x = iso.vertex
-    all_right = VertexSet.full(graph_right.n)
-
-    open_cols = VertexSet(graph_left.adj[x], graph_left.n)
-    closed_cols = VertexSet(graph_left.closed_adj[x], graph_left.n)
-    outside = index_map.rectangle(closed_cols.complement(), all_right)
-    neighbor_block = index_map.rectangle(open_cols, all_right)
-
-    seed = index_map.rectangle(iso.certificate, column_big)
-    core = VertexSet(_greedy_extend(product, outside.mask, seed.mask), product.n)
-
-    core_big = core | index_map.rectangle(VertexSet.of(graph_left.n, [x]), column_big)
-    core_small = core | index_map.rectangle(VertexSet.of(graph_left.n, [x]), column_small)
-
-    gaps_big = neighbor_block - closed_neighborhood(product, core_big)
-    gaps_small = neighbor_block - closed_neighborhood(product, core_small)
-
-    patch_small = VertexSet(_greedy_extend(product, gaps_small.mask, 0), product.n)
-    patch_big = VertexSet(
-        _greedy_extend(product, gaps_big.mask, patch_small.mask), product.n
+    # The inputs are checked; from here on every set is a plain int mask.
+    x, n_right, n = iso.vertex, graph_right.n, product.n
+    outside = _rectangle_mask(
+        graph_left.full_mask & ~graph_left.closed_adj[x], graph_right.full_mask, n_right
     )
+    neighbor_block = _rectangle_mask(graph_left.adj[x], graph_right.full_mask, n_right)
+    core = _greedy_within(
+        product, outside, _rectangle_mask(iso.certificate.mask, column_big.mask, n_right)
+    )
+    core_big = core | column_big.mask << x * n_right
+    core_small = core | column_small.mask << x * n_right
+    gaps_big = neighbor_block & ~_closed_mask(product, core_big)
+    gaps_small = neighbor_block & ~_closed_mask(product, core_small)
+    patch_small = _greedy_within(product, gaps_small, 0)
+    patch_big = _greedy_within(product, gaps_big, patch_small)
+    big, small = core_big | patch_big, core_small | patch_small
 
-    big = core_big | patch_big
-    small = core_small | patch_small
-
-    if not is_maximal_independent(product, big) or not is_maximal_independent(product, small):
+    everything = product.full_mask
+    if not (
+        _maximal_independent_within(product, everything, big)
+        and _maximal_independent_within(product, everything, small)
+    ):
         raise RuntimeError("constructed witness sets are not maximal independent")
-    if len(big) - len(small) < len(column_big) - len(column_small):
+    if big.bit_count() - small.bit_count() < len(column_big) - len(column_small):
         raise RuntimeError("constructed witness sets do not realize the size gap")
 
+    sets = core, core_big, core_small, gaps_big, gaps_small, patch_small, patch_big, big, small
     return ProductWitness(
-        isolatable_vertex=x,
-        isolating_set=iso.certificate,
-        column_big=column_big,
-        column_small=column_small,
-        core=core,
-        core_big=core_big,
-        core_small=core_small,
-        gaps_big=gaps_big,
-        gaps_small=gaps_small,
-        patch_small=patch_small,
-        patch_big=patch_big,
-        big=big,
-        small=small,
-        index_map=index_map,
-        product=product,
+        isolatable_vertex=x, isolating_set=iso.certificate, column_big=column_big,
+        column_small=column_small, index_map=index_map, product=product,
+        **{name: VertexSet(mask, n) for name, mask in zip(PRODUCT_SETS, sets)},
     )
 
 
@@ -352,42 +329,41 @@ def witness_invariants(
     ``witness`` command passes the one the witness was built in)."""
     if product is None:
         product, _ = cartesian_product(graph_left, graph_right)
-    index_map = ProductIndexMap(graph_left.n, graph_right.n)
-    all_right = VertexSet.full(graph_right.n)
-    x = witness.isolatable_vertex
-    closed_block = index_map.rectangle(
-        VertexSet(graph_left.closed_adj[x], graph_left.n), all_right
+    n_left, n_right, x = graph_left.n, graph_right.n, witness.isolatable_vertex
+    hosts = {getattr(witness, name).n for name in PRODUCT_SETS} | {product.n}
+    factor_hosts = witness.isolating_set.n, witness.column_big.n, witness.column_small.n
+    if hosts != {n_left * n_right} or factor_hosts != (n_left, n_right, n_right):
+        raise ValueError("witness sets do not match the factors and their product")
+    if not 0 <= x < n_left:
+        raise ValueError(f"vertex {x} out of range")
+    everything = product.full_mask
+    core, core_big, core_small, gaps_big, gaps_small, _, _, big, small = (
+        getattr(witness, name).mask for name in PRODUCT_SETS
     )
-    neighbor_block = index_map.rectangle(
-        VertexSet(graph_left.adj[x], graph_left.n), all_right
-    )
-    outside = closed_block.complement()
-    seed = index_map.rectangle(witness.isolating_set, witness.column_big)
+    column_big, gap = witness.column_big.mask, len(witness.column_big) - len(witness.column_small)
+    closed_block = _rectangle_mask(graph_left.closed_adj[x], graph_right.full_mask, n_right)
+    neighbor_block = _rectangle_mask(graph_left.adj[x], graph_right.full_mask, n_right)
+    seed = _rectangle_mask(witness.isolating_set.mask, column_big, n_right)
 
     return {
-        "core_contains_seed": seed <= witness.core,
-        "core_avoids_closed_columns": witness.core.isdisjoint(closed_block),
+        "core_contains_seed": seed & ~core == 0,
+        "core_avoids_closed_columns": core & closed_block == 0,
         "core_maximal_in_residual": _maximal_independent_within(
-            product, outside.mask, witness.core.mask
+            product, everything & ~closed_block, core
         ),
-        "gaps_inside_neighbor_columns": witness.gaps_big <= neighbor_block,
-        "gaps_small_subset_of_gaps_big": witness.gaps_small <= witness.gaps_big,
-        "gaps_big_undominated_by_core_big": witness.gaps_big.isdisjoint(
-            closed_neighborhood(product, witness.core_big)
+        "gaps_inside_neighbor_columns": gaps_big & ~neighbor_block == 0,
+        "gaps_small_subset_of_gaps_big": gaps_small & ~gaps_big == 0,
+        "gaps_big_undominated_by_core_big": gaps_big & _closed_mask(product, core_big) == 0,
+        "gaps_small_undominated_by_core_small": (
+            gaps_small & _closed_mask(product, core_small) == 0
         ),
-        "gaps_small_undominated_by_core_small": witness.gaps_small.isdisjoint(
-            closed_neighborhood(product, witness.core_small)
+        "gaps_big_avoid_column_big": (
+            gaps_big & _rectangle_mask(graph_left.full_mask, column_big, n_right) == 0
         ),
-        "gaps_big_avoid_column_big": all(
-            index_map.decode(p)[1] not in witness.column_big for p in witness.gaps_big
-        ),
-        "big_maximal_independent": is_maximal_independent(product, witness.big),
-        "small_maximal_independent": is_maximal_independent(product, witness.small),
-        "big_strictly_larger": len(witness.big) > len(witness.small),
-        "size_gap_at_least_column_gap": (
-            len(witness.big) - len(witness.small)
-            >= len(witness.column_big) - len(witness.column_small)
-        ),
+        "big_maximal_independent": _maximal_independent_within(product, everything, big),
+        "small_maximal_independent": _maximal_independent_within(product, everything, small),
+        "big_strictly_larger": big.bit_count() > small.bit_count(),
+        "size_gap_at_least_column_gap": big.bit_count() - small.bit_count() >= gap,
     }
 
 
@@ -417,11 +393,13 @@ def _product_report(
     verdict, alpha, min_maximal, big, small = True, 0, 0, 0, 0
     for g_vertices, h_vertices, report in parts:
         # Component vertex a * |Hj| + b is (g_vertices[a], h_vertices[b]).
-        lifted = [x * n_right + y for x in g_vertices for y in h_vertices]
+        width = len(h_vertices)
         for p in iter_bits(report.witness_max.mask):
-            big |= 1 << lifted[p]
+            a, b = divmod(p, width)
+            big |= 1 << g_vertices[a] * n_right + h_vertices[b]
         for p in iter_bits(report.witness_min.mask):
-            small |= 1 << lifted[p]
+            a, b = divmod(p, width)
+            small |= 1 << g_vertices[a] * n_right + h_vertices[b]
         verdict = verdict and report.verdict
         alpha += report.alpha
         min_maximal += report.min_maximal
@@ -432,8 +410,7 @@ def _product_report(
 
 
 def _largest_component(graph: Graph, analysis: FactorAnalysis | None) -> int:
-    """Order of the graph's largest component, from the analysis's cached
-    components when there is one; searches nothing."""
+    """Order of the graph's largest component, from the analysis if given."""
     parts = compact_components(graph) if analysis is None else analysis.components
     return max((len(vertices) for vertices, _ in parts), default=0)
 

@@ -3,10 +3,12 @@ the tests.
 
 The oracles recompute everything from first principles over plain Python
 sets (or through networkx, for the reference graph6 codec and the atlas of
-small graphs) and never touch the package's bitmask code paths.  The one
-exception is :func:`full_walk_report`, the reference for the searches of
+small graphs) and never touch the package's bitmask code paths.  The
+exceptions are :func:`full_walk_report`, the reference for the searches of
 ``is_well_covered``, which reads every maximal independent set off the
-package's full enumeration.
+package's full enumeration, and :func:`reference_product_witness`, the
+witness construction written with ``VertexSet`` arithmetic, the reference
+for the mask kernel of ``build_product_witness``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from wellcovered import (
     Graph,
+    VertexSet,
     WellCoveredReport,
     enumerate_maximal_independent_sets,
     independence,
@@ -217,3 +220,48 @@ def full_walk_report(graph: Graph, cap: int = 36) -> WellCoveredReport:
         witness_max=big,
         witness_min=small,
     )
+
+
+def reference_product_witness(
+    product: Graph, graph_left: Graph, x: int, isolating_set: VertexSet,
+    column_big: VertexSet, column_small: VertexSet,
+) -> dict[str, VertexSet]:
+    """The product sets of the constructive witness, by name, built with
+    ``VertexSet`` arithmetic one vertex at a time: the core extends the
+    rectangle of the isolating set and the big column greedily, in ascending
+    product index, over the rows outside N[x]; column x takes either column;
+    the gaps are the rows of N(x) that the core and column leave undominated,
+    patched greedily, small first and then extended to big.  The inputs are
+    taken as valid."""
+    n, n_right = product.n, column_big.n
+
+    def rectangle(left, right) -> VertexSet:
+        return VertexSet.of(n, [g * n_right + h for g in left for h in right])
+
+    def closed(s: VertexSet) -> VertexSet:
+        return VertexSet.of(n, set(s).union(*(product.neighbors(v) for v in s)))
+
+    def greedy(allowed: VertexSet, chosen: VertexSet) -> VertexSet:
+        for v in allowed - chosen:
+            if closed(VertexSet.of(n, [v])).isdisjoint(chosen):
+                chosen = chosen.with_vertex(v)
+        return chosen
+
+    rows = range(graph_left.n)
+    every_column = range(n_right)
+    outside = rectangle([g for g in rows if g != x and not graph_left.has_edge(g, x)],
+                        every_column)
+    neighbor_block = rectangle(graph_left.neighbors(x), every_column)
+    core = greedy(outside, rectangle(isolating_set, column_big))
+    core_big = core | rectangle([x], column_big)
+    core_small = core | rectangle([x], column_small)
+    gaps_big = neighbor_block - closed(core_big)
+    gaps_small = neighbor_block - closed(core_small)
+    patch_small = greedy(gaps_small, VertexSet.empty(n))
+    patch_big = greedy(gaps_big, patch_small)
+    return {
+        "core": core, "core_big": core_big, "core_small": core_small,
+        "gaps_big": gaps_big, "gaps_small": gaps_small,
+        "patch_small": patch_small, "patch_big": patch_big,
+        "big": core_big | patch_big, "small": core_small | patch_small,
+    }

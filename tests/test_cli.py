@@ -1,9 +1,13 @@
+import hashlib
 import importlib
 import io
 import itertools
 import json
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +29,7 @@ from wellcovered import (
 from wellcovered.cli import ScanConfig, ScanResult, render_scan_json, scan
 
 from oracles import complete_graph, cycle_graph, full_walk_report, path_graph, record_walks
+from test_render import GOLDEN_PATH
 
 
 def run_cli(capsys, argv):
@@ -603,6 +608,79 @@ def test_scan_records_sorted_and_csv_roundtrip(tmp_path, capsys):
     assert len(lines) == 1 + len(doc["records"])
 
 
+def test_scan_out_overwrites_an_existing_file(tmp_path, capsys):
+    target = tmp_path / "scan.json"
+    target.write_text("x" * 100_000)
+    assert run_cli(capsys, ["scan", "--gen-up-to", "2", "--out", str(target)])[0] == 0
+    assert run_cli(capsys, ["scan", "--gen-up-to", "2"])[1] == target.read_text()
+
+
+def test_scan_out_that_cannot_be_written_fails_before_the_scan(tmp_path, capsys, monkeypatch):
+    def forbidden(config):
+        raise AssertionError("scanned before the --out path was opened")
+
+    monkeypatch.setattr(cli, "scan", forbidden)
+    for target in (tmp_path / "missing" / "scan.json", tmp_path):
+        code, out, err = run_cli(capsys, ["scan", "--out", str(target)])
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_scan_out_keeps_no_file_from_a_failed_scan(tmp_path, capsys):
+    target = tmp_path / "scan.json"
+    failing = ["scan", "--gen-up-to", "3", "--enum-cap", "2", "--out", str(target)]
+    assert run_cli(capsys, failing)[0] == 3
+    assert not target.exists()
+    target.write_text("an earlier report")
+    assert run_cli(capsys, failing)[0] == 3
+    assert target.read_text() == "an earlier report"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool is imported by a scan that starts one, not by the CLI."""
+    source = Path(cli.__file__).resolve().parents[1]
+    check = (
+        "import sys, wellcovered.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": str(source)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_pool_workers_build_each_orbit_table_once(tmp_path, monkeypatch):
+    """The factor analyses reach each pool worker once, through its
+    initializer, so a worker builds each analysis's orbit tables at most
+    once: two workers build at most twice as many as one process."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched stabilizer_orbits reaches pool workers only when they are forked")
+    log, real = tmp_path / "tables.log", theorem.stabilizer_orbits
+
+    def logged(graph):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write("table\n")
+        return real(graph)
+
+    monkeypatch.setattr(theorem, "stabilizer_orbits", logged)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    reports, tables = [], []
+    for jobs in (1, 2):
+        log.write_text("")
+        reports.append(render_scan_json(scan(ScanConfig(generate_up_to=4, parallelism=jobs))))
+        tables.append(len(log.read_text().splitlines()))
+    assert reports[0] == reports[1]
+    assert 0 < tables[0] and tables[1] <= 2 * tables[0]
+
+
+def test_default_scan_json_equals_the_stdlib_rendering(capsys):
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        digest = json.load(handle)["scan-small"]["sha256"]
+    code, out, _ = run_cli(capsys, ["scan"])
+    assert code == 0 and hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_scan_csv_header_and_rows(capsys):
     argv = ["scan", "--gen-up-to", "3", "--max-n", "3", "--format", "csv"]
     code, out, _ = run_cli(capsys, argv)
@@ -677,6 +755,7 @@ def test_scan_violation_through_verify_pair(tmp_path, capsys, monkeypatch):
         return out
 
     out = scan_violations("1")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     summary = json.loads(out)["summary"]
     assert len(summary["violations"]) == 3
     for violation in summary["violations"]:

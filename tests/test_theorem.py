@@ -1,6 +1,7 @@
+import json
 import pickle
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from time import perf_counter
 
 import pytest
@@ -14,6 +15,7 @@ from wellcovered import (
     VertexSet,
     build_product_witness,
     cartesian_product,
+    from_graph6,
     generate_all_graphs,
     is_connected,
     is_maximal_independent,
@@ -40,7 +42,9 @@ from oracles import (
     path_graph,
     random_graphs,
     record_walks,
+    reference_product_witness,
 )
+from test_render import GOLDEN_PATH
 
 
 def decoded(witness, s):
@@ -177,6 +181,61 @@ def test_witness_precondition_errors():
         build_product_witness(
             p3, IsolatableWitness(0, VertexSet.of(3, [2])), p3, big, small, product_cap=4
         )
+
+
+def _matches_the_reference(left, right, witness):
+    """The mask kernel's product sets equal those of the VertexSet
+    reference construction, set by set."""
+    expected = reference_product_witness(
+        witness.product, left, witness.isolatable_vertex, witness.isolating_set,
+        witness.column_big, witness.column_small,
+    )
+    return {name: getattr(witness, name) for name in theorem.PRODUCT_SETS} == expected
+
+
+def test_mask_witness_matches_the_vertex_set_reference_on_random_pairs():
+    rng, compared = random.Random(1992), 0
+    for _ in range(200):
+        g, h = (
+            Graph.from_edges(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+            ])
+            for n, density in ((rng.randint(1, 7), rng.random()) for _ in range(2))
+        )
+        for left, right in ((g, h), (h, g)):
+            inputs = witness_inputs(left, right)
+            if inputs is not None:
+                witness = build_product_witness(
+                    left, inputs.iso, right, inputs.column_big, inputs.column_small
+                )
+                assert _matches_the_reference(left, right, witness)
+                compared += 1
+    assert compared > 100
+
+
+def test_mask_witness_matches_the_vertex_set_reference_on_the_witness_pool():
+    """Every 20th pair of the benchmark's witness pool, by recorded cost."""
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        pool = json.load(handle)["witness-large"]["pool"]
+    for g6_g, g6_h, _, _ in sorted(pool, key=lambda entry: entry[2])[::20]:
+        g, h = from_graph6(g6_g), from_graph6(g6_h)
+        witness, swapped = theorem._orient_witness(
+            theorem._LemmaFacts(g, 36), theorem._LemmaFacts(h, 36), 1024
+        )
+        assert _matches_the_reference(*((h, g) if swapped else (g, h)), witness)
+
+
+def test_witness_invariants_reject_a_witness_of_other_factors():
+    p3 = path_graph(3)
+    inputs = witness_inputs(p3, p3)
+    witness = build_product_witness(p3, inputs.iso, p3, inputs.column_big, inputs.column_small)
+    with pytest.raises(ValueError, match="do not match the factors"):
+        witness_invariants(p3, path_graph(4), witness)
+    with pytest.raises(ValueError, match="do not match the factors"):
+        witness_invariants(p3, p3, witness, cartesian_product(p3, path_graph(4))[0])
+    for vertex in (-3, 3):  # -3 would read vertex 0's rows
+        with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
+            witness_invariants(p3, p3, replace(witness, isolatable_vertex=vertex))
 
 
 def test_witness_core_size_gap_matches_columns():
