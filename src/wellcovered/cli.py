@@ -32,11 +32,11 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product as iter_product
 from operator import attrgetter
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .corpus import GENERATION_CAP, generate_all_graphs
 from .graphs import (
@@ -60,7 +60,6 @@ from .theorem import (
     FactorAnalysis,
     PairVerdict,
     ProductWitness,
-    _LemmaFacts,
     _orient_witness,
     analyze_factor,
     verify_pair,
@@ -113,8 +112,7 @@ class ScanConfig:
             raise ValueError("enumeration cap must be positive")
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """One unordered pair: factor verdicts, product verdict, witness summary."""
 
     g6_g: str
@@ -363,12 +361,7 @@ def _isolatable_list(witnesses: Iterable[IsolatableWitness]) -> list[dict]:
     ]
 
 
-CSV_COLUMNS = [field.name for field in fields(ScanRecord)]
-
-
-def _record_dict(rec: ScanRecord) -> dict:
-    # Tuple fields serialise as JSON lists.
-    return {name: getattr(rec, name) for name in CSV_COLUMNS}
+CSV_COLUMNS = list(ScanRecord._fields)
 
 
 # One record of the scan document's "records" list, whose fields start
@@ -381,7 +374,7 @@ _record_values = attrgetter(*sorted(CSV_COLUMNS))
 
 
 def _render_record(rec: ScanRecord) -> _Rendered:
-    """``_render_json`` of ``_record_dict(rec)`` in that list, by one ``%``."""
+    """``_render_json`` of ``rec._asdict()`` in that list, by one ``%``."""
     return _Rendered(_RECORD_TEMPLATE % tuple([
         scalar(value) if (scalar := _SCALARS.get(type(value)))
         else _render_json(value, _RECORD_NEWLINE)
@@ -403,7 +396,7 @@ def render_scan_csv(result: ScanResult, out: TextIO) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in result.records:
-        writer.writerow([_csv_cell(getattr(rec, col)) for col in CSV_COLUMNS])
+        writer.writerow(map(_csv_cell, rec))
 
 
 def render_scan_json(result: ScanResult) -> str:
@@ -425,7 +418,7 @@ def render_scan_json(result: ScanResult) -> str:
             "cells": result.cells,
             "violations": [
                 {
-                    "record": _record_dict(rec),
+                    "record": rec._asdict(),
                     "g_report": _report_dict(verdict.g_analysis.report),
                     "h_report": _report_dict(verdict.h_analysis.report),
                     "product_report": _report_dict(verdict.product_report),
@@ -588,13 +581,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
     # Every limit is checked before any search: the enumeration cap of G,
     # then of H, then the product cap.
-    g, h = _LemmaFacts(graph_g, enum_cap), _LemmaFacts(graph_h, enum_cap)
+    g, h = analyze_factor(graph_g, enum_cap), analyze_factor(graph_h, enum_cap)
     _check_product_cap(graph_g.n * graph_h.n, product_cap)
-    oriented = _orient_witness(g, h, product_cap)
+    oriented = _orient_witness(g, h)
     if oriented is None:
-        _print_json(_not_applicable_dict(
-            analyze_factor(graph_g, enum_cap), analyze_factor(graph_h, enum_cap)
-        ))
+        _print_json(_not_applicable_dict(g, h))
         return EXIT_NOT_APPLICABLE
     witness, swapped = oriented
     left, right = (graph_h, graph_g) if swapped else (graph_g, graph_h)

@@ -27,12 +27,14 @@ components is searched once per scan, pruned by the orbits of
 Aut(Gi) × Aut(Hj) (:func:`product_orbits`) from one table per compacted
 component (:func:`stabilizer_orbits`, cached on the :class:`FactorAnalysis`).
 
-No factor is enumerated: :func:`analyze_factor` takes a factor's report
-from the same searches and its isolatable vertices from
-:func:`isolatable_vertices`.  :func:`_orient_witness`, the one place that
-picks the witness's orientation and builds it, reads only the lemma's
-hypotheses (the left factor's first isolatable vertex and the right
-factor's report), which :class:`_LemmaFacts` searches on first read.
+No factor is enumerated.  A :class:`FactorAnalysis` (built by
+:func:`analyze_factor`) checks the enumeration cap on construction and
+searches each fact on first read: the report from the same searches, the
+isolatable vertices from :func:`isolatable_vertices`, and the first one
+alone by a search that stops at it.  :func:`_orient_witness`, the one place
+that picks the witness's orientation and builds it, reads only the lemma's
+hypotheses: the left factor's first isolatable vertex and the right
+factor's report.
 """
 
 from __future__ import annotations
@@ -118,22 +120,36 @@ class WitnessInputs:
 
 @dataclass(frozen=True)
 class FactorAnalysis:
-    """Per-factor analysis reused across many pairs, built by
-    :func:`analyze_factor` without enumerating the factor."""
+    """Per-factor analysis reused across many pairs.  The enumeration cap is
+    checked on construction, before any search; every other part is
+    searched or built on first read and kept, and no maximal independent set
+    of the factor is enumerated."""
 
     graph: Graph
     cap: int
-    report: WellCoveredReport
-    isolatable: tuple[IsolatableWitness, ...]
 
-    @property
+    def __post_init__(self) -> None:
+        _check_cap(self.graph.n, self.cap)
+
+    @cached_property
+    def report(self) -> WellCoveredReport:
+        """The well-covered report, from the searches of :func:`is_well_covered`."""
+        return is_well_covered(self.graph, self.cap)
+
+    @cached_property
+    def isolatable(self) -> tuple[IsolatableWitness, ...]:
+        """Every isolatable vertex with its certificate (:func:`isolatable_vertices`)."""
+        return tuple(isolatable_vertices(self.graph, self.cap))
+
+    @cached_property
     def first_isolatable(self) -> IsolatableWitness | None:
-        return self.isolatable[0] if self.isolatable else None
+        """The first isolatable vertex, whose search over x = 0, 1, ... stops
+        at the first hit."""
+        return next(_isolatable(self.graph), None)
 
     @cached_property
     def components(self) -> tuple[tuple[tuple[int, ...], Graph], ...]:
-        """The factor's compacted components, computed once per analysis
-        and read by every pair it is in."""
+        """The factor's compacted components, read by every pair it is in."""
         return compact_components(self.graph)
 
     @cached_property
@@ -141,26 +157,6 @@ class FactorAnalysis:
         """The :func:`stabilizer_orbits` rows of each compacted component,
         computed on the first component product searched."""
         return tuple(stabilizer_orbits(part) for _, part in self.components)
-
-
-class _LemmaFacts:
-    """The two facts of one factor that the witness orientation rule reads,
-    each searched on first read: the well-covered report, and the first
-    isolatable vertex with its certificate, whose search over x = 0, 1, ...
-    stops at the first hit.  The enumeration cap is checked on construction,
-    before any search."""
-
-    def __init__(self, graph: Graph, cap: int) -> None:
-        _check_cap(graph.n, cap)
-        self.graph, self.cap = graph, cap
-
-    @cached_property
-    def report(self) -> WellCoveredReport:
-        return is_well_covered(self.graph, self.cap)
-
-    @cached_property
-    def first_isolatable(self) -> IsolatableWitness | None:
-        return next(_isolatable(self.graph), None)
 
 
 @dataclass(frozen=True)
@@ -182,13 +178,10 @@ class PairVerdict:
 
 
 def analyze_factor(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> FactorAnalysis:
-    """The well-covered report of one factor, from the branch-and-bound
-    searches of :func:`is_well_covered`, and its isolatable vertices, from
-    one targeted search per vertex; no maximal independent set of the factor
-    is enumerated."""
-    return FactorAnalysis(
-        graph, cap, is_well_covered(graph, cap), tuple(isolatable_vertices(graph, cap))
-    )
+    """The :class:`FactorAnalysis` of one factor; raises ``CapExceeded`` at
+    once when the factor is over ``cap``, and searches nothing until a fact
+    is read."""
+    return FactorAnalysis(graph, cap)
 
 
 def _validate_isolatable(graph: Graph, iso: IsolatableWitness) -> None:
@@ -281,12 +274,10 @@ def witness_inputs(
     checked first; then only the left factor's first isolatable vertex is
     searched and, when it exists, the right factor's report.
     """
-    return _applicable_inputs(_LemmaFacts(graph_left, cap), _LemmaFacts(graph_right, cap))
+    return _applicable_inputs(analyze_factor(graph_left, cap), analyze_factor(graph_right, cap))
 
 
-def _applicable_inputs(
-    left: FactorAnalysis | _LemmaFacts, right: FactorAnalysis | _LemmaFacts
-) -> WitnessInputs | None:
+def _applicable_inputs(left: FactorAnalysis, right: FactorAnalysis) -> WitnessInputs | None:
     iso = left.first_isolatable
     if iso is None or right.report.verdict:
         return None
@@ -298,23 +289,19 @@ def _applicable_inputs(
 
 
 def _orient_witness(
-    g: FactorAnalysis | _LemmaFacts,
-    h: FactorAnalysis | _LemmaFacts,
-    product_cap: int | None,
-    product: Graph | None = None,
+    g: FactorAnalysis, h: FactorAnalysis, product: Graph | None = None
 ) -> tuple[ProductWitness, bool] | None:
     """The witness orientation rule: (G, H) when G has an isolatable vertex
     and H is not well-covered, else (H, G) when that applies.  Returns the
     witness built in that orientation and whether the factors were swapped,
     or None when neither applies.  ``product``, when given, is G □ H; a
-    swapped witness builds H □ G."""
+    swapped witness builds H □ G.  Callers check the product cap first."""
     for left, right, swapped in ((g, h, False), (h, g, True)):
         inputs = _applicable_inputs(left, right)
         if inputs is not None:
             witness = build_product_witness(
                 left.graph, inputs.iso, right.graph, inputs.column_big,
-                inputs.column_small, product_cap=product_cap,
-                product=None if swapped else product,
+                inputs.column_small, product=None if swapped else product,
             )
             return witness, swapped
     return None
@@ -409,12 +396,6 @@ def _product_report(
     ), None
 
 
-def _largest_component(graph: Graph, analysis: FactorAnalysis | None) -> int:
-    """Order of the graph's largest component, from the analysis if given."""
-    parts = compact_components(graph) if analysis is None else analysis.components
-    return max((len(vertices) for vertices, _ in parts), default=0)
-
-
 def verify_pair(
     graph_left: Graph,
     graph_right: Graph,
@@ -424,8 +405,8 @@ def verify_pair(
     h_analysis: FactorAnalysis | None = None,
     component_reports: dict | None = None,
 ) -> PairVerdict:
-    """Full verification of one pair: the two factor analyses (computed
-    here unless given), the product's well-covered report, the consistency
+    """Full verification of one pair: the two factor analyses (built here
+    unless given), the product's well-covered report, the consistency
     flag, and the constructive witness whenever it applies (in either
     orientation).
 
@@ -439,19 +420,18 @@ def verify_pair(
     built in it.
 
     Every limit is checked before any search: the enumeration cap of G,
-    then of H, then the product cap, then the enumeration cap of the
-    largest component product Gi □ Hj, the largest graph searched."""
+    then of H (by building their analyses), then the product cap, then the
+    enumeration cap of the largest component product Gi □ Hj, the largest
+    graph searched."""
     product_order = graph_left.n * graph_right.n
-    _check_cap(graph_left.n, enum_cap)
-    _check_cap(graph_right.n, enum_cap)
-    _check_product_cap(product_order, product_cap)
-    _check_cap(
-        _largest_component(graph_left, g_analysis)
-        * _largest_component(graph_right, h_analysis),
-        enum_cap,
-    )
     g_analysis = g_analysis or analyze_factor(graph_left, enum_cap)
     h_analysis = h_analysis or analyze_factor(graph_right, enum_cap)
+    _check_product_cap(product_order, product_cap)
+    g_largest, h_largest = (
+        max((len(vertices) for vertices, _ in analysis.components), default=0)
+        for analysis in (g_analysis, h_analysis)
+    )
+    _check_cap(g_largest * h_largest, enum_cap)
     product_report, product = _product_report(
         g_analysis, h_analysis, enum_cap,
         {} if component_reports is None else component_reports,
@@ -462,7 +442,7 @@ def verify_pair(
         and not g_analysis.report.verdict
         and not h_analysis.report.verdict
     )
-    oriented = _orient_witness(g_analysis, h_analysis, product_cap, product)
+    oriented = _orient_witness(g_analysis, h_analysis, product)
     witness, swapped = oriented or (None, False)
     return PairVerdict(
         g_analysis=g_analysis,

@@ -256,11 +256,15 @@ def test_witness_walks_each_factor_once(capsys, monkeypatch):
 
 def test_witness_not_applicable_reuses_factor_analysis(capsys, monkeypatch):
     calls = count_calls(monkeypatch, "analyze_factor")
+    searched = count_calls(monkeypatch, "is_well_covered")
     walked = record_walks(monkeypatch)
     c5_line = to_graph6(cycle_graph(5))
     code, doc, _ = run_json(capsys, ["witness", c5_line, "Bg"])
     assert code == 4 and doc["g_isolatable"] == [] and doc["h_isolatable"] == [0, 2]
     assert len(calls) == 2 and walked == []
+    # C5's report is searched once, for the orientation rule and the exit-4
+    # document alike, then P3's for that document.
+    assert [graph.n for graph, *_ in searched] == [5, 3]
 
 
 def test_witness_cap_applies_to_factor_order(capsys):
@@ -347,7 +351,7 @@ def test_witness_matches_the_full_analysis_route_on_small_pairs(capsys):
     for graph_g, graph_h in itertools.product(graphs, repeat=2):
         g6_g, g6_h = to_graph6(graph_g), to_graph6(graph_h)
         g, h = analyze_factor(graph_g), analyze_factor(graph_h)
-        oriented = theorem._orient_witness(g, h, cli.DEFAULT_WITNESS_CMD_CAP)
+        oriented = theorem._orient_witness(g, h)
         if oriented is None:
             expected, document = 4, cli._not_applicable_dict(g, h)
         else:

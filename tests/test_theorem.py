@@ -54,27 +54,52 @@ def decoded(witness, s):
 # --- FactorAnalysis ---------------------------------------------------------
 
 
-def test_analyze_factor_survives_pickle_with_every_part_computed(monkeypatch):
-    graph = cycle_graph(6)
-    fresh = analyze_factor(graph)
-    expected = (fresh.report, fresh.isolatable)
-    copy = pickle.loads(pickle.dumps(analyze_factor(graph)))
+FACTOR_PARTS = ("report", "isolatable", "first_isolatable", "components", "component_orbits")
 
+
+def forbid_factor_searches(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("factor work after unpickling")
+        raise AssertionError("factor search")
 
     for module, name in (
         (theorem, "is_well_covered"),
         (theorem, "isolatable_vertices"),
+        (theorem, "_isolatable"),
+        (theorem, "compact_components"),
+        (theorem, "stabilizer_orbits"),
         (independence, "_largest"),
         (independence, "_smallest"),
         (independence, "_isolating_set"),
         (independence, "_walk"),
     ):
         monkeypatch.setattr(module, name, forbidden)
-    assert (copy.report, copy.isolatable) == expected
+
+
+def test_analyze_factor_survives_pickle_with_every_part_computed(monkeypatch):
+    graph = cycle_graph(6)
+    fresh = analyze_factor(graph)
+    expected = [getattr(fresh, part) for part in FACTOR_PARTS]
+    analysis = analyze_factor(graph)
+    for part in FACTOR_PARTS:
+        getattr(analysis, part)
+    copy = pickle.loads(pickle.dumps(analysis))
+
+    forbid_factor_searches(monkeypatch)
+    assert [getattr(copy, part) for part in FACTOR_PARTS] == expected
     assert copy == fresh
-    assert [f.name for f in fields(FactorAnalysis)] == ["graph", "cap", "report", "isolatable"]
+    assert [f.name for f in fields(FactorAnalysis)] == ["graph", "cap"]
+
+
+def test_analyze_factor_checks_its_cap_and_searches_nothing_until_read(monkeypatch):
+    graph = path_graph(5)
+    expected = [getattr(analyze_factor(graph), part) for part in FACTOR_PARTS]
+    with monkeypatch.context() as patched:
+        forbid_factor_searches(patched)
+        analysis = analyze_factor(graph)
+        with pytest.raises(CapExceeded, match="graph order 5 exceeds enumeration cap 4"):
+            analyze_factor(graph, 4)
+    assert [getattr(analysis, part) for part in FACTOR_PARTS] == expected
+    assert expected[2] == expected[1][0]  # the first isolatable vertex heads the list
 
 
 # --- witness_inputs ---------------------------------------------------------
@@ -219,9 +244,7 @@ def test_mask_witness_matches_the_vertex_set_reference_on_the_witness_pool():
         pool = json.load(handle)["witness-large"]["pool"]
     for g6_g, g6_h, _, _ in sorted(pool, key=lambda entry: entry[2])[::20]:
         g, h = from_graph6(g6_g), from_graph6(g6_h)
-        witness, swapped = theorem._orient_witness(
-            theorem._LemmaFacts(g, 36), theorem._LemmaFacts(h, 36), 1024
-        )
+        witness, swapped = theorem._orient_witness(analyze_factor(g, 36), analyze_factor(h, 36))
         assert _matches_the_reference(*((h, g) if swapped else (g, h)), witness)
 
 
