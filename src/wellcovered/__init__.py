@@ -14,7 +14,6 @@ from .graphs import (
     CapExceeded,
     Graph,
     Graph6Error,
-    ProductIndexMap,
     VertexSet,
     cartesian_product,
     closed_neighborhood,
@@ -40,11 +39,9 @@ from .theorem import (
     FactorAnalysis,
     PairVerdict,
     ProductWitness,
-    WitnessInputs,
     analyze_factor,
     build_product_witness,
     verify_pair,
-    witness_inputs,
     witness_invariants,
 )
 
@@ -60,11 +57,9 @@ __all__ = [
     "Graph6Error",
     "IsolatableWitness",
     "PairVerdict",
-    "ProductIndexMap",
     "ProductWitness",
     "VertexSet",
     "WellCoveredReport",
-    "WitnessInputs",
     "analyze_factor",
     "build_product_witness",
     "cartesian_product",
@@ -84,6 +79,5 @@ __all__ = [
     "triangle_pairs",
     "verify_pair",
     "well_covered",
-    "witness_inputs",
     "witness_invariants",
 ]

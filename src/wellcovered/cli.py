@@ -216,10 +216,7 @@ def _record_from_verdict(g6_g: str, g6_h: str, verdict: PairVerdict) -> ScanReco
 def _evaluate_pair(
     g6_g: str, g6_h: str, g: FactorAnalysis, h: FactorAnalysis, reports: dict
 ) -> tuple[ScanRecord, PairVerdict | None]:
-    verdict = verify_pair(
-        g.graph, h.graph, enum_cap=g.cap, g_analysis=g, h_analysis=h,
-        component_reports=reports,
-    )
+    verdict = verify_pair(g, h, reports)
     record = _record_from_verdict(g6_g, g6_h, verdict)
     return record, (verdict if not verdict.theorem_consistent else None)
 
@@ -431,8 +428,7 @@ def render_scan_json(result: ScanResult) -> str:
 
 
 def _witness_set_dict(s: VertexSet, n_right: int) -> dict:
-    # The members come from a product VertexSet, already in range, so each
-    # pair is a plain divmod and not a checked ProductIndexMap.decode.
+    # Product vertex p is the pair divmod(p, n_right) (see cartesian_product).
     members = list(s)
     return {
         "size": len(members),
@@ -453,7 +449,7 @@ def _witness_dict(
         "column_big": list(witness.column_big),
         "column_small": list(witness.column_small),
         "sets": {
-            name: _witness_set_dict(getattr(witness, name), witness.index_map.n_right)
+            name: _witness_set_dict(getattr(witness, name), witness.column_big.n)
             for name in PRODUCT_SETS
         },
         "checks": checks,
@@ -547,7 +543,12 @@ def _cmd_product(args: argparse.Namespace) -> int:
     enum_cap = _resolve_cap(args, "enum_cap", max(DEFAULT_ENUMERATION_CAP, product_cap))
     graph_g = from_graph6(args.g6_g)
     graph_h = from_graph6(args.g6_h)
-    verdict = verify_pair(graph_g, graph_h, enum_cap=enum_cap, product_cap=product_cap)
+    # Every limit is checked before any search: the enumeration cap of G,
+    # then of H, then the product cap, then (in verify_pair) the largest
+    # component product.
+    g, h = analyze_factor(graph_g, enum_cap), analyze_factor(graph_h, enum_cap)
+    _check_product_cap(graph_g.n * graph_h.n, product_cap)
+    verdict = verify_pair(g, h)
     witness_summary: dict = {"applicable": verdict.witness is not None}
     if verdict.witness is not None:
         witness_summary.update(
@@ -564,8 +565,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
                 "m": verdict.product_size,
                 **_report_dict(verdict.product_report),
             },
-            "g": _factor_dict(verdict.g_analysis),
-            "h": _factor_dict(verdict.h_analysis),
+            "g": _factor_dict(g),
+            "h": _factor_dict(h),
             "theorem_consistent": verdict.theorem_consistent,
             "witness": witness_summary,
         }
@@ -649,9 +650,6 @@ def _write_scan(result: ScanResult, output_format: str, out: TextIO) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= GENERATION_CAP:
-        print(f"error: order must be between 1 and {GENERATION_CAP}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     for graph in generate_all_graphs(args.n):
         print(to_graph6(graph))
     return EXIT_OK
@@ -674,17 +672,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    enum_cap_help = f"enumeration order cap (default {DEFAULT_ENUMERATION_CAP})"
+    product_enum_cap_help = (
+        f"enumeration order cap (default the larger of {DEFAULT_ENUMERATION_CAP} "
+        "and the product cap)"
+    )
 
     p_analyze = sub.add_parser("analyze", help="analyze one graph (or stdin lines)")
     p_analyze.add_argument("graph", help="graph6 line, or - to read lines from stdin")
-    p_analyze.add_argument("--enum-cap", default=None,
-                           help=f"enumeration order cap (default {DEFAULT_ENUMERATION_CAP})")
+    p_analyze.add_argument("--enum-cap", default=None, help=enum_cap_help)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_product = sub.add_parser("product", help="verify one factor pair")
     p_product.add_argument("g6_g")
     p_product.add_argument("g6_h")
-    p_product.add_argument("--enum-cap", default=None)
+    p_product.add_argument("--enum-cap", default=None, help=product_enum_cap_help)
     p_product.add_argument("--product-cap", default=None,
                            help=f"product order cap (default {DEFAULT_PRODUCT_CMD_CAP})")
     p_product.set_defaults(func=_cmd_product)
@@ -694,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_witness.add_argument("g6_g")
     p_witness.add_argument("g6_h")
-    p_witness.add_argument("--enum-cap", default=None)
+    p_witness.add_argument("--enum-cap", default=None, help=enum_cap_help)
     p_witness.add_argument("--product-cap", default=None,
                            help=f"product order cap (default {DEFAULT_WITNESS_CMD_CAP})")
     p_witness.set_defaults(func=_cmd_witness)
@@ -714,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", default=None, help="write the report to this path")
     p_scan.add_argument("--connected-only", action="store_true",
                         help="keep only connected corpus graphs")
-    p_scan.add_argument("--enum-cap", default=None)
+    p_scan.add_argument("--enum-cap", default=None, help=product_enum_cap_help)
     p_scan.set_defaults(func=_cmd_scan)
 
     p_gen = sub.add_parser("gen", help="emit canonical graph6 lines for one order")
@@ -725,7 +727,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage or error: 2 for a bad flag, 0 for --help.
+        return exc.code
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -215,34 +215,6 @@ class Graph:
         return tuple(iter_bits(self.adj[v]))
 
 
-@dataclass(frozen=True)
-class ProductIndexMap:
-    """Row-major bijection (g, h) <-> g * n_right + h for a Cartesian product."""
-
-    n_left: int
-    n_right: int
-
-    @property
-    def size(self) -> int:
-        return self.n_left * self.n_right
-
-    def encode(self, g: int, h: int) -> int:
-        if not (0 <= g < self.n_left and 0 <= h < self.n_right):
-            raise ValueError(f"pair ({g}, {h}) out of range")
-        return g * self.n_right + h
-
-    def decode(self, p: int) -> tuple[int, int]:
-        if not 0 <= p < self.size:
-            raise ValueError(f"product vertex {p} out of range")
-        return divmod(p, self.n_right)
-
-    def rectangle(self, left: VertexSet, right: VertexSet) -> VertexSet:
-        """Image of left x right as a vertex set of the product."""
-        if left.n != self.n_left or right.n != self.n_right:
-            raise ValueError("factor vertex sets do not match the index map")
-        return VertexSet(_rectangle_mask(left.mask, right.mask, self.n_right), self.size)
-
-
 def _rectangle_mask(left_mask: int, right_mask: int, n_right: int) -> int:
     """The product mask of left x right in row-major labels: the right mask
     shifted once to the row of each left vertex."""
@@ -345,20 +317,18 @@ def _closed_mask(graph: Graph, mask: int) -> int:
     return closed
 
 
-def _check_product_cap(order: int, cap: int | None) -> None:
-    if cap is not None and order > cap:
+def _check_product_cap(order: int, cap: int) -> None:
+    if order > cap:
         raise CapExceeded(f"product order {order} exceeds cap {cap}")
 
 
-def cartesian_product(
-    graph_left: Graph, graph_right: Graph, cap: int | None = None
-) -> tuple[Graph, ProductIndexMap]:
-    """Cartesian product: (g, h) ~ (g', h') iff g = g' and hh' is an edge,
-    or gg' is an edge and h = h'.  Vertices are numbered row-major."""
+def cartesian_product(graph_left: Graph, graph_right: Graph) -> Graph:
+    """Cartesian product G □ H: (g, h) ~ (g', h') iff g = g' and hh' is an
+    edge, or gg' is an edge and h = h'.  Vertices are numbered row-major:
+    (g, h) is g·|H| + h."""
     if graph_left.n < 1 or graph_right.n < 1:
         raise ValueError("product factors must have at least one vertex")
     size = graph_left.n * graph_right.n
-    _check_product_cap(size, cap)
     n_right = graph_right.n
     # Template of {(g', 0) : g' ~ g}; shift by h to get the column part.
     column = [_rectangle_mask(row, 1, n_right) for row in graph_left.adj]
@@ -367,7 +337,7 @@ def cartesian_product(
         base = g * n_right
         for h in range(n_right):
             rows.append((graph_right.adj[h] << base) | (column[g] << h))
-    return Graph._derived(size, tuple(rows)), ProductIndexMap(graph_left.n, n_right)
+    return Graph._derived(size, tuple(rows))
 
 
 def component_masks(graph: Graph) -> Iterator[int]:

@@ -27,14 +27,15 @@ components is searched once per scan, pruned by the orbits of
 Aut(Gi) × Aut(Hj) (:func:`product_orbits`) from one table per compacted
 component (:func:`stabilizer_orbits`, cached on the :class:`FactorAnalysis`).
 
-No factor is enumerated.  A :class:`FactorAnalysis` (built by
-:func:`analyze_factor`) checks the enumeration cap on construction and
-searches each fact on first read: the report from the same searches, the
-isolatable vertices from :func:`isolatable_vertices`, and the first one
-alone by a search that stops at it.  :func:`_orient_witness`, the one place
+A factor is a :class:`FactorAnalysis` and a product is a :class:`Graph`.
+:func:`verify_pair` takes two analyses, each built by :func:`analyze_factor`,
+which checks the enumeration cap on construction and searches each fact on
+first read: the report from the same searches, the isolatable vertices from
+:func:`isolatable_vertices`, and the first one alone by a search that stops
+at it.  No factor is enumerated.  :func:`_orient_witness`, the one place
 that picks the witness's orientation and builds it, reads only the lemma's
-hypotheses: the left factor's first isolatable vertex and the right
-factor's report.
+hypotheses off the analyses: the left factor's first isolatable vertex and
+the right factor's report.
 """
 
 from __future__ import annotations
@@ -44,9 +45,7 @@ from functools import cached_property
 
 from .graphs import (
     Graph,
-    ProductIndexMap,
     VertexSet,
-    _check_product_cap,
     _closed_mask,
     _rectangle_mask,
     cartesian_product,
@@ -97,7 +96,6 @@ class ProductWitness:
     patch_big: VertexSet            # extends patch_small inside gaps_big
     big: VertexSet
     small: VertexSet
-    index_map: ProductIndexMap
     product: Graph = field(repr=False)  # the product the sets were built in
 
 
@@ -107,15 +105,6 @@ PRODUCT_SETS = (
     "core", "core_big", "core_small", "gaps_big", "gaps_small",
     "patch_small", "patch_big", "big", "small",
 )
-
-
-@dataclass(frozen=True)
-class WitnessInputs:
-    """Inputs that make the constructive witness applicable to (G, H)."""
-
-    iso: IsolatableWitness
-    column_big: VertexSet
-    column_small: VertexSet
 
 
 @dataclass(frozen=True)
@@ -203,7 +192,6 @@ def build_product_witness(
     graph_right: Graph,
     column_big: VertexSet,
     column_small: VertexSet,
-    product_cap: int | None = None,
     product: Graph | None = None,
 ) -> ProductWitness:
     """Construct maximal independent sets of distinct sizes in the product.
@@ -224,11 +212,11 @@ def build_product_witness(
         raise ValueError("column sets must have strictly decreasing sizes")
 
     if product is None:
-        product, index_map = cartesian_product(graph_left, graph_right, cap=product_cap)
-    else:
-        index_map = ProductIndexMap(graph_left.n, graph_right.n)
-        if product.n != index_map.size:
-            raise ValueError(f"product of order {product.n} is not of order {index_map.size}")
+        product = cartesian_product(graph_left, graph_right)
+    elif product.n != graph_left.n * graph_right.n:
+        raise ValueError(
+            f"product of order {product.n} is not of order {graph_left.n * graph_right.n}"
+        )
     # The inputs are checked; from here on every set is a plain int mask.
     x, n_right, n = iso.vertex, graph_right.n, product.n
     outside = _rectangle_mask(
@@ -258,33 +246,8 @@ def build_product_witness(
     sets = core, core_big, core_small, gaps_big, gaps_small, patch_small, patch_big, big, small
     return ProductWitness(
         isolatable_vertex=x, isolating_set=iso.certificate, column_big=column_big,
-        column_small=column_small, index_map=index_map, product=product,
+        column_small=column_small, product=product,
         **{name: VertexSet(mask, n) for name, mask in zip(PRODUCT_SETS, sets)},
-    )
-
-
-def witness_inputs(
-    graph_left: Graph, graph_right: Graph, cap: int = DEFAULT_ENUMERATION_CAP
-) -> WitnessInputs | None:
-    """Inputs for the constructive witness, if it applies to this orientation.
-
-    Applicable when the left factor has an isolatable vertex and the right
-    factor is not well-covered; the earliest isolatable witness and the first
-    extreme sets of the right factor are chosen.  Both enumeration caps are
-    checked first; then only the left factor's first isolatable vertex is
-    searched and, when it exists, the right factor's report.
-    """
-    return _applicable_inputs(analyze_factor(graph_left, cap), analyze_factor(graph_right, cap))
-
-
-def _applicable_inputs(left: FactorAnalysis, right: FactorAnalysis) -> WitnessInputs | None:
-    iso = left.first_isolatable
-    if iso is None or right.report.verdict:
-        return None
-    return WitnessInputs(
-        iso=iso,
-        column_big=right.report.witness_max,
-        column_small=right.report.witness_min,
     )
 
 
@@ -292,16 +255,20 @@ def _orient_witness(
     g: FactorAnalysis, h: FactorAnalysis, product: Graph | None = None
 ) -> tuple[ProductWitness, bool] | None:
     """The witness orientation rule: (G, H) when G has an isolatable vertex
-    and H is not well-covered, else (H, G) when that applies.  Returns the
-    witness built in that orientation and whether the factors were swapped,
-    or None when neither applies.  ``product``, when given, is G □ H; a
-    swapped witness builds H □ G.  Callers check the product cap first."""
+    and H is not well-covered, else (H, G) when that applies.  The witness
+    isolates the left factor's first isolatable vertex and fills its column
+    with the right factor's first extreme sets; the right factor's report is
+    searched only once the left factor has an isolatable vertex.  Returns
+    the witness built in that orientation and whether the factors were
+    swapped, or None when neither applies.  ``product``, when given, is
+    G □ H; a swapped witness builds H □ G.  Callers check the product cap
+    first."""
     for left, right, swapped in ((g, h, False), (h, g, True)):
-        inputs = _applicable_inputs(left, right)
-        if inputs is not None:
+        iso = left.first_isolatable
+        if iso is not None and not right.report.verdict:
             witness = build_product_witness(
-                left.graph, inputs.iso, right.graph, inputs.column_big,
-                inputs.column_small, product=None if swapped else product,
+                left.graph, iso, right.graph, right.report.witness_max,
+                right.report.witness_min, product=None if swapped else product,
             )
             return witness, swapped
     return None
@@ -315,7 +282,7 @@ def witness_invariants(
     the factors, built here unless the caller already holds it (the
     ``witness`` command passes the one the witness was built in)."""
     if product is None:
-        product, _ = cartesian_product(graph_left, graph_right)
+        product = cartesian_product(graph_left, graph_right)
     n_left, n_right, x = graph_left.n, graph_right.n, witness.isolatable_vertex
     hosts = {getattr(witness, name).n for name in PRODUCT_SETS} | {product.n}
     factor_hosts = witness.isolating_set.n, witness.column_big.n, witness.column_small.n
@@ -355,22 +322,23 @@ def witness_invariants(
 
 
 def _product_report(
-    g: FactorAnalysis, h: FactorAnalysis, cap: int, reports: dict
+    g: FactorAnalysis, h: FactorAnalysis, reports: dict
 ) -> tuple[WellCoveredReport, Graph | None]:
     """The report of G □ H joined from the reports of its components
     Gi □ Hj, each taken from ``reports`` (keyed by the two compacted
-    components' adjacency) or searched and stored there.  Each search is
-    pruned by the orbits of Aut(Gi) × Aut(Hj) (:func:`product_orbits`).
+    components' adjacency) or searched and stored there under the smaller
+    of the two analyses' enumeration caps.  Each search is pruned by the
+    orbits of Aut(Gi) × Aut(Hj) (:func:`product_orbits`).
 
     The graph returned beside the report is G □ H itself when the product
     is its own only component and was searched in this call, else None."""
-    parts, product = [], None
+    parts, product, cap = [], None, min(g.cap, h.cap)
     for i, (g_vertices, g_part) in enumerate(g.components):
         for j, (h_vertices, h_part) in enumerate(h.components):
             key = g_part.adj, h_part.adj
             report = reports.get(key)
             if report is None:
-                product, _ = cartesian_product(g_part, h_part)
+                product = cartesian_product(g_part, h_part)
                 orbits = product_orbits(g.component_orbits[i], h.component_orbits[j])
                 report = reports[key] = is_well_covered(product, cap, orbits)
             parts.append((g_vertices, h_vertices, report))
@@ -397,18 +365,11 @@ def _product_report(
 
 
 def verify_pair(
-    graph_left: Graph,
-    graph_right: Graph,
-    enum_cap: int = DEFAULT_ENUMERATION_CAP,
-    product_cap: int | None = None,
-    g_analysis: FactorAnalysis | None = None,
-    h_analysis: FactorAnalysis | None = None,
-    component_reports: dict | None = None,
+    g: FactorAnalysis, h: FactorAnalysis, component_reports: dict | None = None
 ) -> PairVerdict:
-    """Full verification of one pair: the two factor analyses (built here
-    unless given), the product's well-covered report, the consistency
-    flag, and the constructive witness whenever it applies (in either
-    orientation).
+    """Full verification of one pair from its two factor analyses: the
+    product's well-covered report, the consistency flag, and the
+    constructive witness whenever it applies (in either orientation).
 
     The product's report is joined from one search per component product
     (see the module docstring).  ``component_reports`` holds those
@@ -419,38 +380,28 @@ def verify_pair(
     product itself, under the same labels, and an unswapped witness is
     built in it.
 
-    Every limit is checked before any search: the enumeration cap of G,
-    then of H (by building their analyses), then the product cap, then the
-    enumeration cap of the largest component product Gi □ Hj, the largest
-    graph searched."""
-    product_order = graph_left.n * graph_right.n
-    g_analysis = g_analysis or analyze_factor(graph_left, enum_cap)
-    h_analysis = h_analysis or analyze_factor(graph_right, enum_cap)
-    _check_product_cap(product_order, product_cap)
+    Building the analyses checks the enumeration caps of G and H, and the
+    caller checks any product cap; this checks the largest component
+    product Gi □ Hj, the largest graph searched, against the smaller of the
+    two enumeration caps before any search."""
     g_largest, h_largest = (
         max((len(vertices) for vertices, _ in analysis.components), default=0)
-        for analysis in (g_analysis, h_analysis)
+        for analysis in (g, h)
     )
-    _check_cap(g_largest * h_largest, enum_cap)
+    _check_cap(g_largest * h_largest, min(g.cap, h.cap))
     product_report, product = _product_report(
-        g_analysis, h_analysis, enum_cap,
-        {} if component_reports is None else component_reports,
+        g, h, {} if component_reports is None else component_reports
     )
-
     consistent = not (
-        product_report.verdict
-        and not g_analysis.report.verdict
-        and not h_analysis.report.verdict
+        product_report.verdict and not g.report.verdict and not h.report.verdict
     )
-    oriented = _orient_witness(g_analysis, h_analysis, product)
-    witness, swapped = oriented or (None, False)
+    witness, swapped = _orient_witness(g, h, product) or (None, False)
     return PairVerdict(
-        g_analysis=g_analysis,
-        h_analysis=h_analysis,
+        g_analysis=g,
+        h_analysis=h,
         product_report=product_report,
-        product_order=product_order,
-        product_size=graph_left.n * graph_right.edge_count
-        + graph_right.n * graph_left.edge_count,
+        product_order=g.graph.n * h.graph.n,
+        product_size=g.graph.n * h.graph.edge_count + h.graph.n * g.graph.edge_count,
         theorem_consistent=consistent,
         witness=witness,
         witness_swapped=swapped,

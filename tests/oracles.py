@@ -1,5 +1,5 @@
-"""Brute-force oracles, small-graph builders and a walk recorder shared by
-the tests.
+"""Brute-force oracles, small-graph builders, a walk recorder and the
+fixed-orientation witness shared by the tests.
 
 The oracles recompute everything from first principles over plain Python
 sets (or through networkx, for the reference graph6 codec and the atlas of
@@ -22,8 +22,11 @@ from hypothesis import strategies as st
 
 from wellcovered import (
     Graph,
+    ProductWitness,
     VertexSet,
     WellCoveredReport,
+    analyze_factor,
+    build_product_witness,
     enumerate_maximal_independent_sets,
     independence,
 )
@@ -265,3 +268,18 @@ def reference_product_witness(
         "patch_small": patch_small, "patch_big": patch_big,
         "big": core_big | patch_big, "small": core_small | patch_small,
     }
+
+
+def fixed_orientation_witness(left: Graph, right: Graph) -> ProductWitness | None:
+    """The constructive witness in the orientation (left, right) only, from
+    the lemma's hypotheses as the two analyses hold them: the left factor's
+    first isolatable vertex and the right factor's first extreme sets.  None
+    when the left factor has no isolatable vertex or the right one is
+    well-covered."""
+    iso = analyze_factor(left).first_isolatable
+    if iso is None:
+        return None
+    report = analyze_factor(right).report
+    if report.verdict:
+        return None
+    return build_product_witness(left, iso, right, report.witness_max, report.witness_min)

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator
 from wellcovered import (
     DEFAULT_ENUMERATION_CAP,
     Graph,
-    ProductIndexMap,
     VertexSet,
     cartesian_product,
     closed_neighborhood,
@@ -27,7 +26,7 @@ from wellcovered import (
     is_well_covered,
     isolatable_vertices,
 )
-from wellcovered.graphs import _check_set, iter_bits
+from wellcovered.graphs import _check_set, _rectangle_mask, iter_bits
 
 DEFAULT_DECOMPOSITION_CAP = 10
 
@@ -163,17 +162,18 @@ def is_greedy_decomposition(graph: Graph, decomposition: GreedyDecomposition) ->
 def diagonal_set(
     left: GreedyDecomposition,
     right: GreedyDecomposition,
-    index_map: ProductIndexMap,
+    n_right: int,
 ) -> VertexSet:
     """Union of the blockwise rectangles A_i x B_i, i up to the shorter
-    decomposition.  Always maximal independent in the Cartesian product."""
-    if left.n != index_map.n_left or right.n != index_map.n_right:
-        raise ValueError("decompositions do not match the index map hosts")
+    decomposition, in the row-major labels of the product with ``n_right``
+    columns.  Always maximal independent in the Cartesian product."""
+    if right.n != n_right:
+        raise ValueError(f"right decomposition of order {right.n} is not of order {n_right}")
     depth = min(len(left.blocks), len(right.blocks))
     mask = 0
     for i in range(depth):
-        mask |= index_map.rectangle(left.blocks[i], right.blocks[i]).mask
-    return VertexSet(mask, index_map.size)
+        mask |= _rectangle_mask(left.blocks[i].mask, right.blocks[i].mask, n_right)
+    return VertexSet(mask, left.n * n_right)
 
 
 def _check_alpha_set(graph: Graph, s: VertexSet, cap: int) -> None:
@@ -266,7 +266,6 @@ def check_disjoint_mis(
     graph_left: Graph,
     graph_right: Graph,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    product_cap: int | None = None,
 ) -> DisjointMisReport:
     """Verify the disjoint-MIS conclusions for an isolatable-free pair with a
     well-covered product.
@@ -277,7 +276,7 @@ def check_disjoint_mis(
     """
     g_free = not isolatable_vertices(graph_left, cap)
     h_free = not isolatable_vertices(graph_right, cap)
-    product, _ = cartesian_product(graph_left, graph_right, cap=product_cap)
+    product = cartesian_product(graph_left, graph_right)
     product_wc = is_well_covered(product, cap).verdict
     if not (g_free and h_free and product_wc):
         return DisjointMisReport(

@@ -10,7 +10,6 @@ import time
 
 from wellcovered import (
     VertexSet,
-    build_product_witness,
     cartesian_product,
     cli,
     enumerate_maximal_independent_sets,
@@ -21,7 +20,6 @@ from wellcovered import (
     is_well_covered,
     isolatable_vertices,
     to_graph6,
-    witness_inputs,
 )
 import random
 
@@ -39,6 +37,7 @@ from oracles import (
     burnside_class_count,
     complete_graph,
     cycle_graph,
+    fixed_orientation_witness,
     nx_encode_graph6,
     nx_parse_graph6,
     path_graph,
@@ -90,7 +89,7 @@ def test_criterion_2_known_classifications():
         and p3_report.min_maximal == 1
     )
 
-    grid, _ = cartesian_product(path_graph(3), path_graph(3))
+    grid = cartesian_product(path_graph(3), path_graph(3))
     grid_report = is_well_covered(grid)
     grid_ok = grid_report.alpha == 5 and grid_report.min_maximal == 3
 
@@ -154,14 +153,11 @@ def test_criterion_4_constructive_witness_suite():
     applicable = 0
     for g in corpus:
         for h in corpus:
-            inputs = witness_inputs(g, h)
-            if inputs is None:
+            witness = fixed_orientation_witness(g, h)
+            if witness is None:
                 continue
             applicable += 1
-            witness = build_product_witness(
-                g, inputs.iso, h, inputs.column_big, inputs.column_small
-            )
-            product, _ = cartesian_product(g, h)
+            product = cartesian_product(g, h)
             assert is_maximal_independent(product, witness.big)
             assert is_maximal_independent(product, witness.small)
             assert len(witness.big) > len(witness.small)
@@ -169,11 +165,8 @@ def test_criterion_4_constructive_witness_suite():
 
     c6 = cycle_graph(6)
     started = time.perf_counter()
-    inputs = witness_inputs(c6, c6)
-    witness = build_product_witness(
-        c6, inputs.iso, c6, inputs.column_big, inputs.column_small
-    )
-    product, _ = cartesian_product(c6, c6)
+    witness = fixed_orientation_witness(c6, c6)
+    product = cartesian_product(c6, c6)
     spot_ok = (
         is_maximal_independent(product, witness.big)
         and is_maximal_independent(product, witness.small)
@@ -286,8 +279,8 @@ def test_criterion_7_diagonal_property():
         key = (to_graph6(g), to_graph6(h))
         if key not in products:
             products[key] = cartesian_product(g, h)
-        product, pmap = products[key]
-        diagonal = diagonal_set(dec_g, dec_h, pmap)
+        product = products[key]
+        diagonal = diagonal_set(dec_g, dec_h, h.n)
         depth = min(len(dec_g.blocks), len(dec_h.blocks))
         assert len(diagonal) == sum(
             len(dec_g.blocks[i]) * len(dec_h.blocks[i]) for i in range(depth)

@@ -62,8 +62,10 @@ def test_gen_order_four_count(capsys):
 
 
 def test_gen_out_of_range(capsys):
-    code, _, err = run_cli(capsys, ["gen", "9"])
-    assert code == 2 and "between 1 and 8" in err
+    for n in ("0", "9"):
+        code, out, err = run_cli(capsys, ["gen", n])
+        assert code == 2 and out == ""
+        assert err == "error: generation order must be between 1 and 8\n"
 
 
 # --- analyze ---------------------------------------------------------------------
@@ -482,9 +484,9 @@ def test_scan_builds_a_pair_product_only_for_its_witness(capsys, monkeypatch):
         corpus.update(real_load(config))
         return corpus
 
-    def recorded(left, right, cap=None):
+    def recorded(left, right):
         built.append((left, right))
-        return real_product(left, right, cap)
+        return real_product(left, right)
 
     monkeypatch.setattr(cli, "load_corpus", load)
     monkeypatch.setattr(theorem, "cartesian_product", recorded)
@@ -721,11 +723,11 @@ def test_scan_worker_count_is_clamped(monkeypatch):
 def test_scan_violation_exit_code(capsys, monkeypatch):
     # No real pair can violate the product consistency claim, so fake one to
     # pin the exit-code contract.
-    from wellcovered import verify_pair
+    from wellcovered import analyze_factor, verify_pair
 
     real = scan(ScanConfig(generate_up_to=2))
     record = real.records[0]
-    verdict = verify_pair(path_graph(3), path_graph(3))
+    verdict = verify_pair(analyze_factor(path_graph(3)), analyze_factor(path_graph(3)))
     fake = ScanResult(
         config=real.config,
         records=real.records,
@@ -781,6 +783,20 @@ def test_scan_gen_up_to_validation(capsys):
 # --- parser reuse --------------------------------------------------------------
 
 
+def test_main_returns_the_parser_exit_status_and_help_states_the_enum_cap_default(capsys):
+    assert cli.main(["scan", "--jobs", "x"]) == 2
+    assert "argument --jobs: invalid int value: 'x'" in capsys.readouterr().err
+    for command, default in (
+        ("analyze", "36"),
+        ("witness", "36"),
+        ("product", "the larger of 36 and the product cap"),
+        ("scan", "the larger of 36 and the product cap"),
+    ):
+        assert cli.main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"--enum-cap ENUM_CAP enumeration order cap (default {default})" in text
+
+
 def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
     corpus = tmp_path / "p3.g6"
     corpus.write_text("Bg\n")
@@ -796,10 +812,7 @@ def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
     ]
 
     def outcome(argv):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the bad argv
-            code = exc.code
+        code = cli.main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -813,6 +826,8 @@ def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
     assert cli.build_parser() is parser
     assert [code for code, _, _ in reused] == [0, 0, 4, 0, 0, 2, 0, 0]
     assert reused == fresh
+    assert cli.main(["scan", "--frobnicate"]) == 2
+    assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
 
 
 # --- documented API ------------------------------------------------------------

@@ -116,9 +116,9 @@ def test_enumerate_decompositions_cap():
 
 def test_diagonal_p3_square():
     p3 = path_graph(3)
-    prod, pmap = cartesian_product(p3, p3)
+    prod = cartesian_product(p3, p3)
     dec = greedy_decomposition(p3)
-    diag = diagonal_set(dec, dec, pmap)
+    diag = diagonal_set(dec, dec, 3)
     assert frozenset(diag) == {0, 2, 6, 8, 4}  # corners plus center
     assert len(diag) == 2 * 2 + 1 * 1
     assert is_maximal_independent(prod, diag)
@@ -126,28 +126,26 @@ def test_diagonal_p3_square():
 
 def test_diagonal_k2_square():
     k2 = complete_graph(2)
-    prod, pmap = cartesian_product(k2, k2)
+    prod = cartesian_product(k2, k2)
     dec = greedy_decomposition(k2)
-    diag = diagonal_set(dec, dec, pmap)
-    assert frozenset(diag) == {pmap.encode(0, 0), pmap.encode(1, 1)}
+    diag = diagonal_set(dec, dec, 2)
+    assert frozenset(diag) == {0 * 2 + 0, 1 * 2 + 1}
     assert is_maximal_independent(prod, diag)
 
 
 def test_diagonal_k1_factor():
     k1 = Graph(1, (0,))
     h = cycle_graph(5)
-    _, pmap = cartesian_product(k1, h)
-    diag = diagonal_set(greedy_decomposition(k1), greedy_decomposition(h), pmap)
+    diag = diagonal_set(greedy_decomposition(k1), greedy_decomposition(h), h.n)
     first_block = greedy_decomposition(h).blocks[0]
-    assert frozenset(diag) == {pmap.encode(0, v) for v in first_block}
+    assert frozenset(diag) == {0 * h.n + v for v in first_block}
     assert len(diag) == len(first_block)
 
 
 def test_diagonal_host_mismatch():
     p3 = path_graph(3)
-    _, pmap = cartesian_product(p3, p3)
     with pytest.raises(ValueError):
-        diagonal_set(greedy_decomposition(p3), greedy_decomposition(path_graph(4)), pmap)
+        diagonal_set(greedy_decomposition(p3), greedy_decomposition(path_graph(4)), 3)
 
 
 def test_diagonal_property_random_orders():
@@ -162,8 +160,8 @@ def test_diagonal_property_random_orders():
         rng.shuffle(order_h)
         dec_g = greedy_decomposition(g, order_g)
         dec_h = greedy_decomposition(h, order_h)
-        prod, pmap = cartesian_product(g, h)
-        diag = diagonal_set(dec_g, dec_h, pmap)
+        prod = cartesian_product(g, h)
+        diag = diagonal_set(dec_g, dec_h, h.n)
         depth = min(len(dec_g.blocks), len(dec_h.blocks))
         expected_size = sum(
             len(dec_g.blocks[i]) * len(dec_h.blocks[i]) for i in range(depth)

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from wellcovered import (
-    CapExceeded,
     Graph,
-    ProductIndexMap,
     VertexSet,
     cartesian_product,
     closed_neighborhood,
@@ -18,7 +16,9 @@ from wellcovered import (
     to_graph6,
 )
 from wellcovered.corpus import generate_all_graphs
-from wellcovered.graphs import component_masks, iter_bits, product_orbits, stabilizer_orbits
+from wellcovered.graphs import (
+    _rectangle_mask, component_masks, iter_bits, product_orbits, stabilizer_orbits,
+)
 
 from paper_lemmas import delete_closed_neighborhood, induced_subgraph, is_clique
 from oracles import (
@@ -192,33 +192,33 @@ def _product_edges_by_definition(g: Graph, h: Graph) -> set[tuple[int, int]]:
 
 def test_product_k2_k2_is_c4():
     k2 = complete_graph(2)
-    prod, pmap = cartesian_product(k2, k2)
+    prod = cartesian_product(k2, k2)
     assert prod.n == 4 and prod.edge_count == 4
     assert set(prod.edges()) == _product_edges_by_definition(k2, k2)
     assert [prod.degree(v) for v in range(4)] == [2, 2, 2, 2]
-    assert pmap.encode(1, 1) == 3 and pmap.decode(3) == (1, 1)
+    assert prod.neighbors(1 * 2 + 1) == (0 * 2 + 1, 1 * 2 + 0)  # (1, 1) ~ (0, 1), (1, 0)
 
 
 def test_product_p3_p3_is_grid():
     p3 = path_graph(3)
-    prod, _ = cartesian_product(p3, p3)
+    prod = cartesian_product(p3, p3)
     assert prod.n == 9 and prod.edge_count == 12
     assert set(prod.edges()) == _product_edges_by_definition(p3, p3)
 
 
 def test_product_with_k1_is_identity():
     h = cycle_graph(5)
-    prod, pmap = cartesian_product(Graph(1, (0,)), h)
+    prod = cartesian_product(Graph(1, (0,)), h)
     assert prod.n == h.n
     assert set(prod.edges()) == set(h.edges())
-    assert pmap.encode(0, 3) == 3
+    assert prod.neighbors(0 * h.n + 3) == h.neighbors(3)
 
 
 def test_product_edge_count_formula():
     graphs = [path_graph(2), path_graph(4), cycle_graph(3), cycle_graph(5), empty_graph(3)]
     for g in graphs:
         for h in graphs:
-            prod, _ = cartesian_product(g, h)
+            prod = cartesian_product(g, h)
             assert prod.edge_count == g.n * h.edge_count + h.n * g.edge_count
 
 
@@ -234,7 +234,7 @@ def to_networkx(graph):
 def test_product_matches_networkx_and_passes_the_full_check(g, h):
     reference = nx.cartesian_product(to_networkx(g), to_networkx(h))
     expected = {tuple(sorted((a * h.n + b, c * h.n + d))) for (a, b), (c, d) in reference.edges()}
-    product, _ = cartesian_product(g, h)
+    product = cartesian_product(g, h)
     assert product.n == reference.number_of_nodes() == g.n * h.n
     assert set(product.edges()) == expected
     # The product skipped the construction checks; they must pass on it.
@@ -250,36 +250,20 @@ def test_graph6_matches_networkx_codec(graph):
     assert from_graph6(line) == graph
 
 
-def test_product_cap_and_empty_factor():
-    with pytest.raises(CapExceeded):
-        cartesian_product(cycle_graph(6), cycle_graph(6), cap=30)
+def test_product_rejects_an_empty_factor():
     with pytest.raises(ValueError):
         cartesian_product(Graph(0, ()), path_graph(2))
 
 
 def test_rectangle_of_independent_sets_is_independent():
     c5, c6 = cycle_graph(5), cycle_graph(6)
-    prod, pmap = cartesian_product(c5, c6)
+    prod = cartesian_product(c5, c6)
     left = VertexSet.of(5, [0, 2])
     right = VertexSet.of(6, [1, 4])
-    image = pmap.rectangle(left, right)
+    image = VertexSet(_rectangle_mask(left.mask, right.mask, 6), prod.n)
     assert len(image) == 4
+    assert frozenset(image) == {g * 6 + h for g in left for h in right}
     assert is_independent(prod, image)
-
-
-def test_index_map_bijection():
-    pmap = ProductIndexMap(4, 7)
-    seen = set()
-    for g in range(4):
-        for h in range(7):
-            p = pmap.encode(g, h)
-            assert pmap.decode(p) == (g, h)
-            seen.add(p)
-    assert seen == set(range(28))
-    with pytest.raises(ValueError):
-        pmap.encode(4, 0)
-    with pytest.raises(ValueError):
-        pmap.decode(28)
 
 
 # --- is_clique / is_connected -----------------------------------------------

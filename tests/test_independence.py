@@ -182,7 +182,7 @@ def test_early_termination_allowed():
 def test_independence_number():
     assert independence_number(complete_graph(5)) == 1
     assert independence_number(path_graph(3)) == 2
-    grid, _ = cartesian_product(path_graph(3), path_graph(3))
+    grid = cartesian_product(path_graph(3), path_graph(3))
     assert independence_number(grid) == 5
 
 
@@ -241,7 +241,7 @@ def test_search_report_matches_full_walk_on_small_products():
     factors = [g for n in range(1, 5) for g in generate_all_graphs(n)]
     for left in factors:
         for right in factors:
-            product, _ = cartesian_product(left, right)
+            product = cartesian_product(left, right)
             assert is_well_covered(product) == full_walk_report(product)
 
 
@@ -252,7 +252,7 @@ def test_search_report_matches_full_walk_on_large_products():
     five, six = ([g for g in generate_all_graphs(n) if is_connected(g)] for n in (5, 6))
     pairs = [rng.choices(five, k=2) for _ in range(20)] + [rng.choices(six, k=2) for _ in range(4)]
     for left, right in pairs:
-        product, _ = cartesian_product(left, right)
+        product = cartesian_product(left, right)
         assert is_well_covered(product) == full_walk_report(product)
 
 
@@ -272,7 +272,7 @@ def test_searches_with_orbits_match_the_searches_without():
         (from_graph6("C`"), path_graph(3)),
     ]
     for left, right in pairs:
-        product, _ = cartesian_product(left, right)
+        product = cartesian_product(left, right)
         orbits = product_orbits(stabilizer_orbits(left), stabilizer_orbits(right))
         for part in component_masks(product):
             for search in (independence._largest, independence._smallest):
@@ -302,7 +302,7 @@ def test_mis_size_histogram():
     assert mis_size_histogram(path_graph(3)) == {1: 1, 2: 1}
     assert mis_size_histogram(cycle_graph(6)) == {2: 3, 3: 2}
     # Five disjoint 5-cycles: one of the five 2-sets of each cycle.
-    five_cycles, _ = cartesian_product(from_graph6("D??"), from_graph6("DLo"))
+    five_cycles = cartesian_product(from_graph6("D??"), from_graph6("DLo"))
     assert mis_size_histogram(five_cycles) == {10: 5**5}
 
 

@@ -23,7 +23,6 @@ from wellcovered import (
     isolatable_vertices,
     analyze_factor,
     verify_pair,
-    witness_inputs,
     witness_invariants,
 )
 from wellcovered import independence, theorem
@@ -38,6 +37,7 @@ from oracles import (
     brute_maximal_independent_sets,
     complete_graph,
     cycle_graph,
+    fixed_orientation_witness,
     full_walk_report,
     path_graph,
     random_graphs,
@@ -48,7 +48,11 @@ from test_render import GOLDEN_PATH
 
 
 def decoded(witness, s):
-    return sorted(witness.index_map.decode(p) for p in s)
+    return sorted(divmod(p, witness.column_big.n) for p in s)
+
+
+def verify(g, h, cap=36, reports=None):
+    return verify_pair(analyze_factor(g, cap), analyze_factor(h, cap), reports)
 
 
 # --- FactorAnalysis ---------------------------------------------------------
@@ -102,25 +106,28 @@ def test_analyze_factor_checks_its_cap_and_searches_nothing_until_read(monkeypat
     assert expected[2] == expected[1][0]  # the first isolatable vertex heads the list
 
 
-# --- witness_inputs ---------------------------------------------------------
+# --- the lemma's hypotheses -----------------------------------------------------
 
 
-def test_witness_inputs_p3_p3():
-    p3 = path_graph(3)
-    inputs = witness_inputs(p3, p3)
-    assert inputs is not None
-    assert inputs.iso.vertex == 0
-    assert frozenset(inputs.iso.certificate) == {2}
-    assert frozenset(inputs.column_big) == {0, 2}
-    assert frozenset(inputs.column_small) == {1}
+def test_witness_hypotheses_p3_p3():
+    p3 = analyze_factor(path_graph(3))
+    iso, report = p3.first_isolatable, p3.report
+    assert iso is not None and not report.verdict
+    assert iso.vertex == 0
+    assert frozenset(iso.certificate) == {2}
+    assert frozenset(report.witness_max) == {0, 2}
+    assert frozenset(report.witness_min) == {1}
 
 
-def test_witness_inputs_absent_without_isolatable_factor():
-    assert witness_inputs(cycle_graph(5), path_graph(3)) is None
+def test_witness_hypotheses_absent_without_isolatable_factor():
+    assert analyze_factor(cycle_graph(5)).first_isolatable is None
+    assert fixed_orientation_witness(cycle_graph(5), path_graph(3)) is None
 
 
-def test_witness_inputs_absent_for_well_covered_cofactor():
-    assert witness_inputs(path_graph(3), cycle_graph(4)) is None
+def test_witness_hypotheses_absent_for_well_covered_cofactor():
+    assert analyze_factor(path_graph(3)).first_isolatable is not None
+    assert analyze_factor(cycle_graph(4)).report.verdict
+    assert fixed_orientation_witness(path_graph(3), cycle_graph(4)) is None
 
 
 # --- build_product_witness ----------------------------------------------------
@@ -143,7 +150,7 @@ def test_witness_p3_square_worked_example():
     assert decoded(witness, witness.small) == [(0, 0), (0, 2), (2, 1)]
     assert all(witness_invariants(p3, p3, witness).values())
     # maximality confirmed against the subset oracle on the 9-vertex grid
-    grid, _ = cartesian_product(p3, p3)
+    grid = cartesian_product(p3, p3)
     oracle = brute_maximal_independent_sets(grid.n, grid.edges())
     assert frozenset(witness.big) in oracle
     assert frozenset(witness.small) in oracle
@@ -175,12 +182,9 @@ def test_witness_c6_square_at_scale():
 @given(random_graphs(min_n=1, max_n=9), random_graphs(min_n=1, max_n=9))
 def test_witness_invariants_hold_on_random_pairs(g, h):
     for left, right in ((g, h), (h, g)):
-        inputs = witness_inputs(left, right)
-        if inputs is None:
+        witness = fixed_orientation_witness(left, right)
+        if witness is None:
             continue
-        witness = build_product_witness(
-            left, inputs.iso, right, inputs.column_big, inputs.column_small
-        )
         assert all(witness_invariants(left, right, witness).values())
 
 
@@ -201,10 +205,6 @@ def test_witness_precondition_errors():
     with pytest.raises(ValueError, match="decreasing"):
         build_product_witness(
             p3, IsolatableWitness(0, VertexSet.of(3, [2])), p3, small, big
-        )
-    with pytest.raises(CapExceeded):
-        build_product_witness(
-            p3, IsolatableWitness(0, VertexSet.of(3, [2])), p3, big, small, product_cap=4
         )
 
 
@@ -228,11 +228,8 @@ def test_mask_witness_matches_the_vertex_set_reference_on_random_pairs():
             for n, density in ((rng.randint(1, 7), rng.random()) for _ in range(2))
         )
         for left, right in ((g, h), (h, g)):
-            inputs = witness_inputs(left, right)
-            if inputs is not None:
-                witness = build_product_witness(
-                    left, inputs.iso, right, inputs.column_big, inputs.column_small
-                )
+            witness = fixed_orientation_witness(left, right)
+            if witness is not None:
                 assert _matches_the_reference(left, right, witness)
                 compared += 1
     assert compared > 100
@@ -250,12 +247,11 @@ def test_mask_witness_matches_the_vertex_set_reference_on_the_witness_pool():
 
 def test_witness_invariants_reject_a_witness_of_other_factors():
     p3 = path_graph(3)
-    inputs = witness_inputs(p3, p3)
-    witness = build_product_witness(p3, inputs.iso, p3, inputs.column_big, inputs.column_small)
+    witness = fixed_orientation_witness(p3, p3)
     with pytest.raises(ValueError, match="do not match the factors"):
         witness_invariants(p3, path_graph(4), witness)
     with pytest.raises(ValueError, match="do not match the factors"):
-        witness_invariants(p3, p3, witness, cartesian_product(p3, path_graph(4))[0])
+        witness_invariants(p3, p3, witness, cartesian_product(p3, path_graph(4)))
     for vertex in (-3, 3):  # -3 would read vertex 0's rows
         with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
             witness_invariants(p3, p3, replace(witness, isolatable_vertex=vertex))
@@ -266,14 +262,11 @@ def test_witness_core_size_gap_matches_columns():
     seen = 0
     for g in corpus:
         for h in corpus:
-            inputs = witness_inputs(g, h)
-            if inputs is None:
+            witness = fixed_orientation_witness(g, h)
+            if witness is None:
                 continue
             seen += 1
-            witness = build_product_witness(
-                g, inputs.iso, h, inputs.column_big, inputs.column_small
-            )
-            gap = len(inputs.column_big) - len(inputs.column_small)
+            gap = len(witness.column_big) - len(witness.column_small)
             assert len(witness.core_big) - len(witness.core_small) == gap
             assert len(witness.big) - len(witness.small) >= gap
             assert witness.gaps_small <= witness.gaps_big
@@ -358,7 +351,7 @@ def test_swapping_first_two_blocks_stays_greedy():
 
 
 def test_verify_pair_p3_square():
-    verdict = verify_pair(path_graph(3), path_graph(3))
+    verdict = verify(path_graph(3), path_graph(3))
     assert not verdict.product_report.verdict
     assert verdict.product_report.alpha == 5
     assert verdict.product_report.min_maximal == 3
@@ -368,7 +361,7 @@ def test_verify_pair_p3_square():
 
 
 def test_verify_pair_k2_square():
-    verdict = verify_pair(complete_graph(2), complete_graph(2))
+    verdict = verify(complete_graph(2), complete_graph(2))
     assert verdict.product_report.verdict
     assert verdict.g_analysis.report.verdict and verdict.h_analysis.report.verdict
     assert verdict.theorem_consistent
@@ -376,7 +369,7 @@ def test_verify_pair_k2_square():
 
 
 def test_verify_pair_c4_p3_consistent():
-    verdict = verify_pair(cycle_graph(4), path_graph(3))
+    verdict = verify(cycle_graph(4), path_graph(3))
     assert verdict.g_analysis.report.verdict  # C4 well-covered, claim holds trivially
     assert verdict.theorem_consistent
     # C4 has isolatable vertices and P3 is not well-covered: witness applies
@@ -386,21 +379,31 @@ def test_verify_pair_c4_p3_consistent():
 def test_verify_pair_swapped_orientation():
     # P5 is not well-covered; K1 is well-covered but isolatable, so only the
     # reversed orientation supports the constructive witness.
-    verdict = verify_pair(path_graph(5), Graph(1, (0,)))
+    verdict = verify(path_graph(5), Graph(1, (0,)))
     assert verdict.witness is not None
     assert verdict.witness_swapped
 
 
-def test_verify_pair_product_cap():
-    with pytest.raises(CapExceeded):
-        verify_pair(cycle_graph(6), cycle_graph(6), product_cap=30)
+def test_verify_pair_checks_the_largest_component_product_against_the_smaller_cap(
+    monkeypatch
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search before the cap check")
+
+    monkeypatch.setattr(theorem, "is_well_covered", forbidden)
+    monkeypatch.setattr(independence, "is_well_covered", forbidden)
+    p3 = path_graph(3)
+    for caps in ((36, 4), (4, 36)):
+        g, h = (analyze_factor(p3, cap) for cap in caps)
+        with pytest.raises(CapExceeded, match="graph order 9 exceeds enumeration cap 4"):
+            verify_pair(g, h)
 
 
 def test_verify_pair_witness_agrees_with_enumeration():
     corpus = [g for n in range(1, 5) for g in generate_all_graphs(n)]
     for i, g in enumerate(corpus):
         for h in corpus[i:]:
-            verdict = verify_pair(g, h)
+            verdict = verify(g, h)
             assert verdict.theorem_consistent
             if verdict.witness is not None:
                 assert not verdict.product_report.verdict
@@ -436,8 +439,8 @@ def test_component_product_reports_match_the_whole_product_search():
     for _ in range(300):
         g, h = _interleaved_union(rng), _interleaved_union(rng)
         assert not is_connected(g) and not is_connected(h)
-        verdict = verify_pair(g, h, component_reports=reports)
-        product, _ = cartesian_product(g, h)
+        verdict = verify(g, h, reports=reports)
+        product = cartesian_product(g, h)
         assert verdict.product_report == is_well_covered(product), (g, h)
         assert (verdict.product_order, verdict.product_size) == (product.n, product.edge_count)
         components += len(list(component_masks(product)))
@@ -463,37 +466,37 @@ def test_product_searches_consult_the_factor_orbits(monkeypatch):
 
     monkeypatch.setattr(theorem, "is_well_covered", search)
     c5 = cycle_graph(5)
-    verdict = verify_pair(c5, c5)
+    verdict = verify(c5, c5)
     assert consulted
-    assert verdict.product_report == full_walk_report(cartesian_product(c5, c5)[0])
+    assert verdict.product_report == full_walk_report(cartesian_product(c5, c5))
 
 
 def test_connected_pair_builds_its_witness_in_the_searched_product(monkeypatch):
     real, built = theorem.cartesian_product, []
 
-    def recorded(left, right, cap=None):
+    def recorded(left, right):
         built.append((left.n, right.n))
-        return real(left, right, cap)
+        return real(left, right)
 
     monkeypatch.setattr(theorem, "cartesian_product", recorded)
     k1, p3 = complete_graph(1), path_graph(3)
-    verdict = verify_pair(k1, p3)  # K1 is isolatable and P3 is not well-covered
+    verdict = verify(k1, p3)  # K1 is isolatable and P3 is not well-covered
     assert not verdict.witness_swapped and built == [(1, 3)]
     assert all(witness_invariants(k1, p3, verdict.witness).values())
     built.clear()
-    verdict = verify_pair(p3, k1)  # a swapped witness still builds H x G
+    verdict = verify(p3, k1)  # a swapped witness still builds H x G
     assert verdict.witness_swapped and built == [(3, 1), (1, 3)]
     assert all(witness_invariants(k1, p3, verdict.witness).values())
-    inputs = witness_inputs(k1, p3)
+    iso, report = analyze_factor(k1).first_isolatable, analyze_factor(p3).report
     with pytest.raises(ValueError, match="not of order 3"):
         build_product_witness(
-            k1, inputs.iso, p3, inputs.column_big, inputs.column_small, product=k1
+            k1, iso, p3, report.witness_max, report.witness_min, product=k1
         )
 
 
 def test_k1_times_k37_takes_milliseconds():
     # 37! automorphisms of K37: one search per orbit row, none listed.
     begin = perf_counter()
-    verdict = verify_pair(complete_graph(1), complete_graph(37), enum_cap=37)
+    verdict = verify(complete_graph(1), complete_graph(37), cap=37)
     assert perf_counter() - begin < 0.5
     assert verdict.product_report.verdict and verdict.product_report.alpha == 1
