@@ -8,7 +8,7 @@ ships a CLI harness that verifies the product consistency claim
 exhaustively over small-graph corpora.
 """
 
-from .corpus import GENERATION_CAP, generate_all_graphs, graph_to_mask
+from .corpus import GENERATION_CAP, generate_all_graphs
 from .graphs import (
     GRAPH6_MAX_ORDER,
     CapExceeded,
@@ -20,14 +20,12 @@ from .graphs import (
     from_graph6,
     is_connected,
     to_graph6,
-    triangle_pairs,
 )
 from .independence import (
     DEFAULT_ENUMERATION_CAP,
     IsolatableWitness,
     WellCoveredReport,
     enumerate_maximal_independent_sets,
-    independence_number,
     is_independent,
     is_maximal_independent,
     is_well_covered,
@@ -39,7 +37,6 @@ from .theorem import (
     FactorAnalysis,
     PairVerdict,
     ProductWitness,
-    analyze_factor,
     build_product_witness,
     verify_pair,
     witness_invariants,
@@ -60,15 +57,12 @@ __all__ = [
     "ProductWitness",
     "VertexSet",
     "WellCoveredReport",
-    "analyze_factor",
     "build_product_witness",
     "cartesian_product",
     "closed_neighborhood",
     "enumerate_maximal_independent_sets",
     "from_graph6",
     "generate_all_graphs",
-    "graph_to_mask",
-    "independence_number",
     "is_connected",
     "is_independent",
     "is_maximal_independent",
@@ -76,7 +70,6 @@ __all__ = [
     "isolatable_vertices",
     "mis_size_histogram",
     "to_graph6",
-    "triangle_pairs",
     "verify_pair",
     "well_covered",
     "witness_invariants",

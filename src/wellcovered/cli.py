@@ -17,9 +17,6 @@ of; ``analyze -`` writes compact one-line records with ``json.dumps``.
 
 Exit codes: 0 success/consistent, 1 scan found a consistency violation,
 2 input error, 3 resource cap exceeded, 4 witness hypotheses not applicable.
-
-Environment: WELLCOVERED_ENUM_CAP and WELLCOVERED_PRODUCT_CAP override the
-default caps; explicit flags take precedence over both.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ from .theorem import (
     PairVerdict,
     ProductWitness,
     _orient_witness,
-    analyze_factor,
     verify_pair,
     witness_invariants,
 )
@@ -71,9 +67,6 @@ EXIT_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP = 3
 EXIT_NOT_APPLICABLE = 4
-
-ENV_ENUM_CAP = "WELLCOVERED_ENUM_CAP"
-ENV_PRODUCT_CAP = "WELLCOVERED_PRODUCT_CAP"
 
 DEFAULT_SCAN_FACTOR_ORDER = 5
 DEFAULT_SCAN_PRODUCT_ORDER = 30
@@ -239,8 +232,13 @@ def _evaluate_in_worker(pair: tuple[str, str]) -> tuple[ScanRecord, PairVerdict 
 
 
 def _worker_count(requested: int, tasks: int) -> int:
-    """Pool size for a scan: never more workers than CPUs or tasks."""
-    return max(1, min(requested, os.cpu_count() or 1, tasks))
+    """Pool size for a scan: never more workers than tasks or than the CPUs
+    this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, cpus, tasks))
 
 
 def scan(config: ScanConfig) -> ScanResult:
@@ -254,7 +252,7 @@ def scan(config: ScanConfig) -> ScanResult:
         if graphs[g].n * graphs[h].n <= config.max_product_order
     ]
     used = dict.fromkeys(chain.from_iterable(pairs))
-    analyses = {g6: analyze_factor(graphs[g6], config.enum_cap) for g6 in used}
+    analyses = {g6: FactorAnalysis(graphs[g6], config.enum_cap) for g6 in used}
     workers = _worker_count(config.parallelism, len(pairs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -476,20 +474,10 @@ def _not_applicable_dict(g: FactorAnalysis, h: FactorAnalysis) -> dict:
 # ---------------------------------------------------------------------------
 
 
-_CAP_SOURCES = {
-    "enum_cap": ("--enum-cap", ENV_ENUM_CAP),
-    "product_cap": ("--product-cap", ENV_PRODUCT_CAP),
-}
-
-
 def _resolve_cap(args: argparse.Namespace, dest: str, fallback: int) -> int:
-    """The cap from its flag, else from its environment variable, else the
-    fallback; a value that is not a positive integer is an input error that
-    names where it came from."""
-    flag, env_name = _CAP_SOURCES[dest]
-    raw, source = getattr(args, dest), flag
-    if raw is None:
-        raw, source = os.environ.get(env_name) or None, env_name
+    """The cap from its flag, else the fallback; a value that is not a
+    positive integer is an input error that names the flag."""
+    raw = getattr(args, dest)
     if raw is None:
         return fallback
     try:
@@ -497,7 +485,8 @@ def _resolve_cap(args: argparse.Namespace, dest: str, fallback: int) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise ValueError(f"{source} must be a positive integer, got {raw!r}")
+        flag = "--" + dest.replace("_", "-")
+        raise ValueError(f"{flag} must be a positive integer, got {raw!r}")
     return value
 
 
@@ -515,7 +504,7 @@ def _analysis_dict(graph: Graph, cap: int) -> dict:
         "graph6": to_graph6(graph),
         "n": graph.n,
         "m": graph.edge_count,
-        **_factor_dict(analyze_factor(graph, cap)),
+        **_factor_dict(FactorAnalysis(graph, cap)),
         "mis_size_histogram": {str(size): count for size, count in histogram.items()},
     }
 
@@ -546,7 +535,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
     # Every limit is checked before any search: the enumeration cap of G,
     # then of H, then the product cap, then (in verify_pair) the largest
     # component product.
-    g, h = analyze_factor(graph_g, enum_cap), analyze_factor(graph_h, enum_cap)
+    g, h = FactorAnalysis(graph_g, enum_cap), FactorAnalysis(graph_h, enum_cap)
     _check_product_cap(graph_g.n * graph_h.n, product_cap)
     verdict = verify_pair(g, h)
     witness_summary: dict = {"applicable": verdict.witness is not None}
@@ -582,7 +571,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
     # Every limit is checked before any search: the enumeration cap of G,
     # then of H, then the product cap.
-    g, h = analyze_factor(graph_g, enum_cap), analyze_factor(graph_h, enum_cap)
+    g, h = FactorAnalysis(graph_g, enum_cap), FactorAnalysis(graph_h, enum_cap)
     _check_product_cap(graph_g.n * graph_h.n, product_cap)
     oriented = _orient_witness(g, h)
     if oriented is None:

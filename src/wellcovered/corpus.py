@@ -30,18 +30,9 @@ supplied externally as graph6 files.
 
 from __future__ import annotations
 
-from .graphs import Graph, triangle_pairs
+from .graphs import Graph
 
 GENERATION_CAP = 8
-
-
-def graph_to_mask(graph: Graph) -> int:
-    """Adjacency bit-string of a graph as an integer (first pair bit most
-    significant)."""
-    mask = 0
-    for i, j in triangle_pairs(graph.n):
-        mask = (mask << 1) | ((graph.adj[i] >> j) & 1)
-    return mask
 
 
 def _is_canonical(adj: tuple[int, ...]) -> bool:

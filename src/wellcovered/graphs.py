@@ -67,68 +67,11 @@ class VertexSet:
             mask |= 1 << v
         return cls(mask, n)
 
-    @classmethod
-    def empty(cls, n: int) -> "VertexSet":
-        return cls(0, n)
-
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls((1 << n) - 1, n)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.mask))
-
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and (self.mask >> v) & 1 == 1
-
-    def _check_host(self, other: "VertexSet") -> None:
-        if self.n != other.n:
-            raise ValueError(
-                f"vertex sets belong to different hosts (orders {self.n} and {other.n})"
-            )
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check_host(other)
-        return VertexSet(self.mask | other.mask, self.n)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check_host(other)
-        return VertexSet(self.mask & other.mask, self.n)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check_host(other)
-        return VertexSet(self.mask & ~other.mask, self.n)
-
-    def __le__(self, other: "VertexSet") -> bool:
-        self._check_host(other)
-        return self.mask & ~other.mask == 0
-
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        self._check_host(other)
-        return self.mask & other.mask == 0
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(((1 << self.n) - 1) & ~self.mask, self.n)
-
-    def with_vertex(self, v: int) -> "VertexSet":
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for host of order {self.n}")
-        return VertexSet(self.mask | (1 << v), self.n)
-
-    def without_vertex(self, v: int) -> "VertexSet":
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for host of order {self.n}")
-        return VertexSet(self.mask & ~(1 << v), self.n)
 
     def __repr__(self) -> str:
         return f"VertexSet({{{', '.join(map(str, self))}}}, n={self.n})"
@@ -202,17 +145,6 @@ class Graph:
         for v in range(self.n):
             for u in iter_bits(self.adj[v] >> (v + 1)):
                 yield (v, v + 1 + u)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex pair ({u}, {v}) out of range")
-        return (self.adj[u] >> v) & 1 == 1
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.adj[v]))
 
 
 def _rectangle_mask(left_mask: int, right_mask: int, n_right: int) -> int:

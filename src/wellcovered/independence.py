@@ -1,5 +1,5 @@
 """Independent-set machinery: maximal independent set enumeration,
-well-coveredness, the independence number and isolatable vertices.
+well-coveredness and isolatable vertices.
 
 Enumeration is exponential by nature; every entry point takes an order cap
 and raises :class:`CapExceeded` before doing any work when the input is too
@@ -14,11 +14,11 @@ verdict of :func:`well_covered`) and, stopped at its first set, the
 certificate search of each isolatable vertex x over G - N[x], run only
 once a local test over the second neighbourhood of x shows that a
 certificate exists.  Two branch-and-bound loops over the same order give
-the well-covered report and the independence number without visiting the
-sets whose sizes their bounds rule out: :func:`_largest` cuts by a greedy
-clique cover of the candidates, :func:`_smallest` by a packing of
-undominated vertices with disjoint dominator sets, built once per node and
-updated as each sibling drops a candidate.  Both run once per connected
+the well-covered report without visiting the sets whose sizes their bounds
+rule out: :func:`_largest` cuts by a greedy clique cover of the candidates,
+:func:`_smallest` by a packing of undominated vertices with disjoint
+dominator sets, built once per node and updated as each sibling drops a
+candidate.  Both run once per connected
 component, and the components' first sets are joined: the extreme sets of
 a disjoint union are unions of extreme sets of its components, and of two
 sets of equal size the first is the one holding the least element of their
@@ -381,12 +381,6 @@ def _isolating_set(graph: Graph, x: int) -> int | None:
         return None
     # The leaf wraps the mask, so that the empty set still stops the walk.
     return _walk(graph, lambda mask: (mask,), universe, universe | ring)[0]
-
-
-def independence_number(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Size of a largest independent set, summed over the components."""
-    _check_cap(graph.n, cap)
-    return sum(_largest(graph, part).bit_count() for part in component_masks(graph))
 
 
 def mis_size_histogram(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:

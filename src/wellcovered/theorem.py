@@ -28,9 +28,9 @@ Aut(Gi) × Aut(Hj) (:func:`product_orbits`) from one table per compacted
 component (:func:`stabilizer_orbits`, cached on the :class:`FactorAnalysis`).
 
 A factor is a :class:`FactorAnalysis` and a product is a :class:`Graph`.
-:func:`verify_pair` takes two analyses, each built by :func:`analyze_factor`,
-which checks the enumeration cap on construction and searches each fact on
-first read: the report from the same searches, the isolatable vertices from
+:func:`verify_pair` takes two analyses.  A :class:`FactorAnalysis` checks
+the enumeration cap on construction and searches each fact on first read:
+the report from the same searches, the isolatable vertices from
 :func:`isolatable_vertices`, and the first one alone by a search that stops
 at it.  No factor is enumerated.  :func:`_orient_witness`, the one place
 that picks the witness's orientation and builds it, reads only the lemma's
@@ -115,7 +115,7 @@ class FactorAnalysis:
     of the factor is enumerated."""
 
     graph: Graph
-    cap: int
+    cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self) -> None:
         _check_cap(self.graph.n, self.cap)
@@ -164,13 +164,6 @@ class PairVerdict:
     theorem_consistent: bool
     witness: ProductWitness | None
     witness_swapped: bool
-
-
-def analyze_factor(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> FactorAnalysis:
-    """The :class:`FactorAnalysis` of one factor; raises ``CapExceeded`` at
-    once when the factor is over ``cap``, and searches nothing until a fact
-    is read."""
-    return FactorAnalysis(graph, cap)
 
 
 def _validate_isolatable(graph: Graph, iso: IsolatableWitness) -> None:

@@ -3,12 +3,11 @@ fixed-orientation witness shared by the tests.
 
 The oracles recompute everything from first principles over plain Python
 sets (or through networkx, for the reference graph6 codec and the atlas of
-small graphs) and never touch the package's bitmask code paths.  The
-exceptions are :func:`full_walk_report`, the reference for the searches of
-``is_well_covered``, which reads every maximal independent set off the
-package's full enumeration, and :func:`reference_product_witness`, the
-witness construction written with ``VertexSet`` arithmetic, the reference
-for the mask kernel of ``build_product_witness``.
+small graphs) and never touch the package's bitmask code paths; so does
+:func:`reference_product_witness`, the reference for the mask kernel of
+``build_product_witness``.  The exception is :func:`full_walk_report`, the
+reference for the searches of ``is_well_covered``, which reads every
+maximal independent set off the package's full enumeration.
 """
 
 from __future__ import annotations
@@ -16,16 +15,17 @@ from __future__ import annotations
 import functools
 import math
 from itertools import combinations, permutations
+from typing import Iterator
 
 import networkx as nx
 from hypothesis import strategies as st
 
 from wellcovered import (
+    FactorAnalysis,
     Graph,
     ProductWitness,
     VertexSet,
     WellCoveredReport,
-    analyze_factor,
     build_product_witness,
     enumerate_maximal_independent_sets,
     independence,
@@ -135,23 +135,42 @@ def nx_encode_graph6(n: int, edges) -> str:
     return nx.to_graph6_bytes(g, header=False).decode("ascii").strip()
 
 
-def brute_canonical_mask(n: int, edges) -> int:
-    """Lexicographically least column-major upper-triangle bit-string over
-    all vertex relabelings, as an integer with the first pair bit most
-    significant."""
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+def _triangle_pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+def _relabelled_masks(n: int, edges) -> Iterator[int]:
+    """The column-major upper-triangle bit-string of every vertex
+    relabeling, the identity first, each as an integer with the first pair
+    bit most significant."""
+    pairs = _triangle_pairs(n)
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    best = None
     for perm in permutations(range(n)):
         mask = 0
         for i, j in pairs:
             mask = (mask << 1) | (perm[j] in adj[perm[i]])
-        if best is None or mask < best:
-            best = mask
-    return best if best is not None else 0
+        yield mask
+
+
+def bit_string(n: int, edges) -> int:
+    """The graph's own bit-string, in the order of :func:`brute_canonical_mask`."""
+    return next(_relabelled_masks(n, edges))
+
+
+def brute_canonical_mask(n: int, edges) -> int:
+    """Lexicographically least column-major upper-triangle bit-string over
+    all vertex relabelings, as an integer with the first pair bit most
+    significant."""
+    return min(_relabelled_masks(n, edges))
+
+
+def edges_of_bit_string(n: int, mask: int) -> list[tuple[int, int]]:
+    """The edges whose bit-string (see :func:`bit_string`) is ``mask``."""
+    pairs = _triangle_pairs(n)
+    return [pair for k, pair in enumerate(pairs) if mask >> (len(pairs) - 1 - k) & 1]
 
 
 def brute_automorphisms(n: int, edges) -> list[tuple[int, ...]]:
@@ -230,7 +249,7 @@ def reference_product_witness(
     column_big: VertexSet, column_small: VertexSet,
 ) -> dict[str, VertexSet]:
     """The product sets of the constructive witness, by name, built with
-    ``VertexSet`` arithmetic one vertex at a time: the core extends the
+    Python set arithmetic one vertex at a time: the core extends the
     rectangle of the isolating set and the big column greedily, in ascending
     product index, over the rows outside N[x]; column x takes either column;
     the gaps are the rows of N(x) that the core and column leave undominated,
@@ -238,36 +257,40 @@ def reference_product_witness(
     taken as valid."""
     n, n_right = product.n, column_big.n
 
-    def rectangle(left, right) -> VertexSet:
-        return VertexSet.of(n, [g * n_right + h for g in left for h in right])
+    def neighbors(graph: Graph, v: int) -> set[int]:
+        return {u for u in range(graph.n) if graph.adj[v] >> u & 1}
 
-    def closed(s: VertexSet) -> VertexSet:
-        return VertexSet.of(n, set(s).union(*(product.neighbors(v) for v in s)))
+    def rectangle(left, right) -> set[int]:
+        return {g * n_right + h for g in left for h in right}
 
-    def greedy(allowed: VertexSet, chosen: VertexSet) -> VertexSet:
-        for v in allowed - chosen:
-            if closed(VertexSet.of(n, [v])).isdisjoint(chosen):
-                chosen = chosen.with_vertex(v)
+    def closed(s: set[int]) -> set[int]:
+        return set(s).union(*(neighbors(product, v) for v in s))
+
+    def greedy(allowed: set[int], chosen: set[int]) -> set[int]:
+        for v in sorted(allowed - chosen):
+            if closed({v}).isdisjoint(chosen):
+                chosen = chosen | {v}
         return chosen
 
-    rows = range(graph_left.n)
     every_column = range(n_right)
-    outside = rectangle([g for g in rows if g != x and not graph_left.has_edge(g, x)],
-                        every_column)
-    neighbor_block = rectangle(graph_left.neighbors(x), every_column)
+    outside = rectangle(
+        set(range(graph_left.n)) - {x} - neighbors(graph_left, x), every_column
+    )
+    neighbor_block = rectangle(neighbors(graph_left, x), every_column)
     core = greedy(outside, rectangle(isolating_set, column_big))
     core_big = core | rectangle([x], column_big)
     core_small = core | rectangle([x], column_small)
     gaps_big = neighbor_block - closed(core_big)
     gaps_small = neighbor_block - closed(core_small)
-    patch_small = greedy(gaps_small, VertexSet.empty(n))
+    patch_small = greedy(gaps_small, set())
     patch_big = greedy(gaps_big, patch_small)
-    return {
+    sets = {
         "core": core, "core_big": core_big, "core_small": core_small,
         "gaps_big": gaps_big, "gaps_small": gaps_small,
         "patch_small": patch_small, "patch_big": patch_big,
         "big": core_big | patch_big, "small": core_small | patch_small,
     }
+    return {name: VertexSet.of(n, members) for name, members in sets.items()}
 
 
 def fixed_orientation_witness(left: Graph, right: Graph) -> ProductWitness | None:
@@ -276,10 +299,10 @@ def fixed_orientation_witness(left: Graph, right: Graph) -> ProductWitness | Non
     first isolatable vertex and the right factor's first extreme sets.  None
     when the left factor has no isolatable vertex or the right one is
     well-covered."""
-    iso = analyze_factor(left).first_isolatable
+    iso = FactorAnalysis(left).first_isolatable
     if iso is None:
         return None
-    report = analyze_factor(right).report
+    report = FactorAnalysis(right).report
     if report.verdict:
         return None
     return build_product_witness(left, iso, right, report.witness_max, report.witness_min)

@@ -21,7 +21,6 @@ from wellcovered import (
     closed_neighborhood,
     enumerate_maximal_independent_sets,
     independence,
-    independence_number,
     is_maximal_independent,
     is_well_covered,
     isolatable_vertices,
@@ -49,7 +48,7 @@ class SubgraphMap:
 def induced_subgraph(graph: Graph, s: VertexSet) -> tuple[Graph, SubgraphMap]:
     """Subgraph induced by S, with the vertex correspondence."""
     _check_set(graph, s)
-    kept = s.members
+    kept = tuple(s)
     index = {orig: new for new, orig in enumerate(kept)}
     rows = []
     for orig in kept:
@@ -66,8 +65,8 @@ def delete_closed_neighborhood(graph: Graph, s: VertexSet) -> tuple[Graph, Subgr
     for v in s:
         if graph.adj[v] & s.mask:
             raise ValueError("set is not independent")
-    remainder = closed_neighborhood(graph, s).complement()
-    return induced_subgraph(graph, remainder)
+    remainder = graph.full_mask & ~closed_neighborhood(graph, s).mask
+    return induced_subgraph(graph, VertexSet(remainder, graph.n))
 
 
 def is_clique(graph: Graph, s: VertexSet) -> bool:
@@ -179,7 +178,7 @@ def diagonal_set(
 def _check_alpha_set(graph: Graph, s: VertexSet, cap: int) -> None:
     if not is_maximal_independent(graph, s):
         raise ValueError("set is not maximal independent")
-    if len(s) != independence_number(graph, cap):
+    if len(s) != is_well_covered(graph, cap).alpha:
         raise ValueError("set is not a maximum independent set")
 
 
@@ -195,7 +194,7 @@ def clique_remainder(
     _check_alpha_set(graph, maximum_set, cap)
     if x not in maximum_set:
         raise ValueError(f"vertex {x} is not in the given set")
-    return delete_closed_neighborhood(graph, maximum_set.without_vertex(x))
+    return delete_closed_neighborhood(graph, VertexSet(maximum_set.mask & ~(1 << x), graph.n))
 
 
 def swap_step(
@@ -220,14 +219,15 @@ def swap_step(
         raise ValueError(f"vertex {v} is not in the given set")
     if not is_maximal_independent(graph, other_set):
         raise ValueError("swap partner set is not maximal independent")
-    remainder, back = delete_closed_neighborhood(graph, maximum_set.without_vertex(v))
+    rest = VertexSet(maximum_set.mask & ~(1 << v), graph.n)
+    remainder, back = delete_closed_neighborhood(graph, rest)
     if remainder.n < 2:
         raise ValueError(
             "remainder has fewer than two vertices; the graph has an isolatable vertex"
         )
     for w in back.kept:
         if w != v and w not in other_set:
-            return maximum_set.without_vertex(v).with_vertex(w)
+            return VertexSet(rest.mask | 1 << w, graph.n)
     raise ValueError(
         "every remainder vertex other than v lies in the partner set; "
         "the remainder is not a clique"

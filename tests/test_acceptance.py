@@ -15,7 +15,6 @@ from wellcovered import (
     enumerate_maximal_independent_sets,
     from_graph6,
     generate_all_graphs,
-    independence_number,
     is_maximal_independent,
     is_well_covered,
     isolatable_vertices,
@@ -161,7 +160,7 @@ def test_criterion_4_constructive_witness_suite():
             assert is_maximal_independent(product, witness.big)
             assert is_maximal_independent(product, witness.small)
             assert len(witness.big) > len(witness.small)
-            assert witness.gaps_small <= witness.gaps_big
+            assert witness.gaps_small.mask & ~witness.gaps_big.mask == 0
 
     c6 = cycle_graph(6)
     started = time.perf_counter()
@@ -202,14 +201,14 @@ def test_criterion_5_clique_remainder_suite():
     for graph in corpus:
         if isolatable_vertices(graph):
             continue
-        alpha = independence_number(graph)
+        alpha = is_well_covered(graph).alpha
         for chosen in enumerate_maximal_independent_sets(graph):
             if len(chosen) != alpha:
                 continue
             for x in chosen:
                 remainder, _ = clique_remainder(graph, chosen, x)
                 checked += 1
-                if remainder.n < 2 or not is_clique(remainder, VertexSet.full(remainder.n)):
+                if remainder.n < 2 or not is_clique(remainder, VertexSet(remainder.full_mask, remainder.n)):
                     violations += 1
 
     ok = counts_ok and checked > 0 and violations == 0

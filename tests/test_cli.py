@@ -17,8 +17,8 @@ import pytest
 
 import wellcovered
 from wellcovered import (
+    FactorAnalysis,
     Graph,
-    analyze_factor,
     cli,
     generate_all_graphs,
     independence,
@@ -107,6 +107,19 @@ def test_analyze_stdin(capsys, monkeypatch):
     assert [d["graph6"] for d in docs] == ["Bg", "A_"]
 
 
+def test_analyze_stdin_matches_the_benchmark_golden_digests(capsys, monkeypatch):
+    # `analyze -` on the output of `gen 1..6`, pinned line by line by the
+    # recorded digests in the benchmark's golden file.
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        digests = json.load(handle)["corpus-analyze"]["analyze"]
+    lines = "".join(run_cli(capsys, ["gen", str(n)])[1] for n in range(1, 7))
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    code, out, _ = run_cli(capsys, ["analyze", "-"])
+    records = out.splitlines(keepends=True)
+    assert code == 0 and len(records) == len(digests) == 208
+    assert [hashlib.sha256(r.encode("utf-8")).hexdigest() for r in records] == digests
+
+
 def test_analyze_stdin_bad_line_writes_nothing(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("Bg\nA\nA_\n"))
     code, out, err = run_cli(capsys, ["analyze", "-"])
@@ -114,39 +127,28 @@ def test_analyze_stdin_bad_line_writes_nothing(capsys, monkeypatch):
     assert err.startswith("error: line 2: ")
 
 
-def test_analyze_env_cap_exceeded(capsys, monkeypatch):
-    monkeypatch.setenv("WELLCOVERED_ENUM_CAP", "2")
-    code, _, err = run_cli(capsys, ["analyze", "Bg"])
+def test_analyze_cap_exceeded(capsys):
+    code, _, err = run_cli(capsys, ["analyze", "Bg", "--enum-cap", "2"])
     assert code == 3 and "cap" in err
-
-
-def test_analyze_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("WELLCOVERED_ENUM_CAP", "2")
     code, doc, _ = run_json(capsys, ["analyze", "Bg", "--enum-cap", "3"])
     assert code == 0 and doc["alpha"] == 2
 
 
 CAP_CASES = [
-    (command, flag, env)
+    (command, flag)
     for command in ("analyze", "product", "witness", "scan")
-    for flag, env in (
-        ("--enum-cap", "WELLCOVERED_ENUM_CAP"),
-        ("--product-cap", "WELLCOVERED_PRODUCT_CAP"),
-    )
+    for flag in ("--enum-cap", "--product-cap")
     if not (command == "analyze" and flag == "--product-cap")
 ]
 CAP_ARGS = {"analyze": ["Bg"], "product": ["Bg", "Bg"], "witness": ["Bg", "Bg"], "scan": []}
 
 
 @pytest.mark.parametrize("bad", ["abc", "0", "-1"])
-@pytest.mark.parametrize("command,flag,env", CAP_CASES)
-def test_bad_cap_exits_2_and_names_its_source(capsys, monkeypatch, command, flag, env, bad):
+@pytest.mark.parametrize("command,flag", CAP_CASES)
+def test_bad_cap_exits_2_and_names_its_source(capsys, command, flag, bad):
     argv = [command, *CAP_ARGS[command]]
     code, _, err = run_cli(capsys, argv + [f"{flag}={bad}"])
     assert code == 2 and flag in err
-    monkeypatch.setenv(env, bad)
-    code, _, err = run_cli(capsys, argv)
-    assert code == 2 and env in err
 
 
 # --- product ----------------------------------------------------------------------
@@ -257,7 +259,7 @@ def test_witness_walks_each_factor_once(capsys, monkeypatch):
 
 
 def test_witness_not_applicable_reuses_factor_analysis(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, "analyze_factor")
+    calls = count_calls(monkeypatch, "FactorAnalysis")
     searched = count_calls(monkeypatch, "is_well_covered")
     walked = record_walks(monkeypatch)
     c5_line = to_graph6(cycle_graph(5))
@@ -352,7 +354,7 @@ def test_witness_matches_the_full_analysis_route_on_small_pairs(capsys):
     outcomes = []
     for graph_g, graph_h in itertools.product(graphs, repeat=2):
         g6_g, g6_h = to_graph6(graph_g), to_graph6(graph_h)
-        g, h = analyze_factor(graph_g), analyze_factor(graph_h)
+        g, h = FactorAnalysis(graph_g), FactorAnalysis(graph_h)
         oriented = theorem._orient_witness(g, h)
         if oriented is None:
             expected, document = 4, cli._not_applicable_dict(g, h)
@@ -669,7 +671,7 @@ def test_pool_workers_build_each_orbit_table_once(tmp_path, monkeypatch):
         return real(graph)
 
     monkeypatch.setattr(theorem, "stabilizer_orbits", logged)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     reports, tables = [], []
     for jobs in (1, 2):
         log.write_text("")
@@ -710,12 +712,19 @@ def test_scan_deterministic_across_jobs():
 
 
 def test_scan_worker_count_is_clamped(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    # The CPUs that count are those this process may run on, not the host's.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert cli._worker_count(5000, 1378) == 4
     assert cli._worker_count(5000, 3) == 3
     assert cli._worker_count(2, 1378) == 2
     assert cli._worker_count(1, 1378) == 1
     assert cli._worker_count(8, 0) == 1
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    assert cli._worker_count(2, 1378) == 1
+    # Without an affinity call, cpu_count clamps.
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._worker_count(5000, 1378) == 8
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._worker_count(8, 1378) == 1
 
@@ -723,11 +732,11 @@ def test_scan_worker_count_is_clamped(monkeypatch):
 def test_scan_violation_exit_code(capsys, monkeypatch):
     # No real pair can violate the product consistency claim, so fake one to
     # pin the exit-code contract.
-    from wellcovered import analyze_factor, verify_pair
+    from wellcovered import verify_pair
 
     real = scan(ScanConfig(generate_up_to=2))
     record = real.records[0]
-    verdict = verify_pair(analyze_factor(path_graph(3)), analyze_factor(path_graph(3)))
+    verdict = verify_pair(FactorAnalysis(path_graph(3)), FactorAnalysis(path_graph(3)))
     fake = ScanResult(
         config=real.config,
         records=real.records,
@@ -751,7 +760,7 @@ def test_scan_violation_through_verify_pair(tmp_path, capsys, monkeypatch):
         return replace(real(graph, cap), verdict=graph.n == 9)
 
     monkeypatch.setattr(theorem, "is_well_covered", only_products_well_covered)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     corpus = tmp_path / "p3.g6"
     corpus.write_text("Bg\nBW\n")  # P3 centred at vertex 1, then at vertex 2
 
@@ -844,3 +853,10 @@ def test_readme_library_table_and_all_name_only_real_attributes():
         assert names and [n for n in names if not hasattr(module, n)] == [], module
     assert wellcovered.__all__ == sorted(set(wellcovered.__all__))
     assert [n for n in wellcovered.__all__ if not hasattr(wellcovered, n)] == []
+
+
+def test_readme_python_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

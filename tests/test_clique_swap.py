@@ -4,8 +4,8 @@ from wellcovered import (
     VertexSet,
     enumerate_maximal_independent_sets,
     generate_all_graphs,
-    independence_number,
     is_independent,
+    is_well_covered,
     isolatable_vertices,
 )
 
@@ -14,7 +14,7 @@ from oracles import complete_graph, cycle_graph
 
 
 def alpha_sets(graph):
-    alpha = independence_number(graph)
+    alpha = is_well_covered(graph).alpha
     return [s for s in enumerate_maximal_independent_sets(graph) if len(s) == alpha]
 
 
@@ -71,7 +71,7 @@ def test_clique_remainder_order_two_when_no_isolatable_vertex():
                 for x in chosen:
                     remainder, back = clique_remainder(graph, chosen, x)
                     assert remainder.n >= 2
-                    assert is_clique(remainder, VertexSet.full(remainder.n))
+                    assert is_clique(remainder, VertexSet(remainder.full_mask, remainder.n))
 
 
 def test_clique_remainder_order_eight_random_sample():
@@ -95,7 +95,7 @@ def test_clique_remainder_order_eight_random_sample():
                 remainder, _ = clique_remainder(graph, chosen, x)
                 checked += 1
                 assert remainder.n >= 2
-                assert is_clique(remainder, VertexSet.full(remainder.n))
+                assert is_clique(remainder, VertexSet(remainder.full_mask, remainder.n))
     assert checked > 50
 
 
@@ -106,7 +106,7 @@ def test_swap_step_c5():
     c5 = cycle_graph(5)
     swapped = swap_step(c5, VertexSet.of(5, [0, 2]), 0, VertexSet.of(5, [0, 3]))
     assert frozenset(swapped) == {2, 4}
-    assert (swapped & VertexSet.of(5, [0, 3])).mask == 0
+    assert swapped.mask & VertexSet.of(5, [0, 3]).mask == 0
 
 
 def test_swap_step_k2():
@@ -146,7 +146,5 @@ def test_swap_step_properties():
                         swapped = swap_step(graph, chosen, x, partner)
                         assert is_independent(graph, swapped)
                         assert len(swapped) == len(chosen)
-                        if x in partner:
-                            assert len(swapped & partner) == len(chosen & partner) - 1
-                        else:
-                            assert len(swapped & partner) == len(chosen & partner)
+                        shared = (swapped.mask & partner.mask).bit_count()
+                        assert shared == (chosen.mask & partner.mask).bit_count() - (x in partner)

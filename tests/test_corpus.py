@@ -7,15 +7,21 @@ import networkx as nx
 import pytest
 
 from wellcovered import (
+    Graph,
     cli,
     from_graph6,
     generate_all_graphs,
-    graph_to_mask,
     to_graph6,
 )
 from wellcovered.corpus import _is_canonical
 
-from oracles import atlas_graphs, brute_canonical_mask, burnside_class_count
+from oracles import (
+    atlas_graphs,
+    bit_string,
+    brute_canonical_mask,
+    burnside_class_count,
+    edges_of_bit_string,
+)
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
@@ -43,7 +49,7 @@ def test_order_one():
 
 def test_outputs_are_canonical_and_sorted():
     for n in range(1, 7):
-        masks = [graph_to_mask(g) for g in generate_all_graphs(n)]
+        masks = [bit_string(g.n, g.edges()) for g in generate_all_graphs(n)]
         assert masks == sorted(masks)
         assert len(set(masks)) == len(masks)
         for g, mask in zip(generate_all_graphs(n), masks):
@@ -53,7 +59,7 @@ def test_outputs_are_canonical_and_sorted():
 def test_matches_brute_force_canonicalization_oracle():
     # Every possible edge set canonicalizes into the generated list.
     for n in range(1, 5):
-        generated = {graph_to_mask(g) for g in generate_all_graphs(n)}
+        generated = {bit_string(g.n, g.edges()) for g in generate_all_graphs(n)}
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         all_canonical = set()
         for bits in range(1 << len(pairs)):
@@ -67,15 +73,15 @@ def test_matches_reference_atlas():
     for n, edges in atlas_graphs(1, 6):
         by_order[n].add(brute_canonical_mask(n, edges))
     for n in range(1, 7):
-        generated = {graph_to_mask(g) for g in generate_all_graphs(n)}
+        generated = {bit_string(g.n, g.edges()) for g in generate_all_graphs(n)}
         assert generated == by_order[n]
 
 
 def test_order_seven_is_sorted_and_canonical_on_a_sample(order_seven):
-    masks = [graph_to_mask(g) for g in order_seven]
+    masks = [bit_string(g.n, g.edges()) for g in order_seven]
     assert masks == sorted(masks) and len(set(masks)) == len(masks) == 1044
     for g in random.Random(7).sample(order_seven, 24):
-        assert graph_to_mask(g) == brute_canonical_mask(g.n, g.edges())
+        assert bit_string(g.n, g.edges()) == brute_canonical_mask(g.n, g.edges())
 
 
 # networkx 3.5 warns that its unlabelled hashes changed; both sides are
@@ -121,26 +127,57 @@ def test_order_seven_output_is_pinned_byte_for_byte(order_seven):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GEN_SEVEN_SHA256
 
 
+def _twin_rule(parent: Graph) -> tuple[list[int], list[int]]:
+    """The last columns of a parent's children that the generator's twin
+    rule keeps and those it skips: a column is skipped when it holds a
+    twin u but not its twin v > u."""
+    k, rows = parent.n, parent.adj
+    twins = [
+        (u, v)
+        for v in range(k)
+        for u in range(v)
+        if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
+    ]
+    kept, skipped = [], []
+    for s in range(1 << k):
+        holds_one = any(s >> u & 1 and not s >> v & 1 for u, v in twins)
+        (skipped if holds_one else kept).append(s)
+    return kept, skipped
+
+
+def _child(parent: Graph, s: int) -> tuple[int, ...]:
+    """The parent's adjacency with a new last vertex whose neighbours are s."""
+    k = parent.n
+    return tuple(r | (s >> i & 1) << k for i, r in enumerate(parent.adj)) + (s,)
+
+
 def test_twin_rule_skips_only_noncanonical_children(order_seven):
-    # Every column the generator skips for holding a twin u but not its
-    # twin v > u gives a child that the full search rejects.
+    # Every column the generator skips gives a child that the full search
+    # rejects.
     rng = random.Random(16)
     parents = rng.sample(generate_all_graphs(6), 20) + rng.sample(order_seven, 20)
     skipped = 0
     for parent in parents:
-        k, rows = parent.n, parent.adj
-        twins = [
-            (u, v)
-            for v in range(k)
-            for u in range(v)
-            if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
-        ]
-        for s in range(1 << k):
-            if any(s >> u & 1 and not s >> v & 1 for u, v in twins):
-                child = tuple(r | (s >> i & 1) << k for i, r in enumerate(rows)) + (s,)
-                assert not _is_canonical(child)
-                skipped += 1
+        for s in _twin_rule(parent)[1]:
+            assert not _is_canonical(_child(parent, s))
+            skipped += 1
     assert skipped > 0
+
+
+def test_order_eight_children_match_brute_force_canonical_forms(order_seven):
+    # Order 8 is never generated in full here (CI checks `gen 8`).  For a
+    # seeded sample of children the twin rule keeps, the canonical test
+    # accepts a child exactly when its bit-string is the brute-force
+    # canonical one, and it accepts that canonical relabeling.
+    rng = random.Random(8)
+    for parent in rng.sample(order_seven, 8):
+        child = Graph(8, _child(parent, rng.choice(_twin_rule(parent)[0])))
+        edges = list(child.edges())
+        canonical = brute_canonical_mask(8, edges)
+        assert _is_canonical(child.adj) == (bit_string(8, edges) == canonical)
+        relabeled = Graph.from_edges(8, edges_of_bit_string(8, canonical))
+        assert bit_string(8, relabeled.edges()) == canonical
+        assert _is_canonical(relabeled.adj)
 
 
 def test_round_trip_through_graph6():

@@ -16,7 +16,6 @@ from wellcovered import (
     enumerate_maximal_independent_sets,
     from_graph6,
     generate_all_graphs,
-    independence_number,
     is_connected,
     is_independent,
     is_maximal_independent,
@@ -54,7 +53,7 @@ def test_is_independent():
     c4 = cycle_graph(4)
     assert is_independent(c4, VertexSet.of(4, [0, 2]))
     assert not is_independent(complete_graph(3), VertexSet.of(3, [0, 1]))
-    assert is_independent(c4, VertexSet.empty(4))
+    assert is_independent(c4, VertexSet(0, 4))
 
 
 def test_is_maximal_independent():
@@ -176,14 +175,14 @@ def test_early_termination_allowed():
     assert tuple(next(stream)) == (0, 2, 4)
 
 
-# --- independence_number / well-covered reports --------------------------------
+# --- well-covered reports -------------------------------------------------------
 
 
 def test_independence_number():
-    assert independence_number(complete_graph(5)) == 1
-    assert independence_number(path_graph(3)) == 2
+    assert is_well_covered(complete_graph(5)).alpha == 1
+    assert is_well_covered(path_graph(3)).alpha == 2
     grid = cartesian_product(path_graph(3), path_graph(3))
-    assert independence_number(grid) == 5
+    assert is_well_covered(grid).alpha == 5
 
 
 def test_well_covered_c4():
@@ -233,7 +232,7 @@ def test_search_report_matches_full_walk_on_atlas_and_order_zero():
         assert is_well_covered(graph) == full_walk_report(graph)
         sizes = Counter(len(s) for s in brute_maximal_independent_sets(n, edges))
         assert list(mis_size_histogram(graph).items()) == sorted(sizes.items())
-        assert independence_number(graph) == max(sizes)
+        assert is_well_covered(graph).alpha == max(sizes)
 
 
 def test_search_report_matches_full_walk_on_small_products():
@@ -294,8 +293,6 @@ def test_search_checks_cap_before_any_work(monkeypatch):
     big = empty_graph(37)
     with pytest.raises(CapExceeded):
         is_well_covered(big)
-    with pytest.raises(CapExceeded):
-        independence_number(big)
 
 
 def test_mis_size_histogram():
@@ -407,7 +404,7 @@ def test_isolatable_on_disjoint_five_cycles_walks_no_graph(monkeypatch):
     assert visits == []
     witnesses = isolatable_vertices(disjoint_union(*[c5] * 6, path_graph(3)))
     cycles = [5 * k + v for k in range(6) for v in (0, 2)]
-    assert [(w.vertex, w.certificate.members) for w in witnesses] == [
+    assert [(w.vertex, tuple(w.certificate)) for w in witnesses] == [
         (30, tuple(cycles + [32])),
         (32, tuple(cycles + [30])),
     ]
@@ -442,7 +439,6 @@ def shuffled_unions(draw):
 def test_component_searches_match_full_walk_on_shuffled_unions(graph):
     report = full_walk_report(graph)
     assert is_well_covered(graph) == report
-    assert independence_number(graph) == report.alpha
     assert well_covered(graph) == report.verdict
 
 
@@ -472,9 +468,8 @@ def test_search_work_grows_linearly_on_disjoint_five_cycles():
         sys.setprofile(count)
         try:
             report = is_well_covered(graph)
-            alpha = independence_number(graph)
         finally:
             sys.setprofile(previous)
-        assert (report.verdict, report.alpha, alpha) == (True, 2 * k, 2 * k)
+        assert (report.verdict, report.alpha) == (True, 2 * k)
         counts.append(calls[0])
         assert counts[-1] <= k * counts[0], counts
