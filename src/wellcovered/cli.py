@@ -153,6 +153,20 @@ class ScanResult:
         ]
 
 
+def _read_graph6(lines: Iterable[str], where: str) -> list[Graph]:
+    """The graphs of the non-blank graph6 lines.  A bad line raises
+    ``Graph6Error`` located by ``where`` and its line number, counting blank
+    lines."""
+    graphs = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                graphs.append(from_graph6(line))
+            except Graph6Error as exc:
+                raise Graph6Error(f"{where}{number}: {exc}") from None
+    return graphs
+
+
 def load_corpus(config: ScanConfig) -> dict[str, Graph]:
     """Generated plus ingested graphs, filtered by the factor caps and
     deduplicated by graph6 line, keyed by that line in sorted order.  No
@@ -164,12 +178,7 @@ def load_corpus(config: ScanConfig) -> dict[str, Graph]:
         # latin-1 decodes every byte, so from_graph6 rejects a non-ASCII one
         # on the line that holds it.
         with open(path, "r", encoding="latin-1") as handle:
-            for number, line in enumerate(handle, 1):
-                if line.strip():
-                    try:
-                        graphs.append(from_graph6(line))
-                    except Graph6Error as exc:
-                        raise Graph6Error(f"{path}:{number}: {exc}") from None
+            graphs.extend(_read_graph6(handle, f"{path}:"))
     selected: dict[str, Graph] = {}
     for graph in graphs:
         if not 1 <= graph.n <= config.max_factor_order:
@@ -244,7 +253,9 @@ def _worker_count(requested: int, tasks: int) -> int:
 def scan(config: ScanConfig) -> ScanResult:
     """Evaluate every unordered corpus pair whose product fits the cap.
     Only the factors of those pairs are analysed.  The pairs share one dict
-    of component-product reports per scan, one per worker with ``--jobs``."""
+    of component-product reports per scan, one per worker with ``--jobs``.
+    Records come in the order of the pairs, sorted since the corpus keys
+    are, and ``pool.map`` keeps that order."""
     graphs = load_corpus(config)
     pairs = [
         (g, h)
@@ -262,7 +273,6 @@ def scan(config: ScanConfig) -> ScanResult:
     else:
         reports: dict = {}
         outcomes = [_evaluate_pair(g, h, analyses[g], analyses[h], reports) for g, h in pairs]
-    outcomes.sort(key=lambda item: (item[0].g6_g, item[0].g6_h))
     records = tuple(record for record, _ in outcomes)
     violations = tuple(
         (record, verdict) for record, verdict in outcomes if verdict is not None
@@ -513,13 +523,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     enum_cap = _resolve_cap(args, "enum_cap", DEFAULT_ENUMERATION_CAP)
     if args.graph == "-":
         # All or nothing: parse every line, then analyse them, then write.
-        graphs = []
-        for number, line in enumerate(sys.stdin, 1):
-            if line.strip():
-                try:
-                    graphs.append(from_graph6(line))
-                except Graph6Error as exc:
-                    raise Graph6Error(f"line {number}: {exc}") from None
+        graphs = _read_graph6(sys.stdin, "line ")
         records = [json.dumps(_analysis_dict(g, enum_cap), sort_keys=True) for g in graphs]
         sys.stdout.writelines(record + "\n" for record in records)
     else:
@@ -527,16 +531,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _factor_pair(
+    args: argparse.Namespace, enum_cap: int, product_cap: int
+) -> tuple[FactorAnalysis, FactorAnalysis]:
+    """The analyses of ``product`` and ``witness``'s two graphs.  Both are
+    parsed first, then every limit is checked before any search: the
+    enumeration cap of G, then of H, then the product cap."""
+    graph_g, graph_h = from_graph6(args.g6_g), from_graph6(args.g6_h)
+    g, h = FactorAnalysis(graph_g, enum_cap), FactorAnalysis(graph_h, enum_cap)
+    _check_product_cap(graph_g.n * graph_h.n, product_cap)
+    return g, h
+
+
 def _cmd_product(args: argparse.Namespace) -> int:
     product_cap = _resolve_cap(args, "product_cap", DEFAULT_PRODUCT_CMD_CAP)
     enum_cap = _resolve_cap(args, "enum_cap", max(DEFAULT_ENUMERATION_CAP, product_cap))
-    graph_g = from_graph6(args.g6_g)
-    graph_h = from_graph6(args.g6_h)
-    # Every limit is checked before any search: the enumeration cap of G,
-    # then of H, then the product cap, then (in verify_pair) the largest
-    # component product.
-    g, h = FactorAnalysis(graph_g, enum_cap), FactorAnalysis(graph_h, enum_cap)
-    _check_product_cap(graph_g.n * graph_h.n, product_cap)
+    # verify_pair checks one more limit, the largest component product.
+    g, h = _factor_pair(args, enum_cap, product_cap)
     verdict = verify_pair(g, h)
     witness_summary: dict = {"applicable": verdict.witness is not None}
     if verdict.witness is not None:
@@ -547,8 +558,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
         )
     _print_json(
         {
-            "g6_g": to_graph6(graph_g),
-            "g6_h": to_graph6(graph_h),
+            "g6_g": to_graph6(g.graph),
+            "g6_h": to_graph6(h.graph),
             "product": {
                 "n": verdict.product_order,
                 "m": verdict.product_size,
@@ -566,22 +577,16 @@ def _cmd_product(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     enum_cap = _resolve_cap(args, "enum_cap", DEFAULT_ENUMERATION_CAP)
     product_cap = _resolve_cap(args, "product_cap", DEFAULT_WITNESS_CMD_CAP)
-    graph_g = from_graph6(args.g6_g)
-    graph_h = from_graph6(args.g6_h)
-
-    # Every limit is checked before any search: the enumeration cap of G,
-    # then of H, then the product cap.
-    g, h = FactorAnalysis(graph_g, enum_cap), FactorAnalysis(graph_h, enum_cap)
-    _check_product_cap(graph_g.n * graph_h.n, product_cap)
+    g, h = _factor_pair(args, enum_cap, product_cap)
     oriented = _orient_witness(g, h)
     if oriented is None:
         _print_json(_not_applicable_dict(g, h))
         return EXIT_NOT_APPLICABLE
     witness, swapped = oriented
-    left, right = (graph_h, graph_g) if swapped else (graph_g, graph_h)
-    checks = witness_invariants(left, right, witness, witness.product)
+    left, right = (h, g) if swapped else (g, h)
+    checks = witness_invariants(left.graph, right.graph, witness, witness.product)
     _print_json(
-        _witness_dict(to_graph6(graph_g), to_graph6(graph_h), swapped, witness, checks)
+        _witness_dict(to_graph6(g.graph), to_graph6(h.graph), swapped, witness, checks)
     )
     return EXIT_OK
 

@@ -333,14 +333,15 @@ def _smallest(graph: Graph, universe: int, orbits: Orbits | None = None) -> int:
     return best
 
 
-def _report(graph: Graph, big: int, small: int) -> WellCoveredReport:
-    """The report certified by a largest and a smallest maximal set."""
+def _report(order: int, big: int, small: int) -> WellCoveredReport:
+    """The report certified by a largest and a smallest maximal set of a
+    graph of the given order."""
     return WellCoveredReport(
         verdict=big.bit_count() == small.bit_count(),
         alpha=big.bit_count(),
         min_maximal=small.bit_count(),
-        witness_max=VertexSet(big, graph.n),
-        witness_min=VertexSet(small, graph.n),
+        witness_max=VertexSet(big, order),
+        witness_min=VertexSet(small, order),
     )
 
 
@@ -447,7 +448,7 @@ def is_well_covered(
     for part in component_masks(graph):
         big |= _largest(graph, part, orbits)
         small |= _smallest(graph, part, orbits)
-    return _report(graph, big, small)
+    return _report(graph.n, big, small)
 
 
 def isolatable_vertices(

@@ -63,6 +63,7 @@ from .independence import (
     _greedy_within,
     _isolatable,
     _maximal_independent_within,
+    _report,
     is_independent,
     is_maximal_independent,
     is_well_covered,
@@ -185,18 +186,16 @@ def build_product_witness(
     graph_right: Graph,
     column_big: VertexSet,
     column_small: VertexSet,
-    product: Graph | None = None,
 ) -> ProductWitness:
-    """Construct maximal independent sets of distinct sizes in the product.
+    """Construct maximal independent sets of distinct sizes in the product
+    ``graph_left`` □ ``graph_right``, which is built here.
 
     Requires an isolatable vertex of the left factor (with its certificate)
     and two maximal independent sets of the right factor with
     ``len(column_big) > len(column_small)``.  Once these are checked, the
     construction runs on int masks; every greedy step scans candidates in
     ascending product index, and the finished sets are rechecked by direct
-    independence and domination tests, never by enumeration.  The product
-    is built here unless the caller holds it (``verify_pair`` passes a
-    connected pair's searched product); only its order is checked."""
+    independence and domination tests, never by enumeration."""
     _validate_isolatable(graph_left, iso)
     for column in (column_big, column_small):
         if not is_maximal_independent(graph_right, column):
@@ -204,12 +203,7 @@ def build_product_witness(
     if len(column_big) <= len(column_small):
         raise ValueError("column sets must have strictly decreasing sizes")
 
-    if product is None:
-        product = cartesian_product(graph_left, graph_right)
-    elif product.n != graph_left.n * graph_right.n:
-        raise ValueError(
-            f"product of order {product.n} is not of order {graph_left.n * graph_right.n}"
-        )
+    product = cartesian_product(graph_left, graph_right)
     # The inputs are checked; from here on every set is a plain int mask.
     x, n_right, n = iso.vertex, graph_right.n, product.n
     outside = _rectangle_mask(
@@ -244,24 +238,20 @@ def build_product_witness(
     )
 
 
-def _orient_witness(
-    g: FactorAnalysis, h: FactorAnalysis, product: Graph | None = None
-) -> tuple[ProductWitness, bool] | None:
+def _orient_witness(g: FactorAnalysis, h: FactorAnalysis) -> tuple[ProductWitness, bool] | None:
     """The witness orientation rule: (G, H) when G has an isolatable vertex
     and H is not well-covered, else (H, G) when that applies.  The witness
     isolates the left factor's first isolatable vertex and fills its column
     with the right factor's first extreme sets; the right factor's report is
     searched only once the left factor has an isolatable vertex.  Returns
-    the witness built in that orientation and whether the factors were
-    swapped, or None when neither applies.  ``product``, when given, is
-    G □ H; a swapped witness builds H □ G.  Callers check the product cap
-    first."""
+    the witness, built in G □ H or, when swapped, in H □ G by
+    :func:`build_product_witness`, and whether the factors were swapped, or
+    None when neither applies.  Callers check the product cap first."""
     for left, right, swapped in ((g, h, False), (h, g, True)):
         iso = left.first_isolatable
         if iso is not None and not right.report.verdict:
             witness = build_product_witness(
-                left.graph, iso, right.graph, right.report.witness_max,
-                right.report.witness_min, product=None if swapped else product,
+                left.graph, iso, right.graph, right.report.witness_max, right.report.witness_min
             )
             return witness, swapped
     return None
@@ -314,18 +304,14 @@ def witness_invariants(
     }
 
 
-def _product_report(
-    g: FactorAnalysis, h: FactorAnalysis, reports: dict
-) -> tuple[WellCoveredReport, Graph | None]:
+def _product_report(g: FactorAnalysis, h: FactorAnalysis, reports: dict) -> WellCoveredReport:
     """The report of G □ H joined from the reports of its components
     Gi □ Hj, each taken from ``reports`` (keyed by the two compacted
     components' adjacency) or searched and stored there under the smaller
-    of the two analyses' enumeration caps.  Each search is pruned by the
-    orbits of Aut(Gi) × Aut(Hj) (:func:`product_orbits`).
-
-    The graph returned beside the report is G □ H itself when the product
-    is its own only component and was searched in this call, else None."""
-    parts, product, cap = [], None, min(g.cap, h.cap)
+    of the two analyses' enumeration caps.  Each search builds its component
+    product Gi □ Hj and is pruned by the orbits of Aut(Gi) × Aut(Hj)
+    (:func:`product_orbits`)."""
+    parts, cap = [], min(g.cap, h.cap)
     for i, (g_vertices, g_part) in enumerate(g.components):
         for j, (h_vertices, h_part) in enumerate(h.components):
             key = g_part.adj, h_part.adj
@@ -336,9 +322,8 @@ def _product_report(
                 report = reports[key] = is_well_covered(product, cap, orbits)
             parts.append((g_vertices, h_vertices, report))
     if len(parts) == 1:
-        return report, product  # a connected product is its own component, same labels
-    n_right = h.graph.n
-    verdict, alpha, min_maximal, big, small = True, 0, 0, 0, 0
+        return report  # a connected product is its own component, same labels
+    n_right, big, small = h.graph.n, 0, 0
     for g_vertices, h_vertices, report in parts:
         # Component vertex a * |Hj| + b is (g_vertices[a], h_vertices[b]).
         width = len(h_vertices)
@@ -348,13 +333,7 @@ def _product_report(
         for p in iter_bits(report.witness_min.mask):
             a, b = divmod(p, width)
             small |= 1 << g_vertices[a] * n_right + h_vertices[b]
-        verdict = verdict and report.verdict
-        alpha += report.alpha
-        min_maximal += report.min_maximal
-    order = g.graph.n * n_right
-    return WellCoveredReport(
-        verdict, alpha, min_maximal, VertexSet(big, order), VertexSet(small, order)
-    ), None
+    return _report(g.graph.n * n_right, big, small)
 
 
 def verify_pair(
@@ -364,14 +343,11 @@ def verify_pair(
     product's well-covered report, the consistency flag, and the
     constructive witness whenever it applies (in either orientation).
 
-    The product's report is joined from one search per component product
-    (see the module docstring).  ``component_reports`` holds those
-    searches' reports; a caller that verifies many pairs passes the same
-    dict to each, and by default every call starts an empty one.  The whole
-    product is built only for the witness, and only when the search did not
-    just build it: a connected product searched in this call is the
-    product itself, under the same labels, and an unswapped witness is
-    built in it.
+    :func:`_product_report` builds and searches the component products,
+    keeping their reports in ``component_reports``; a caller that verifies
+    many pairs passes the same dict to each, and by default every call
+    starts an empty one.  :func:`_orient_witness` builds the whole product,
+    and only for the witness.
 
     Building the analyses checks the enumeration caps of G and H, and the
     caller checks any product cap; this checks the largest component
@@ -382,13 +358,11 @@ def verify_pair(
         for analysis in (g, h)
     )
     _check_cap(g_largest * h_largest, min(g.cap, h.cap))
-    product_report, product = _product_report(
-        g, h, {} if component_reports is None else component_reports
-    )
+    product_report = _product_report(g, h, {} if component_reports is None else component_reports)
     consistent = not (
         product_report.verdict and not g.report.verdict and not h.report.verdict
     )
-    witness, swapped = _orient_witness(g, h, product) or (None, False)
+    witness, swapped = _orient_witness(g, h) or (None, False)
     return PairVerdict(
         g_analysis=g,
         h_analysis=h,

@@ -370,6 +370,33 @@ def test_witness_matches_the_full_analysis_route_on_small_pairs(capsys):
     assert len(graphs) == 18 and len(outcomes) == 115 and 0 < sum(outcomes) < 115
 
 
+# Every ordered pair of the 18 classes of order <= 4, at the default caps, at
+# --enum-cap 3 and at --product-cap 5: each call's exit code, stdout and
+# stderr, hashed into one digest per command, and the count of each exit code.
+PINNED_REPORTS = {
+    "product": (
+        "96abc047495a3ffe2fbb10287cb5104c6d8f8565226cffa76a42d6dd19006ac6",
+        {0: 396, 3: 576},
+    ),
+    "witness": (
+        "1540e2f3b8aa988aca1d62598d2f1a4b10fa992fd0f43b598c58e60fb7eb513e",
+        {0: 134, 3: 560, 4: 278},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_REPORTS))
+def test_pair_reports_match_their_pinned_digests(capsys, command):
+    lines = [to_graph6(g) for n in range(1, 5) for g in generate_all_graphs(n)]
+    digest, codes = hashlib.sha256(), Counter()
+    for flags in ([], ["--enum-cap", "3"], ["--product-cap", "5"]):
+        for g6_g, g6_h in itertools.product(lines, repeat=2):
+            code, out, err = run_cli(capsys, [command, g6_g, g6_h, *flags])
+            digest.update(f"{code}\n{len(out)}\n{out}{len(err)}\n{err}".encode())
+            codes[code] += 1
+    assert (digest.hexdigest(), codes) == PINNED_REPORTS[command]
+
+
 # --- scan --------------------------------------------------------------------------
 
 
@@ -472,12 +499,10 @@ def component_products(graphs, product_cap):
 
 
 def test_scan_builds_a_pair_product_only_for_its_witness(capsys, monkeypatch):
-    """The product of a pair's own factors is built at most once per
-    witnessed pair and for no other pair; every other build is a component
-    product, one per distinct pair of compacted components.  A witnessed
-    pair of two connected factors whose product was searched for that pair
-    builds its witness in the searched product, so it builds nothing of its
-    own."""
+    """The product of a pair's own factors is built exactly once per
+    witnessed pair, in the witness's orientation, and for no other pair;
+    every other build is a component product, one per distinct pair of
+    compacted components."""
     corpus = {}
     real_load, real_product = cli.load_corpus, theorem.cartesian_product
     built = []
@@ -503,20 +528,16 @@ def test_scan_builds_a_pair_product_only_for_its_witness(capsys, monkeypatch):
         (r["g6_h"], r["g6_g"]) if r["witness_swapped"] else (r["g6_g"], r["g6_h"])
         for r in doc["records"] if r["witness_applicable"]
     ]
-    reused = Counter(witnessed) - Counter(whole)
-    assert not Counter(whole) - Counter(witnessed) and len(witnessed) == 5
-    assert sorted(reused) == [("@", "BW"), ("BW", "BW")]  # K1 x P3 and P3 x P3
+    assert Counter(whole) == Counter(witnessed) and len(witnessed) == 5
     assert len(built) - len(whole) == len(component_products(corpus.values(), 30)[1])
 
 
-def test_default_scan_builds_each_connected_witnessed_product_once(monkeypatch):
-    """The default scan builds 586 distinct component products and 824
-    witnesses.  322 witnessed pairs have two connected factors; 256 of them
-    keep their orientation and build the witness in the product searched
-    for that pair, while the 66 swapped ones still build H x G."""
+def test_default_scan_builds_each_component_product_and_witness_once(monkeypatch):
+    """The default scan builds its 586 distinct component products and its
+    824 witnesses' products, and nothing else."""
     built = count_calls(monkeypatch, "cartesian_product")
     scan(ScanConfig())
-    assert len(built) <= 1410 - 256
+    assert len(built) == 586 + 824
 
 
 def test_scan_searches_each_distinct_component_product_once_per_scan(monkeypatch):

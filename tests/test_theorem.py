@@ -470,7 +470,9 @@ def test_product_searches_consult_the_factor_orbits(monkeypatch):
     assert verdict.product_report == full_walk_report(cartesian_product(c5, c5))
 
 
-def test_connected_pair_builds_its_witness_in_the_searched_product(monkeypatch):
+def test_connected_pair_builds_its_witness_product_apart_from_the_search(monkeypatch):
+    # The search builds the component product G x H, then the witness
+    # builds its own product in its orientation.
     real, built = theorem.cartesian_product, []
 
     def recorded(left, right):
@@ -480,17 +482,12 @@ def test_connected_pair_builds_its_witness_in_the_searched_product(monkeypatch):
     monkeypatch.setattr(theorem, "cartesian_product", recorded)
     k1, p3 = complete_graph(1), path_graph(3)
     verdict = verify(k1, p3)  # K1 is isolatable and P3 is not well-covered
-    assert not verdict.witness_swapped and built == [(1, 3)]
+    assert not verdict.witness_swapped and built == [(1, 3), (1, 3)]
     assert all(witness_invariants(k1, p3, verdict.witness).values())
     built.clear()
-    verdict = verify(p3, k1)  # a swapped witness still builds H x G
+    verdict = verify(p3, k1)  # a swapped witness builds H x G
     assert verdict.witness_swapped and built == [(3, 1), (1, 3)]
     assert all(witness_invariants(k1, p3, verdict.witness).values())
-    iso, report = FactorAnalysis(k1).first_isolatable, FactorAnalysis(p3).report
-    with pytest.raises(ValueError, match="not of order 3"):
-        build_product_witness(
-            k1, iso, p3, report.witness_max, report.witness_min, product=k1
-        )
 
 
 def test_k1_times_k37_takes_milliseconds():
