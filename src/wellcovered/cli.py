@@ -26,14 +26,14 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product as iter_product
 from operator import attrgetter
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .corpus import GENERATION_CAP, generate_all_graphs
 from .graphs import (
@@ -41,7 +41,6 @@ from .graphs import (
     Graph,
     Graph6Error,
     VertexSet,
-    _check_product_cap,
     from_graph6,
     is_connected,
     to_graph6,
@@ -50,6 +49,7 @@ from .independence import (
     DEFAULT_ENUMERATION_CAP,
     IsolatableWitness,
     WellCoveredReport,
+    _check_cap,
     mis_size_histogram,
 )
 from .theorem import (
@@ -79,10 +79,9 @@ DEFAULT_WITNESS_CMD_CAP = 1024
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(NamedTuple):
     """Configuration of one pair scan; identical configs give byte-identical
-    reports regardless of parallelism."""
+    reports regardless of parallelism.  The parser checks every value."""
 
     max_factor_order: int = DEFAULT_SCAN_FACTOR_ORDER
     max_product_order: int = DEFAULT_SCAN_PRODUCT_ORDER
@@ -91,18 +90,6 @@ class ScanConfig:
     parallelism: int = 1
     connected_only: bool = False
     enum_cap: int = DEFAULT_ENUMERATION_CAP
-
-    def __post_init__(self) -> None:
-        if self.max_factor_order < 1:
-            raise ValueError("max factor order must be positive")
-        if self.max_product_order < 1:
-            raise ValueError("max product order must be positive")
-        if not 0 <= self.generate_up_to <= GENERATION_CAP:
-            raise ValueError(f"generate_up_to must be between 0 and {GENERATION_CAP}")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be positive")
-        if self.enum_cap < 1:
-            raise ValueError("enumeration cap must be positive")
 
 
 class ScanRecord(NamedTuple):
@@ -130,8 +117,7 @@ class ScanRecord(NamedTuple):
     witness_small_size: int | None
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     config: ScanConfig
     records: tuple[ScanRecord, ...]
     violations: tuple[tuple[ScanRecord, PairVerdict], ...]
@@ -215,29 +201,19 @@ def _record_from_verdict(g6_g: str, g6_h: str, verdict: PairVerdict) -> ScanReco
     )
 
 
-def _evaluate_pair(
-    g6_g: str, g6_h: str, g: FactorAnalysis, h: FactorAnalysis, reports: dict
-) -> tuple[ScanRecord, PairVerdict | None]:
-    verdict = verify_pair(g, h, reports)
-    record = _record_from_verdict(g6_g, g6_h, verdict)
-    return record, (verdict if not verdict.theorem_consistent else None)
-
-
-# A pool worker's factor analyses, set once by the initializer so that each
-# builds its components and orbit tables once per worker, and the component-
-# product reports its pairs share, which end with the scan's pool.
-_worker_analyses: dict[str, FactorAnalysis] = {}
-_worker_reports: dict = {}
-
-
-def _start_worker(analyses: dict[str, FactorAnalysis]) -> None:
-    global _worker_analyses, _worker_reports
-    _worker_analyses, _worker_reports = analyses, {}
-
-
-def _evaluate_in_worker(pair: tuple[str, str]) -> tuple[ScanRecord, PairVerdict | None]:
-    g, h = pair
-    return _evaluate_pair(g, h, _worker_analyses[g], _worker_analyses[h], _worker_reports)
+def _evaluate(
+    pairs: list[tuple[str, str]], analyses: dict[str, FactorAnalysis]
+) -> list[tuple[ScanRecord, PairVerdict | None]]:
+    """Each pair's record, with its verdict when it is inconsistent.  The
+    pairs share one dict of component-product reports, so each distinct
+    pair of compacted components is searched once per call."""
+    reports: dict = {}
+    outcomes = []
+    for g, h in pairs:
+        verdict = verify_pair(analyses[g], analyses[h], reports)
+        record = _record_from_verdict(g, h, verdict)
+        outcomes.append((record, None if verdict.theorem_consistent else verdict))
+    return outcomes
 
 
 def _worker_count(requested: int, tasks: int) -> int:
@@ -252,10 +228,12 @@ def _worker_count(requested: int, tasks: int) -> int:
 
 def scan(config: ScanConfig) -> ScanResult:
     """Evaluate every unordered corpus pair whose product fits the cap.
-    Only the factors of those pairs are analysed.  The pairs share one dict
-    of component-product reports per scan, one per worker with ``--jobs``.
-    Records come in the order of the pairs, sorted since the corpus keys
-    are, and ``pool.map`` keeps that order."""
+    Only the factors of those pairs are analysed, and every pair's largest
+    component product is checked against the enumeration cap, in pair
+    order, before any search.  Records come in the order of the pairs,
+    sorted since the corpus keys are.  With ``--jobs``, worker w evaluates
+    the interleaved share ``pairs[w::workers]`` as one task, so it receives
+    the analyses once and builds each orbit table at most once."""
     graphs = load_corpus(config)
     pairs = [
         (g, h)
@@ -264,15 +242,19 @@ def scan(config: ScanConfig) -> ScanResult:
     ]
     used = dict.fromkeys(chain.from_iterable(pairs))
     analyses = {g6: FactorAnalysis(graphs[g6], config.enum_cap) for g6 in used}
+    for g, h in pairs:
+        order = analyses[g].largest_component * analyses[h].largest_component
+        _check_cap(order, config.enum_cap)
     workers = _worker_count(config.parallelism, len(pairs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, len(pairs) // (workers * 4))
-        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(analyses,)) as pool:
-            outcomes = list(pool.map(_evaluate_in_worker, pairs, chunksize=chunk))
+        outcomes: list = [None] * len(pairs)
+        shares = [pairs[w::workers] for w in range(workers)]
+        with ProcessPoolExecutor(workers) as pool:
+            for w, share in enumerate(pool.map(_evaluate, shares, [analyses] * workers)):
+                outcomes[w::workers] = share
     else:
-        reports: dict = {}
-        outcomes = [_evaluate_pair(g, h, analyses[g], analyses[h], reports) for g, h in pairs]
+        outcomes = _evaluate(pairs, analyses)
     records = tuple(record for record, _ in outcomes)
     violations = tuple(
         (record, verdict) for record, verdict in outcomes if verdict is not None
@@ -484,22 +466,6 @@ def _not_applicable_dict(g: FactorAnalysis, h: FactorAnalysis) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_cap(args: argparse.Namespace, dest: str, fallback: int) -> int:
-    """The cap from its flag, else the fallback; a value that is not a
-    positive integer is an input error that names the flag."""
-    raw = getattr(args, dest)
-    if raw is None:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        flag = "--" + dest.replace("_", "-")
-        raise ValueError(f"{flag} must be a positive integer, got {raw!r}")
-    return value
-
-
 def _print_json(obj: dict) -> None:
     print(_render_json(obj))
 
@@ -520,34 +486,32 @@ def _analysis_dict(graph: Graph, cap: int) -> dict:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    enum_cap = _resolve_cap(args, "enum_cap", DEFAULT_ENUMERATION_CAP)
     if args.graph == "-":
         # All or nothing: parse every line, then analyse them, then write.
         graphs = _read_graph6(sys.stdin, "line ")
-        records = [json.dumps(_analysis_dict(g, enum_cap), sort_keys=True) for g in graphs]
+        records = [json.dumps(_analysis_dict(g, args.enum_cap), sort_keys=True) for g in graphs]
         sys.stdout.writelines(record + "\n" for record in records)
     else:
-        _print_json(_analysis_dict(from_graph6(args.graph), enum_cap))
+        _print_json(_analysis_dict(from_graph6(args.graph), args.enum_cap))
     return EXIT_OK
 
 
-def _factor_pair(
-    args: argparse.Namespace, enum_cap: int, product_cap: int
-) -> tuple[FactorAnalysis, FactorAnalysis]:
+def _factor_pair(args: argparse.Namespace, enum_cap: int) -> tuple[FactorAnalysis, FactorAnalysis]:
     """The analyses of ``product`` and ``witness``'s two graphs.  Both are
     parsed first, then every limit is checked before any search: the
     enumeration cap of G, then of H, then the product cap."""
     graph_g, graph_h = from_graph6(args.g6_g), from_graph6(args.g6_h)
     g, h = FactorAnalysis(graph_g, enum_cap), FactorAnalysis(graph_h, enum_cap)
-    _check_product_cap(graph_g.n * graph_h.n, product_cap)
+    order = graph_g.n * graph_h.n
+    if order > args.product_cap:
+        raise CapExceeded(f"product order {order} exceeds cap {args.product_cap}")
     return g, h
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    product_cap = _resolve_cap(args, "product_cap", DEFAULT_PRODUCT_CMD_CAP)
-    enum_cap = _resolve_cap(args, "enum_cap", max(DEFAULT_ENUMERATION_CAP, product_cap))
+    enum_cap = args.enum_cap or max(DEFAULT_ENUMERATION_CAP, args.product_cap)
     # verify_pair checks one more limit, the largest component product.
-    g, h = _factor_pair(args, enum_cap, product_cap)
+    g, h = _factor_pair(args, enum_cap)
     verdict = verify_pair(g, h)
     witness_summary: dict = {"applicable": verdict.witness is not None}
     if verdict.witness is not None:
@@ -575,9 +539,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    enum_cap = _resolve_cap(args, "enum_cap", DEFAULT_ENUMERATION_CAP)
-    product_cap = _resolve_cap(args, "product_cap", DEFAULT_WITNESS_CMD_CAP)
-    g, h = _factor_pair(args, enum_cap, product_cap)
+    g, h = _factor_pair(args, args.enum_cap)
     oriented = _orient_witness(g, h)
     if oriented is None:
         _print_json(_not_applicable_dict(g, h))
@@ -592,19 +554,17 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    product_cap = _resolve_cap(args, "product_cap", DEFAULT_SCAN_PRODUCT_ORDER)
-    enum_cap = _resolve_cap(args, "enum_cap", max(DEFAULT_ENUMERATION_CAP, product_cap))
     gen_up_to = args.gen_up_to
     if gen_up_to is None:
         gen_up_to = 0 if args.corpus else 5
     config = ScanConfig(
         max_factor_order=args.max_n,
-        max_product_order=product_cap,
+        max_product_order=args.product_cap,
         corpus_paths=tuple(args.corpus),
         generate_up_to=gen_up_to,
         parallelism=args.jobs,
         connected_only=args.connected_only,
-        enum_cap=enum_cap,
+        enum_cap=args.enum_cap or max(DEFAULT_ENUMERATION_CAP, args.product_cap),
     )
     if args.out:
         with _report_file(args.out) as handle:
@@ -654,10 +614,32 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_flag(low: int, high: float, expected: str) -> Callable[[str], int]:
+    """The argparse ``type`` of an int flag from ``low`` to ``high``: a bad
+    value exits 2 with a message that names the flag and ``expected``."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+
+    return convert
+
+
+_positive = _int_flag(1, math.inf, "a positive integer")
+_generation_order = _int_flag(0, GENERATION_CAP, f"an integer between 0 and {GENERATION_CAP}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and reused by every later ``main``
-    call in the process; ``parse_args`` gives each call a fresh namespace."""
+    call in the process; ``parse_args`` gives each call a fresh namespace.
+    It converts and checks every numeric flag, so the subcommands and the
+    scan never see a bad value."""
     parser = argparse.ArgumentParser(
         prog="wellcovered",
         description=(
@@ -671,18 +653,20 @@ def build_parser() -> argparse.ArgumentParser:
         f"enumeration order cap (default the larger of {DEFAULT_ENUMERATION_CAP} "
         "and the product cap)"
     )
+    product_cap_help = "product order cap (default %(default)s)"
 
     p_analyze = sub.add_parser("analyze", help="analyze one graph (or stdin lines)")
     p_analyze.add_argument("graph", help="graph6 line, or - to read lines from stdin")
-    p_analyze.add_argument("--enum-cap", default=None, help=enum_cap_help)
+    p_analyze.add_argument("--enum-cap", type=_positive, default=DEFAULT_ENUMERATION_CAP,
+                           help=enum_cap_help)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_product = sub.add_parser("product", help="verify one factor pair")
     p_product.add_argument("g6_g")
     p_product.add_argument("g6_h")
-    p_product.add_argument("--enum-cap", default=None, help=product_enum_cap_help)
-    p_product.add_argument("--product-cap", default=None,
-                           help=f"product order cap (default {DEFAULT_PRODUCT_CMD_CAP})")
+    p_product.add_argument("--enum-cap", type=_positive, default=None, help=product_enum_cap_help)
+    p_product.add_argument("--product-cap", type=_positive, default=DEFAULT_PRODUCT_CMD_CAP,
+                           help=product_cap_help)
     p_product.set_defaults(func=_cmd_product)
 
     p_witness = sub.add_parser(
@@ -690,27 +674,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_witness.add_argument("g6_g")
     p_witness.add_argument("g6_h")
-    p_witness.add_argument("--enum-cap", default=None, help=enum_cap_help)
-    p_witness.add_argument("--product-cap", default=None,
-                           help=f"product order cap (default {DEFAULT_WITNESS_CMD_CAP})")
+    p_witness.add_argument("--enum-cap", type=_positive, default=DEFAULT_ENUMERATION_CAP,
+                           help=enum_cap_help)
+    p_witness.add_argument("--product-cap", type=_positive, default=DEFAULT_WITNESS_CMD_CAP,
+                           help=product_cap_help)
     p_witness.set_defaults(func=_cmd_witness)
 
     p_scan = sub.add_parser("scan", help="scan all unordered corpus pairs")
-    p_scan.add_argument("--max-n", type=int, default=DEFAULT_SCAN_FACTOR_ORDER,
+    p_scan.add_argument("--max-n", type=_positive, default=DEFAULT_SCAN_FACTOR_ORDER,
                         help="max factor order (default %(default)s)")
-    p_scan.add_argument("--product-cap", default=None,
-                        help=f"max product order (default {DEFAULT_SCAN_PRODUCT_ORDER})")
+    p_scan.add_argument("--product-cap", type=_positive, default=DEFAULT_SCAN_PRODUCT_ORDER,
+                        help="max product order (default %(default)s)")
     p_scan.add_argument("--corpus", action="append", default=[], metavar="FILE",
                         help="graph6 file, one line per graph (repeatable)")
-    p_scan.add_argument("--gen-up-to", type=int, default=None,
+    p_scan.add_argument("--gen-up-to", type=_generation_order, default=None,
                         help="generate all graphs up to this order "
                              "(default 5, or 0 when --corpus is given)")
-    p_scan.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_scan.add_argument("--jobs", type=_positive, default=1, help="parallel workers")
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.add_argument("--out", default=None, help="write the report to this path")
     p_scan.add_argument("--connected-only", action="store_true",
                         help="keep only connected corpus graphs")
-    p_scan.add_argument("--enum-cap", default=None, help=product_enum_cap_help)
+    p_scan.add_argument("--enum-cap", type=_positive, default=None, help=product_enum_cap_help)
     p_scan.set_defaults(func=_cmd_scan)
 
     p_gen = sub.add_parser("gen", help="emit canonical graph6 lines for one order")

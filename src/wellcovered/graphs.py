@@ -249,11 +249,6 @@ def _closed_mask(graph: Graph, mask: int) -> int:
     return closed
 
 
-def _check_product_cap(order: int, cap: int) -> None:
-    if order > cap:
-        raise CapExceeded(f"product order {order} exceeds cap {cap}")
-
-
 def cartesian_product(graph_left: Graph, graph_right: Graph) -> Graph:
     """Cartesian product G □ H: (g, h) ~ (g', h') iff g = g' and hh' is an
     edge, or gg' is an edge and h = h'.  Vertices are numbered row-major:

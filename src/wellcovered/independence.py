@@ -19,11 +19,8 @@ rule out: :func:`_largest` cuts by a greedy clique cover of the candidates,
 :func:`_smallest` by a packing of undominated vertices with disjoint
 dominator sets, built once per node and updated as each sibling drops a
 candidate.  Both run once per connected
-component, and the components' first sets are joined: the extreme sets of
-a disjoint union are unions of extreme sets of its components, and of two
-sets of equal size the first is the one holding the least element of their
-symmetric difference, so the union of the first sets is the first set even
-when the components' labels interleave.
+component, and the union of the components' first sets is the first set
+(:func:`is_well_covered` says why).
 
 Both searches can also prune by symmetry (McKay-Piperno, "Practical graph
 isomorphism II", 2014), given orbit rows: entry s maps each vertex v >= s

@@ -143,6 +143,12 @@ class FactorAnalysis:
         return compact_components(self.graph)
 
     @cached_property
+    def largest_component(self) -> int:
+        """The order of the largest component; its product with the other
+        factor's is the largest graph a pair searches."""
+        return max((len(vertices) for vertices, _ in self.components), default=0)
+
+    @cached_property
     def component_orbits(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """The :func:`stabilizer_orbits` rows of each compacted component,
         computed on the first component product searched."""
@@ -353,11 +359,7 @@ def verify_pair(
     caller checks any product cap; this checks the largest component
     product Gi □ Hj, the largest graph searched, against the smaller of the
     two enumeration caps before any search."""
-    g_largest, h_largest = (
-        max((len(vertices) for vertices, _ in analysis.components), default=0)
-        for analysis in (g, h)
-    )
-    _check_cap(g_largest * h_largest, min(g.cap, h.cap))
+    _check_cap(g.largest_component * h.largest_component, min(g.cap, h.cap))
     product_report = _product_report(g, h, {} if component_reports is None else component_reports)
     consistent = not (
         product_report.verdict and not g.report.verdict and not h.report.verdict

@@ -134,21 +134,28 @@ def test_analyze_cap_exceeded(capsys):
     assert code == 0 and doc["alpha"] == 2
 
 
-CAP_CASES = [
-    (command, flag)
-    for command in ("analyze", "product", "witness", "scan")
-    for flag in ("--enum-cap", "--product-cap")
-    if not (command == "analyze" and flag == "--product-cap")
-]
+NUMERIC_FLAGS = {
+    "analyze": ("--enum-cap",),
+    "product": ("--enum-cap", "--product-cap"),
+    "witness": ("--enum-cap", "--product-cap"),
+    "scan": ("--enum-cap", "--product-cap", "--max-n", "--jobs", "--gen-up-to"),
+}
 CAP_ARGS = {"analyze": ["Bg"], "product": ["Bg", "Bg"], "witness": ["Bg", "Bg"], "scan": []}
 
 
-@pytest.mark.parametrize("bad", ["abc", "0", "-1"])
-@pytest.mark.parametrize("command,flag", CAP_CASES)
+@pytest.mark.parametrize(
+    "command,flag,bad",
+    [
+        (command, flag, bad)
+        for command, flags in NUMERIC_FLAGS.items()
+        for flag in flags
+        for bad in (("abc", "-1", "9") if flag == "--gen-up-to" else ("abc", "0", "-1"))
+    ],
+)
 def test_bad_cap_exits_2_and_names_its_source(capsys, command, flag, bad):
-    argv = [command, *CAP_ARGS[command]]
-    code, _, err = run_cli(capsys, argv + [f"{flag}={bad}"])
-    assert code == 2 and flag in err
+    # The parser checks every numeric flag, so nothing runs and nothing is written.
+    code, out, err = run_cli(capsys, [command, *CAP_ARGS[command], f"{flag}={bad}"])
+    assert code == 2 and out == "" and f"error: argument {flag}: must be " in err
 
 
 # --- product ----------------------------------------------------------------------
@@ -295,11 +302,12 @@ def record_searches(monkeypatch, forbid=False):
     for name in ("_largest", "_smallest", "_isolating_set"):
         original = getattr(independence, name)
 
-        def recorded(graph, arg, _name=name, _original=original):
+        # The report searches take orbit rows as a third argument.
+        def recorded(graph, arg, *orbits, _name=name, _original=original):
             if forbid:
                 raise AssertionError(f"{_name} ran")
             calls.append((_name, graph.n, arg))
-            return _original(graph, arg)
+            return _original(graph, arg, *orbits)
 
         monkeypatch.setattr(independence, name, recorded)
     return calls
@@ -587,6 +595,23 @@ def test_search_reports_match_full_walk_byte_for_byte(capsys, monkeypatch, argv)
     assert searched[0] == 0 and searched[1]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_checks_every_cap_before_any_search_or_pool(capsys, monkeypatch, jobs):
+    """Every pair's largest component product is checked against the
+    enumeration cap, in pair order, before the first search and before a
+    pool starts, so the message is the same whatever ``--jobs`` is."""
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started")
+
+    record_searches(monkeypatch, forbid=True)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["scan", "--gen-up-to", "3", "--max-n", "3", "--enum-cap", "5", "--jobs", jobs]
+    assert run_cli(capsys, argv) == (3, "", "error: graph order 6 exceeds enumeration cap 5\n")
+
+
 def test_scan_enum_cap_below_product_order_exits_3(capsys):
     argv = ["scan", "--gen-up-to", "3", "--max-n", "3", "--enum-cap", "2"]
     code, out, err = run_cli(capsys, argv)
@@ -679,9 +704,10 @@ def test_importing_the_cli_loads_no_process_pool():
 
 
 def test_pool_workers_build_each_orbit_table_once(tmp_path, monkeypatch):
-    """The factor analyses reach each pool worker once, through its
-    initializer, so a worker builds each analysis's orbit tables at most
-    once: two workers build at most twice as many as one process."""
+    """Each pool worker gets the factor analyses once, with the one task
+    that holds its share of the pairs, so a worker builds each analysis's
+    orbit tables at most once: two workers build at most twice as many as
+    one process."""
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched stabilizer_orbits reaches pool workers only when they are forked")
     log, real = tmp_path / "tables.log", theorem.stabilizer_orbits
@@ -725,11 +751,38 @@ def test_scan_csv_header_and_rows(capsys):
     assert "BW,BW,false,2,1,0;1,false,2,1,0;1,9,12,false,5,3,true,true,false,5,3" in lines
 
 
-def test_scan_deterministic_across_jobs():
+def test_scan_deterministic_across_jobs(monkeypatch):
+    # 28 pairs, not a multiple of 3: worker w takes pairs w, w + 3, ..., and
+    # its records go back to those places.
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     base = dict(generate_up_to=3, max_factor_order=3)
-    serial = scan(ScanConfig(parallelism=1, **base))
-    parallel = scan(ScanConfig(parallelism=2, **base))
-    assert render_scan_json(serial) == render_scan_json(parallel)
+    reports = [render_scan_json(scan(ScanConfig(parallelism=jobs, **base))) for jobs in (1, 2, 3)]
+    assert json.loads(reports[0])["summary"]["pairs"] == 28
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_spawned_pool_workers_give_the_serial_report():
+    """Workers started by ``spawn`` import the package afresh and get the
+    analyses only through their task.  No other test starts a pool outside
+    ``fork``, which is not the default on every platform."""
+    source = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import multiprocessing, os, sys\n"
+        "from wellcovered import cli\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "sys.exit(cli.main(['scan', '--gen-up-to', '3', '--max-n', '3', '--jobs', sys.argv[1]]))\n"
+    )
+
+    def run(jobs):
+        return subprocess.run(
+            [sys.executable, "-c", script, jobs], env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True, text=True, check=True,
+        )
+
+    serial, spawned = run("1"), run("2")
+    assert spawned.stderr == serial.stderr == "scanned 28 pairs, 0 violations\n"
+    assert spawned.stdout == serial.stdout and json.loads(serial.stdout)["summary"]["pairs"] == 28
 
 
 def test_scan_worker_count_is_clamped(monkeypatch):
@@ -806,8 +859,11 @@ def test_scan_violation_through_verify_pair(tmp_path, capsys, monkeypatch):
 
 
 def test_scan_gen_up_to_validation(capsys):
-    code, _, err = run_cli(capsys, ["scan", "--gen-up-to", "9"])
-    assert code == 2 and "between 0 and 8" in err
+    code, out, err = run_cli(capsys, ["scan", "--gen-up-to", "9"])
+    assert code == 2 and out == ""
+    assert err.endswith(
+        "error: argument --gen-up-to: must be an integer between 0 and 8, got '9'\n"
+    )
 
 
 # --- parser reuse --------------------------------------------------------------
@@ -815,7 +871,7 @@ def test_scan_gen_up_to_validation(capsys):
 
 def test_main_returns_the_parser_exit_status_and_help_states_the_enum_cap_default(capsys):
     assert cli.main(["scan", "--jobs", "x"]) == 2
-    assert "argument --jobs: invalid int value: 'x'" in capsys.readouterr().err
+    assert "argument --jobs: must be a positive integer, got 'x'" in capsys.readouterr().err
     for command, default in (
         ("analyze", "36"),
         ("witness", "36"),
