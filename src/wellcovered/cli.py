@@ -11,9 +11,10 @@ Subcommands:
 Graphs are read as graph6 lines from arguments, files (--corpus), or
 standard input (one per line).  Reports are JSON (scan also supports CSV).
 Every indented JSON report goes through ``_render_json``, which writes the
-same bytes as ``json.dumps`` with a two-space indent and sorted keys, with
-fast paths for the flat int lists and int pairs that witness reports are made
-of; ``analyze -`` writes compact one-line records with ``json.dumps``.
+same bytes as ``json.dumps`` with a two-space indent and sorted keys; scan
+records and the product sets of a witness report reach it as text already
+rendered from their fields and masks.  ``analyze -`` writes compact one-line
+records with ``json.dumps``.
 
 Exit codes: 0 success/consistent, 1 scan found a consistency violation,
 2 input error, 3 resource cap exceeded, 4 witness hypotheses not applicable.
@@ -40,9 +41,9 @@ from .graphs import (
     CapExceeded,
     Graph,
     Graph6Error,
-    VertexSet,
     from_graph6,
     is_connected,
+    iter_bits,
     to_graph6,
 )
 from .independence import (
@@ -288,9 +289,8 @@ def _render_json(value, newline: str = "\n") -> str:
     as it is.  Any other type raises ``TypeError``.
 
     ``json.dumps`` never uses its C encoder when it indents, so this renders
-    the common shapes in bulk: a list of ints with one join, a list of
-    equal-length int tuples with one ``%`` over one joined template and the
-    flattened tuples, and scalar dict values without a recursive call.
+    a list of ints with one join and scalar dict values without a recursive
+    call.
     ``newline`` is a line break plus the indentation of the line ``value``
     starts on."""
     kind = type(value)
@@ -314,18 +314,8 @@ def _render_json(value, newline: str = "\n") -> str:
         if not value:
             return "[]"
         inner = newline + _INDENT
-        kinds = set(map(type, value))
-        if kinds == {int}:
+        if set(map(type, value)) == {int}:
             items = map(int.__repr__, value)
-        elif (
-            kinds == {tuple}
-            and len(widths := set(map(len, value))) == 1
-            and set(map(type, chain.from_iterable(value))) == {int}
-        ):
-            deeper = inner + _INDENT
-            template = "[" + deeper + ("," + deeper).join(["%d"] * widths.pop()) + inner + "]"
-            joined = "[" + inner + ("," + inner).join([template] * len(value)) + newline + "]"
-            return joined % tuple(chain.from_iterable(value))
         else:
             items = [_render_json(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -417,14 +407,51 @@ def render_scan_json(result: ScanResult) -> str:
     return _render_json(document) + "\n"
 
 
-def _witness_set_dict(s: VertexSet, n_right: int) -> dict:
-    # Product vertex p is the pair divmod(p, n_right) (see cartesian_product).
-    members = list(s)
-    return {
-        "size": len(members),
-        "indices": members,
-        "pairs": [divmod(p, n_right) for p in members],
-    }
+# Line breaks of the witness report's "sets" value, one per depth: the set
+# names, their fields, the list items and the pair members.
+_SET_BREAKS = ["\n" + depth * _INDENT for depth in range(1, 6)]
+
+
+def _render_sets(masks: dict[str, int], n_right: int) -> _Rendered:
+    """``_render_json`` of the witness report's ``"sets"`` dict, which maps
+    each name to ``{"size", "indices", "pairs"}`` of the product vertices in
+    its mask, ``pairs`` holding each vertex p as ``divmod(p, n_right)`` (see
+    cartesian_product).  The text is joined row by row: a product row g
+    gives each member h a head of g and a tail of h, and the text of each
+    ``(g, row mask)`` is shared by the sets, which overlap heavily."""
+    top, name_break, field_break, item_break, member_break = _SET_BREAKS
+    item_sep = "," + item_break
+    width = (1 << n_right) - 1
+    tails = [f"{h}{item_break}]" for h in range(n_right)]
+    rows: dict[tuple[int, int], tuple[str, str]] = {}
+    entries = []
+    for name in sorted(masks):
+        indices, pairs = [], []
+        rest = mask = masks[name]
+        while rest:
+            g = ((rest & -rest).bit_length() - 1) // n_right
+            bits = rest >> g * n_right & width
+            rest ^= bits << g * n_right
+            text = rows.get((g, bits))
+            if text is None:
+                base, head = g * n_right, f"[{member_break}{g},{member_break}"
+                members = list(iter_bits(bits))
+                text = rows[g, bits] = (
+                    item_sep.join([str(base + h) for h in members]),
+                    item_sep.join([head + tails[h] for h in members]),
+                )
+            indices.append(text[0])
+            pairs.append(text[1])
+        lists = [
+            "[" + item_break + item_sep.join(texts) + field_break + "]" if texts else "[]"
+            for texts in (indices, pairs)
+        ]
+        entries.append(
+            f'{encode_basestring_ascii(name)}: {{{field_break}"indices": {lists[0]},'
+            f'{field_break}"pairs": {lists[1]},{field_break}"size": {mask.bit_count()}'
+            f"{name_break}}}"
+        )
+    return _Rendered("{" + name_break + ("," + name_break).join(entries) + top + "}")
 
 
 def _witness_dict(
@@ -438,10 +465,10 @@ def _witness_dict(
         "isolating_set": list(witness.isolating_set),
         "column_big": list(witness.column_big),
         "column_small": list(witness.column_small),
-        "sets": {
-            name: _witness_set_dict(getattr(witness, name), witness.column_big.n)
-            for name in PRODUCT_SETS
-        },
+        "sets": _render_sets(
+            {name: getattr(witness, name).mask for name in PRODUCT_SETS},
+            witness.column_big.n,
+        ),
         "checks": checks,
         "all_checks_pass": all(checks.values()),
     }

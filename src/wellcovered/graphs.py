@@ -34,15 +34,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def triangle_pairs(n: int) -> list[tuple[int, int]]:
-    """Vertex pairs (i, j), i < j, in column-major upper-triangle order.
-
-    This is the bit order of the graph6 format: x(0,1); x(0,2), x(1,2);
-    x(0,3), ... and also the order used for canonical adjacency bit-strings.
-    """
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
 @dataclass(frozen=True)
 class VertexSet:
     """Subset of the vertices 0..n-1 of one host graph, stored as a bitmask."""
@@ -84,7 +75,9 @@ class Graph:
     ``adj[v]`` is the bitmask of the open neighborhood N(v).  Construction
     checks symmetry, irreflexivity, and vertex range, so a Graph instance is
     always a valid simple graph; only the products, components and
-    generated classes the package builds from valid graphs skip the check.
+    generated classes the package builds from valid graphs, and the graphs
+    that ``from_graph6`` decodes, which are valid by construction, skip the
+    check.
     """
 
     n: int
@@ -107,10 +100,10 @@ class Graph:
 
     @classmethod
     def _derived(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """A product, a component or a generated class that the package
-        built from valid graphs, valid by construction, so the checks of
-        ``__post_init__`` are skipped; every graph from outside the package
-        goes through them."""
+        """A product, a component, a generated class or a decoded graph6
+        line, valid by construction, so the checks of ``__post_init__`` are
+        skipped; every other graph from outside the package goes through
+        them."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "adj", adj)
@@ -159,6 +152,8 @@ def _rectangle_mask(left_mask: int, right_mask: int, n_right: int) -> int:
 # ---------------------------------------------------------------------------
 # graph6 codec (single-byte size form only, n <= 62)
 # ---------------------------------------------------------------------------
+# The bit string lists x(i, j), i < j, column by column: x(0, 1); x(0, 2),
+# x(1, 2); x(0, 3), ...  Column j starts at bit j(j-1)/2.
 
 
 def from_graph6(text: str) -> Graph:
@@ -196,12 +191,17 @@ def from_graph6(text: str) -> Graph:
     padding = total - nbits
     if padding and acc & ((1 << padding) - 1):
         raise Graph6Error("nonzero padding bits")
+    # Reversed, the bit string holds column j as x(j-1, j), ..., x(0, j), so
+    # its slice read in base 2 is the mask of j's neighbours below j.
+    bits = format(acc, f"0{total}b")[::-1]
     rows = [0] * n
-    for k, (i, j) in enumerate(triangle_pairs(n)):
-        if (acc >> (total - 1 - k)) & 1:
+    for j in range(1, n):
+        end = total - j * (j - 1) // 2
+        below = int(bits[end - j:end], 2)
+        rows[j] |= below
+        for i in iter_bits(below):
             rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph._derived(n, tuple(rows))
 
 
 def to_graph6(graph: Graph) -> str:
@@ -209,14 +209,13 @@ def to_graph6(graph: Graph) -> str:
     n = graph.n
     if n > GRAPH6_MAX_ORDER:
         raise Graph6Error(f"order {n} exceeds the graph6 single-byte cap {GRAPH6_MAX_ORDER}")
-    acc = 0
-    nbits = n * (n - 1) // 2
-    for i, j in triangle_pairs(n):
-        acc = (acc << 1) | ((graph.adj[i] >> j) & 1)
-    padding = (-nbits) % 6
-    acc <<= padding
+    # Column j holds x(0, j), ..., x(j-1, j): the low j bits of adj[j] as a
+    # j-digit binary string, reversed.
+    bits = "".join([format(graph.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)])
+    padding = (-len(bits)) % 6
+    acc = int(bits + "0" * padding, 2) if bits else 0
     out = [chr(63 + n)]
-    for shift in range(nbits + padding - 6, -1, -6):
+    for shift in range(len(bits) + padding - 6, -1, -6):
         out.append(chr(63 + ((acc >> shift) & 63)))
     return "".join(out)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wellcovered import Graph, Graph6Error, from_graph6, to_graph6
+from wellcovered import GRAPH6_MAX_ORDER, Graph, Graph6Error, from_graph6, to_graph6
 
 from oracles import (
     complete_graph,
@@ -86,17 +86,21 @@ def test_agreement_with_reference_codec_on_named_graphs():
 
 
 def test_round_trip_random_graphs_vs_reference():
+    """Orders 0 to GRAPH6_MAX_ORDER, each empty, sparse and dense.  A decoded
+    graph skips ``Graph``'s checks, so each must also pass them."""
     rng = random.Random(20240817)
-    for _ in range(120):
-        n = rng.randrange(0, 13)
-        edges = [e for e in
-                 ((i, j) for i in range(n) for j in range(i + 1, n))
-                 if rng.random() < 0.4]
-        g = Graph.from_edges(n, edges)
-        line = to_graph6(g)
-        back = from_graph6(line)
-        assert back == g
-        assert to_graph6(back) == line
-        assert nx_encode_graph6(n, edges) == line
-        ref_n, ref_edges = nx_parse_graph6(line)
-        assert (ref_n, ref_edges) == (n, set(g.edges()))
+    orders = list(range(GRAPH6_MAX_ORDER + 1)) + [rng.randrange(0, 13) for _ in range(60)]
+    for n in orders:
+        for density in (0.0, 0.08, 0.4, 0.9, 1.0):
+            edges = [e for e in
+                     ((i, j) for i in range(n) for j in range(i + 1, n))
+                     if rng.random() < density]
+            g = Graph.from_edges(n, edges)
+            line = to_graph6(g)
+            back = from_graph6(line)
+            assert back == g
+            assert Graph(back.n, back.adj) == back
+            assert to_graph6(back) == line
+            assert nx_encode_graph6(n, edges) == line
+            ref_n, ref_edges = nx_parse_graph6(line)
+            assert (ref_n, ref_edges) == (n, set(g.edges()))

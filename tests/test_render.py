@@ -1,5 +1,6 @@
 """The indented JSON renderer against ``json.dumps``: generated documents,
-the rejected types, and the bytes of real CLI reports."""
+the rejected types, the product sets of witness reports, and the bytes of
+real CLI reports."""
 
 import hashlib
 import json
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wellcovered import cli
+from wellcovered.theorem import PRODUCT_SETS
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
@@ -52,6 +54,40 @@ documents = st.recursive(
 @example([1, True, False, -1])
 def test_render_json_matches_json_dumps(document):
     assert cli._render_json(document) == stdlib(document)
+
+
+@st.composite
+def witness_sets(draw):
+    """Factor orders from 1 up, and a mask of their product for each of the
+    nine sets: empty, full, row 0, the last row, or random."""
+    n_left, n_right = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    n = n_left * n_right
+    row = (1 << n_right) - 1
+    masks = st.one_of(
+        st.just(0),
+        st.just((1 << n) - 1),
+        st.integers(0, row),
+        st.integers(0, row).map(lambda bits: bits << (n - n_right)),
+        st.integers(0, (1 << n) - 1),
+    )
+    return {name: draw(masks) for name in PRODUCT_SETS}, n_right
+
+
+def old_set_dict(mask: int, n_right: int) -> dict:
+    members = [p for p in range(mask.bit_length()) if mask >> p & 1]
+    return {"size": len(members), "indices": members, "pairs": [divmod(p, n_right) for p in members]}
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(witness_sets())
+@example(({name: 0 for name in PRODUCT_SETS}, 1))
+@example(({name: 1 for name in PRODUCT_SETS}, 1))
+@example(({name: (1 << 64) - 1 for name in PRODUCT_SETS}, 32))
+@example(({name: 0b1011 << 4 * k for k, name in enumerate(PRODUCT_SETS)}, 4))
+def test_render_sets_matches_json_dumps_of_the_set_dicts(case):
+    masks, n_right = case
+    expected = {"sets": {name: old_set_dict(mask, n_right) for name, mask in masks.items()}}
+    assert cli._render_json({"sets": cli._render_sets(masks, n_right)}) == stdlib(expected)
 
 
 @pytest.mark.parametrize("document", [{"a": 1.5}, [0.0], {1: "a"}, {"a": {2: None}}])
