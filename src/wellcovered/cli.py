@@ -16,8 +16,10 @@ records and the product sets of a witness report reach it as text already
 rendered from their fields and masks.  ``analyze -`` writes compact one-line
 records with ``json.dumps``.
 
-Exit codes: 0 success/consistent, 1 scan found a consistency violation,
-2 input error, 3 resource cap exceeded, 4 witness hypotheses not applicable.
+Exit codes: 0 success/consistent, 1 scan found a consistency violation or
+a witness check failed, 2 input error, 3 resource cap exceeded, 4 witness
+hypotheses not applicable, 141 the reader closed standard output early
+(128 + SIGPIPE, what a shell reports for a tool killed by a closed pipe).
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ EXIT_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP = 3
 EXIT_NOT_APPLICABLE = 4
+EXIT_BROKEN_PIPE = 141
 
 DEFAULT_SCAN_FACTOR_ORDER = 5
 DEFAULT_SCAN_PRODUCT_ORDER = 30
@@ -467,7 +470,7 @@ def _witness_dict(
         "column_small": list(witness.column_small),
         "sets": _render_sets(
             {name: getattr(witness, name).mask for name in PRODUCT_SETS},
-            witness.column_big.n,
+            witness.right.n,
         ),
         "checks": checks,
         "all_checks_pass": all(checks.values()),
@@ -572,12 +575,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         _print_json(_not_applicable_dict(g, h))
         return EXIT_NOT_APPLICABLE
     witness, swapped = oriented
-    left, right = (h, g) if swapped else (g, h)
-    checks = witness_invariants(left.graph, right.graph, witness, witness.product)
+    checks = witness_invariants(witness)
     _print_json(
         _witness_dict(to_graph6(g.graph), to_graph6(h.graph), swapped, witness, checks)
     )
-    return EXIT_OK
+    return EXIT_OK if all(checks.values()) else EXIT_VIOLATION
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -601,6 +603,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     else:
         result = scan(config)
         _write_scan(result, args.format, sys.stdout)
+        sys.stdout.flush()  # a closed stdout ends the run before the summary
     print(
         f"scanned {len(result.records)} pairs, {len(result.violations)} violations",
         file=sys.stderr,
@@ -739,7 +742,11 @@ def main(argv: list[str] | None = None) -> int:
         # argparse has printed its usage or error: 2 for a bad flag, 0 for --help.
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -749,7 +756,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    code = main()
+    if code == EXIT_BROKEN_PIPE:
+        # Unflushed output would fail again in the interpreter's final flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -89,9 +89,9 @@ def _check_cap(order: int, cap: int) -> None:
 
 
 def is_independent(graph: Graph, s: VertexSet) -> bool:
-    """True iff no edge joins two members of S."""
+    """True iff no edge joins two members of S, by the maximality test of S within S."""
     _check_set(graph, s)
-    return _greedy_within(graph, s.mask, 0) == s.mask
+    return _maximal_independent_within(graph, s.mask, s.mask)
 
 
 def is_maximal_independent(graph: Graph, s: VertexSet) -> bool:

@@ -7,7 +7,8 @@ Two routes certify that a product is or is not well-covered:
   other has maximal independent sets of two different sizes, the product
   has maximal independent sets of distinct cardinalities, and
   :func:`build_product_witness` builds them on int masks, checked by direct
-  independence and domination tests, never by enumeration;
+  independence and domination tests, never by enumeration, as
+  :func:`witness_invariants` rechecks them from the witness alone;
 * the product's report from branch-and-bound searches of its maximal
   independent sets (:func:`is_well_covered`), wrapped by :func:`verify_pair`,
   which also cross-checks the main claim: a well-covered product forces a
@@ -49,7 +50,6 @@ from .graphs import (
     _closed_mask,
     _rectangle_mask,
     cartesian_product,
-    closed_neighborhood,
     compact_components,
     iter_bits,
     product_orbits,
@@ -73,8 +73,8 @@ from .independence import (
 
 @dataclass(frozen=True)
 class ProductWitness:
-    """Two explicitly constructed maximal independent sets of a product with
-    different cardinalities.
+    """Two maximal independent sets of different sizes in the product of the
+    two factors it carries, a certificate :func:`witness_invariants` checks.
 
     The construction isolates vertex x of the left factor via
     ``isolating_set``, fills column x with either of two maximal independent
@@ -97,7 +97,9 @@ class ProductWitness:
     patch_big: VertexSet            # extends patch_small inside gaps_big
     big: VertexSet
     small: VertexSet
-    product: Graph = field(repr=False)  # the product the sets were built in
+    left: Graph = field(repr=False)     # the left factor
+    right: Graph = field(repr=False)    # the right factor
+    product: Graph = field(repr=False)  # left □ right, the sets' host
 
 
 # The ProductWitness fields that are sets of product vertices, in the order
@@ -178,7 +180,7 @@ def _validate_isolatable(graph: Graph, iso: IsolatableWitness) -> None:
         raise ValueError(f"vertex {iso.vertex} out of range")
     if not is_independent(graph, iso.certificate):
         raise ValueError("set is not independent")
-    kept = graph.full_mask & ~closed_neighborhood(graph, iso.certificate).mask
+    kept = graph.full_mask & ~_closed_mask(graph, iso.certificate.mask)
     if kept != 1 << iso.vertex:
         raise ValueError(
             "certificate does not isolate the claimed vertex: deletion leaves "
@@ -239,7 +241,7 @@ def build_product_witness(
     sets = core, core_big, core_small, gaps_big, gaps_small, patch_small, patch_big, big, small
     return ProductWitness(
         isolatable_vertex=x, isolating_set=iso.certificate, column_big=column_big,
-        column_small=column_small, product=product,
+        column_small=column_small, left=graph_left, right=graph_right, product=product,
         **{name: VertexSet(mask, n) for name, mask in zip(PRODUCT_SETS, sets)},
     )
 
@@ -263,15 +265,11 @@ def _orient_witness(g: FactorAnalysis, h: FactorAnalysis) -> tuple[ProductWitnes
     return None
 
 
-def witness_invariants(
-    graph_left: Graph, graph_right: Graph, witness: ProductWitness,
-    product: Graph | None = None,
-) -> dict[str, bool]:
-    """Recheck every structural claim of a witness against the product of
-    the factors, built here unless the caller already holds it (the
-    ``witness`` command passes the one the witness was built in)."""
-    if product is None:
-        product = cartesian_product(graph_left, graph_right)
+def witness_invariants(witness: ProductWitness) -> dict[str, bool]:
+    """Recheck every structural claim of a witness against the factors and
+    the product it carries, by independence and domination tests on masks
+    alone: no constructor or search runs here."""
+    graph_left, graph_right, product = witness.left, witness.right, witness.product
     n_left, n_right, x = graph_left.n, graph_right.n, witness.isolatable_vertex
     hosts = {getattr(witness, name).n for name in PRODUCT_SETS} | {product.n}
     factor_hosts = witness.isolating_set.n, witness.column_big.n, witness.column_small.n

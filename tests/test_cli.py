@@ -243,6 +243,19 @@ def test_witness_swapped_orientation(capsys):
     assert doc["all_checks_pass"] is True
 
 
+def test_witness_exits_one_when_a_check_fails(capsys, monkeypatch):
+    """A failed check keeps the report and sets the violation exit code."""
+    real = cli.witness_invariants
+    monkeypatch.setattr(
+        cli, "witness_invariants",
+        lambda witness: {**real(witness), "big_maximal_independent": False},
+    )
+    code, doc, err = run_json(capsys, ["witness", "Bg", "Bg"])
+    assert code == 1 and err == ""
+    assert doc["all_checks_pass"] is False and doc["checks"]["big_maximal_independent"] is False
+    assert doc["sets"]["big"]["size"] == 5
+
+
 def count_calls(monkeypatch, name):
     """Count calls of ``name`` through every module attribute that can reach it."""
     calls = []
@@ -368,8 +381,7 @@ def test_witness_matches_the_full_analysis_route_on_small_pairs(capsys):
             expected, document = 4, cli._not_applicable_dict(g, h)
         else:
             witness, swapped = oriented
-            left, right = (graph_h, graph_g) if swapped else (graph_g, graph_h)
-            checks = witness_invariants(left, right, witness)
+            checks = witness_invariants(witness)
             expected, document = 0, cli._witness_dict(g6_g, g6_h, swapped, witness, checks)
             outcomes.append(swapped)
         assert run_cli(capsys, ["witness", g6_g, g6_h]) == (
@@ -463,6 +475,20 @@ def test_scan_generated_summary(capsys):
         if record["witness_applicable"]:
             assert record["product_well_covered"] is False
             assert record["witness_big_size"] > record["witness_small_size"]
+
+
+def test_default_scan_witness_sizes_lie_between_the_searched_extremes():
+    """Both sets of every lemma witness are maximal in the product, so their
+    sizes lie between its searched extremes.  The bounds are met in 741 pairs
+    for alpha and 121 for the smallest size, so a search that moved either
+    extreme by one would fail here."""
+    witnessed = [record for record in scan(ScanConfig()).records if record.witness_applicable]
+    assert len(witnessed) == 824
+    for r in witnessed:
+        assert r.product_well_covered is False
+        assert r.product_min_maximal <= r.witness_small_size < r.witness_big_size <= r.product_alpha
+    assert sum(r.witness_big_size == r.product_alpha for r in witnessed) == 741
+    assert sum(r.witness_small_size == r.product_min_maximal for r in witnessed) == 121
 
 
 def test_scan_generates_only_orders_it_keeps(capsys, monkeypatch):
@@ -701,6 +727,27 @@ def test_importing_the_cli_loads_no_process_pool():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(unbuffered):
+    """The console script, writing to a pipe whose reader is already gone,
+    exits 128 + SIGPIPE in silence, whether stdout is buffered or not."""
+    source = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(source), "PYTHONUNBUFFERED": unbuffered}
+    for argv in (["gen", "3"], ["scan", "--gen-up-to", "2"], ["witness", "Bg", "Bg"],
+                 ["analyze", "Bg"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", "from wellcovered.cli import entrypoint; entrypoint()",
+                 *argv],
+                stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b""), argv
 
 
 def test_pool_workers_build_each_orbit_table_once(tmp_path, monkeypatch):

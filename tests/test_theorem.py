@@ -18,6 +18,7 @@ from wellcovered import (
     from_graph6,
     generate_all_graphs,
     is_connected,
+    is_independent,
     is_maximal_independent,
     is_well_covered,
     isolatable_vertices,
@@ -147,7 +148,7 @@ def test_witness_p3_square_worked_example():
     assert decoded(witness, witness.patch_big) == [(1, 1)]
     assert decoded(witness, witness.big) == [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]
     assert decoded(witness, witness.small) == [(0, 0), (0, 2), (2, 1)]
-    assert all(witness_invariants(p3, p3, witness).values())
+    assert all(witness_invariants(witness).values())
     # maximality confirmed against the subset oracle on the 9-vertex grid
     grid = cartesian_product(p3, p3)
     oracle = brute_maximal_independent_sets(grid.n, grid.edges())
@@ -164,7 +165,7 @@ def test_witness_k1_left_factor_degenerates():
     )
     assert len(witness.gaps_big) == 0 and len(witness.gaps_small) == 0
     assert len(witness.big) == 2 and len(witness.small) == 1
-    assert all(witness_invariants(k1, p3, witness).values())
+    assert all(witness_invariants(witness).values())
 
 
 def test_witness_c6_square_at_scale():
@@ -174,7 +175,7 @@ def test_witness_c6_square_at_scale():
         c6, iso, c6, VertexSet.of(6, [0, 2, 4]), VertexSet.of(6, [0, 3])
     )
     assert len(witness.big) > len(witness.small)
-    assert all(witness_invariants(c6, c6, witness).values())
+    assert all(witness_invariants(witness).values())
 
 
 @settings(derandomize=True, max_examples=100, database=None, deadline=None)
@@ -184,7 +185,7 @@ def test_witness_invariants_hold_on_random_pairs(g, h):
         witness = fixed_orientation_witness(left, right)
         if witness is None:
             continue
-        assert all(witness_invariants(left, right, witness).values())
+        assert all(witness_invariants(witness).values())
 
 
 def test_witness_precondition_errors():
@@ -248,12 +249,59 @@ def test_witness_invariants_reject_a_witness_of_other_factors():
     p3 = path_graph(3)
     witness = fixed_orientation_witness(p3, p3)
     with pytest.raises(ValueError, match="do not match the factors"):
-        witness_invariants(p3, path_graph(4), witness)
+        witness_invariants(replace(witness, right=path_graph(4)))
     with pytest.raises(ValueError, match="do not match the factors"):
-        witness_invariants(p3, p3, witness, cartesian_product(p3, path_graph(4)))
+        witness_invariants(replace(witness, product=cartesian_product(p3, path_graph(4))))
     for vertex in (-3, 3):  # -3 would read vertex 0's rows
         with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
-            witness_invariants(p3, p3, replace(witness, isolatable_vertex=vertex))
+            witness_invariants(replace(witness, isolatable_vertex=vertex))
+
+
+def test_certificate_checks_reach_no_constructor_or_search(monkeypatch):
+    """The trusted base of every certificate check: the mask test
+    ``_maximal_independent_within``, the deletion test of
+    ``_validate_isolatable``, set sizes, and the product a witness carries.
+    With every constructor and search patched to raise, the checks still
+    give their answers."""
+    p3, c6 = path_graph(3), cycle_graph(6)
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        g6_g, g6_h, _, _ = min(json.load(handle)["witness-large"]["pool"], key=lambda e: e[2])
+    pool_pair = FactorAnalysis(from_graph6(g6_g)), FactorAnalysis(from_graph6(g6_h))
+    witnesses = [
+        fixed_orientation_witness(p3, p3),
+        build_product_witness(
+            c6, IsolatableWitness(4, VertexSet.of(6, [0, 2])), c6,
+            VertexSet.of(6, [0, 2, 4]), VertexSet.of(6, [0, 3]),
+        ),
+        theorem._orient_witness(*pool_pair)[0],
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a certificate check reached a constructor or a search")
+
+    for module, names in (
+        (independence, ("_greedy_within", "_walk", "_largest", "_smallest", "_isolating_set")),
+        (theorem, ("_greedy_within", "_isolatable", "cartesian_product")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+    for witness in witnesses:
+        assert all(witness_invariants(witness).values())
+    spoiled = replace(witnesses[0], small=witnesses[0].core)
+    assert not witness_invariants(spoiled)["small_maximal_independent"]
+    assert is_independent(p3, VertexSet.of(3, [0, 2])) and is_independent(p3, VertexSet(0, 3))
+    assert not is_independent(p3, VertexSet.of(3, [0, 1]))
+    assert is_maximal_independent(p3, VertexSet.of(3, [1]))
+    assert not is_maximal_independent(p3, VertexSet.of(3, [0]))
+    assert not is_maximal_independent(p3, VertexSet.of(3, [0, 1]))
+    theorem._validate_isolatable(p3, IsolatableWitness(0, VertexSet.of(3, [2])))
+    for iso, message in (
+        (IsolatableWitness(3, VertexSet.of(3, [0])), "vertex 3 out of range"),
+        (IsolatableWitness(2, VertexSet.of(3, [0, 1])), "set is not independent"),
+        (IsolatableWitness(1, VertexSet.of(3, [0])), r"does not isolate .* leaves \(2,\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            theorem._validate_isolatable(p3, iso)
 
 
 def test_witness_core_size_gap_matches_columns():
@@ -269,7 +317,7 @@ def test_witness_core_size_gap_matches_columns():
             assert len(witness.core_big) - len(witness.core_small) == gap
             assert len(witness.big) - len(witness.small) >= gap
             assert witness.gaps_small.mask & ~witness.gaps_big.mask == 0
-            checks = witness_invariants(g, h, witness)
+            checks = witness_invariants(witness)
             assert all(checks.values()), checks
     assert seen > 50  # the corpus provides plenty of applicable pairs
 
@@ -483,11 +531,11 @@ def test_connected_pair_builds_its_witness_product_apart_from_the_search(monkeyp
     k1, p3 = complete_graph(1), path_graph(3)
     verdict = verify(k1, p3)  # K1 is isolatable and P3 is not well-covered
     assert not verdict.witness_swapped and built == [(1, 3), (1, 3)]
-    assert all(witness_invariants(k1, p3, verdict.witness).values())
+    assert all(witness_invariants(verdict.witness).values())
     built.clear()
     verdict = verify(p3, k1)  # a swapped witness builds H x G
     assert verdict.witness_swapped and built == [(3, 1), (1, 3)]
-    assert all(witness_invariants(k1, p3, verdict.witness).values())
+    assert all(witness_invariants(verdict.witness).values())
 
 
 def test_k1_times_k37_takes_milliseconds():
