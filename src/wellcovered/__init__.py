@@ -19,6 +19,8 @@ from .graphs import (
     closed_neighborhood,
     from_graph6,
     is_connected,
+    is_independent,
+    is_maximal_independent,
     to_graph6,
 )
 from .independence import (
@@ -26,8 +28,6 @@ from .independence import (
     IsolatableWitness,
     WellCoveredReport,
     enumerate_maximal_independent_sets,
-    is_independent,
-    is_maximal_independent,
     is_well_covered,
     isolatable_vertices,
     mis_size_histogram,

@@ -60,6 +60,7 @@ from .theorem import (
     FactorAnalysis,
     PairVerdict,
     ProductWitness,
+    WitnessCheckError,
     _orient_witness,
     verify_pair,
     witness_invariants,
@@ -200,8 +201,8 @@ def _record_from_verdict(g6_g: str, g6_h: str, verdict: PairVerdict) -> ScanReco
         theorem_consistent=verdict.theorem_consistent,
         witness_applicable=verdict.witness is not None,
         witness_swapped=verdict.witness_swapped if verdict.witness else None,
-        witness_big_size=len(verdict.witness.big) if verdict.witness else None,
-        witness_small_size=len(verdict.witness.small) if verdict.witness else None,
+        witness_big_size=verdict.witness.big.bit_count() if verdict.witness else None,
+        witness_small_size=verdict.witness.small.bit_count() if verdict.witness else None,
     )
 
 
@@ -465,12 +466,11 @@ def _witness_dict(
         "g6_h": g6_h,
         "swapped": swapped,
         "isolatable_vertex": witness.isolatable_vertex,
-        "isolating_set": list(witness.isolating_set),
-        "column_big": list(witness.column_big),
-        "column_small": list(witness.column_small),
+        "isolating_set": list(iter_bits(witness.isolating_set)),
+        "column_big": list(iter_bits(witness.column_big)),
+        "column_small": list(iter_bits(witness.column_small)),
         "sets": _render_sets(
-            {name: getattr(witness, name).mask for name in PRODUCT_SETS},
-            witness.right.n,
+            {name: getattr(witness, name) for name in PRODUCT_SETS}, witness.right.n
         ),
         "checks": checks,
         "all_checks_pass": all(checks.values()),
@@ -547,8 +547,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
     if verdict.witness is not None:
         witness_summary.update(
             swapped=verdict.witness_swapped,
-            big_size=len(verdict.witness.big),
-            small_size=len(verdict.witness.small),
+            big_size=verdict.witness.big.bit_count(),
+            small_size=verdict.witness.small.bit_count(),
         )
     _print_json(
         {
@@ -750,6 +750,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except WitnessCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except (Graph6Error, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

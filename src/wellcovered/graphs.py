@@ -1,10 +1,14 @@
 """Immutable simple-graph core: bitmask adjacency, graph6 codec, closed
-neighborhoods, connected components, the Cartesian product, and the
-automorphism orbits that prune the product searches.
+neighborhoods, the independence checks, connected components, the
+Cartesian product, and the automorphism orbits that prune the product
+searches.
 
 Every vertex set is a fixed-width bitmask tied to its host graph, so the
 independence machinery in the rest of the package runs on word-parallel
-integer operations.  All values are immutable after construction; every
+integer operations.  The checks of independence and maximal independence
+live here, beside the sets they test: every certificate check of the
+package rests on them and on nothing that searches, so a checker needs
+this module alone.  All values are immutable after construction; every
 function here is pure.
 """
 
@@ -221,7 +225,7 @@ def to_graph6(graph: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Neighborhoods, products and components
+# Neighborhoods, independence checks, products and components
 # ---------------------------------------------------------------------------
 
 
@@ -246,6 +250,34 @@ def _closed_mask(graph: Graph, mask: int) -> int:
         closed |= adj[low.bit_length() - 1]
         mask ^= low
     return closed
+
+
+def is_independent(graph: Graph, s: VertexSet) -> bool:
+    """True iff no edge joins two members of S, by the maximality test of S within S."""
+    _check_set(graph, s)
+    return _maximal_independent_within(graph, s.mask, s.mask)
+
+
+def is_maximal_independent(graph: Graph, s: VertexSet) -> bool:
+    """True iff S is independent and dominating (no vertex can be added)."""
+    _check_set(graph, s)
+    return _maximal_independent_within(graph, graph.full_mask, s.mask)
+
+
+def _maximal_independent_within(graph: Graph, allowed_mask: int, chosen_mask: int) -> bool:
+    """Maximal independence of ``chosen_mask`` inside the subgraph induced by
+    ``allowed_mask``, checked without building the subgraph."""
+    if chosen_mask & ~allowed_mask:
+        return False
+    adj, dominated, rest = graph.adj, chosen_mask, chosen_mask
+    while rest:
+        low = rest & -rest
+        row = adj[low.bit_length() - 1]
+        if row & chosen_mask:
+            return False
+        dominated |= row
+        rest ^= low
+    return allowed_mask & ~dominated == 0
 
 
 def cartesian_product(graph_left: Graph, graph_right: Graph) -> Graph:

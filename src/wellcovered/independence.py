@@ -1,5 +1,6 @@
-"""Independent-set machinery: maximal independent set enumeration,
-well-coveredness and isolatable vertices.
+"""Independent-set searches: maximal independent set enumeration,
+well-coveredness and isolatable vertices.  The checks that certify their
+results, of independence and maximal independence, live in ``graphs``.
 
 Enumeration is exponential by nature; every entry point takes an order cap
 and raises :class:`CapExceeded` before doing any work when the input is too
@@ -46,7 +47,6 @@ from .graphs import (
     CapExceeded,
     Graph,
     VertexSet,
-    _check_set,
     component_masks,
     iter_bits,
 )
@@ -86,34 +86,6 @@ class IsolatableWitness:
 def _check_cap(order: int, cap: int) -> None:
     if order > cap:
         raise CapExceeded(f"graph order {order} exceeds enumeration cap {cap}")
-
-
-def is_independent(graph: Graph, s: VertexSet) -> bool:
-    """True iff no edge joins two members of S, by the maximality test of S within S."""
-    _check_set(graph, s)
-    return _maximal_independent_within(graph, s.mask, s.mask)
-
-
-def is_maximal_independent(graph: Graph, s: VertexSet) -> bool:
-    """True iff S is independent and dominating (no vertex can be added)."""
-    _check_set(graph, s)
-    return _maximal_independent_within(graph, graph.full_mask, s.mask)
-
-
-def _maximal_independent_within(graph: Graph, allowed_mask: int, chosen_mask: int) -> bool:
-    """Maximal independence of ``chosen_mask`` inside the subgraph induced by
-    ``allowed_mask``, checked without building the subgraph."""
-    if chosen_mask & ~allowed_mask:
-        return False
-    adj, dominated, rest = graph.adj, chosen_mask, chosen_mask
-    while rest:
-        low = rest & -rest
-        row = adj[low.bit_length() - 1]
-        if row & chosen_mask:
-            return False
-        dominated |= row
-        rest ^= low
-    return allowed_mask & ~dominated == 0
 
 
 def _greedy_within(graph: Graph, allowed_mask: int, chosen_mask: int) -> int:

@@ -6,9 +6,11 @@ Two routes certify that a product is or is not well-covered:
 * a constructive witness: when one factor has an isolatable vertex and the
   other has maximal independent sets of two different sizes, the product
   has maximal independent sets of distinct cardinalities, and
-  :func:`build_product_witness` builds them on int masks, checked by direct
-  independence and domination tests, never by enumeration, as
-  :func:`witness_invariants` rechecks them from the witness alone;
+  :func:`build_product_witness` builds them as the int masks a
+  :class:`ProductWitness` holds, checked by direct independence and
+  domination tests, never by enumeration, as :func:`witness_invariants`
+  rechecks them from the witness alone; every such check is a primitive
+  of ``graphs``, and none reads ``independence``;
 * the product's report from branch-and-bound searches of its maximal
   independent sets (:func:`is_well_covered`), wrapped by :func:`verify_pair`,
   which also cross-checks the main claim: a well-covered product forces a
@@ -48,9 +50,12 @@ from .graphs import (
     Graph,
     VertexSet,
     _closed_mask,
+    _maximal_independent_within,
     _rectangle_mask,
     cartesian_product,
     compact_components,
+    is_independent,
+    is_maximal_independent,
     iter_bits,
     product_orbits,
     stabilizer_orbits,
@@ -62,41 +67,46 @@ from .independence import (
     _check_cap,
     _greedy_within,
     _isolatable,
-    _maximal_independent_within,
     _report,
-    is_independent,
-    is_maximal_independent,
     is_well_covered,
     isolatable_vertices,
 )
+
+
+class WitnessCheckError(RuntimeError):
+    """The builder's final check rejected the sets it constructed from
+    checked inputs: a fault of the construction, not of its input."""
 
 
 @dataclass(frozen=True)
 class ProductWitness:
     """Two maximal independent sets of different sizes in the product of the
     two factors it carries, a certificate :func:`witness_invariants` checks.
+    Every set is an int mask, bit v for vertex v: ``isolating_set`` of the
+    left factor, the two columns of the right factor, and the nine
+    ``PRODUCT_SETS`` of the product.
 
     The construction isolates vertex x of the left factor via
     ``isolating_set``, fills column x with either of two maximal independent
     sets of the right factor (``column_big`` larger than ``column_small``),
     and patches the leftover undominated vertices of the neighboring columns.
-    ``big`` and ``small`` are the finished sets, with
-    ``len(big) - len(small) >= len(column_big) - len(column_small)``.
+    ``big`` and ``small`` are the finished sets, whose sizes differ by at
+    least as much as those of the two columns.
     """
 
     isolatable_vertex: int
-    isolating_set: VertexSet        # in the left factor
-    column_big: VertexSet           # in the right factor
-    column_small: VertexSet         # in the right factor
-    core: VertexSet                 # product coordinates, avoids N[x] columns
-    core_big: VertexSet             # core | {x} x column_big
-    core_small: VertexSet           # core | {x} x column_small
-    gaps_big: VertexSet             # N(x) columns not dominated by core_big
-    gaps_small: VertexSet           # N(x) columns not dominated by core_small
-    patch_small: VertexSet          # maximal independent inside gaps_small
-    patch_big: VertexSet            # extends patch_small inside gaps_big
-    big: VertexSet
-    small: VertexSet
+    isolating_set: int        # in the left factor
+    column_big: int           # in the right factor
+    column_small: int         # in the right factor
+    core: int                 # product coordinates, avoids N[x] columns
+    core_big: int             # core | {x} x column_big
+    core_small: int           # core | {x} x column_small
+    gaps_big: int             # N(x) columns not dominated by core_big
+    gaps_small: int           # N(x) columns not dominated by core_small
+    patch_small: int          # maximal independent inside gaps_small
+    patch_big: int            # extends patch_small inside gaps_big
+    big: int
+    small: int
     left: Graph = field(repr=False)     # the left factor
     right: Graph = field(repr=False)    # the right factor
     product: Graph = field(repr=False)  # left □ right, the sets' host
@@ -203,7 +213,9 @@ def build_product_witness(
     ``len(column_big) > len(column_small)``.  Once these are checked, the
     construction runs on int masks; every greedy step scans candidates in
     ascending product index, and the finished sets are rechecked by direct
-    independence and domination tests, never by enumeration."""
+    independence and domination tests, never by enumeration.  A failed
+    recheck raises :class:`WitnessCheckError`.  The witness keeps the masks
+    of the inputs' sets and of the nine sets built."""
     _validate_isolatable(graph_left, iso)
     for column in (column_big, column_small):
         if not is_maximal_independent(graph_right, column):
@@ -213,7 +225,7 @@ def build_product_witness(
 
     product = cartesian_product(graph_left, graph_right)
     # The inputs are checked; from here on every set is a plain int mask.
-    x, n_right, n = iso.vertex, graph_right.n, product.n
+    x, n_right = iso.vertex, graph_right.n
     outside = _rectangle_mask(
         graph_left.full_mask & ~graph_left.closed_adj[x], graph_right.full_mask, n_right
     )
@@ -234,15 +246,15 @@ def build_product_witness(
         _maximal_independent_within(product, everything, big)
         and _maximal_independent_within(product, everything, small)
     ):
-        raise RuntimeError("constructed witness sets are not maximal independent")
+        raise WitnessCheckError("constructed witness sets are not maximal independent")
     if big.bit_count() - small.bit_count() < len(column_big) - len(column_small):
-        raise RuntimeError("constructed witness sets do not realize the size gap")
+        raise WitnessCheckError("constructed witness sets do not realize the size gap")
 
     sets = core, core_big, core_small, gaps_big, gaps_small, patch_small, patch_big, big, small
     return ProductWitness(
-        isolatable_vertex=x, isolating_set=iso.certificate, column_big=column_big,
-        column_small=column_small, left=graph_left, right=graph_right, product=product,
-        **{name: VertexSet(mask, n) for name, mask in zip(PRODUCT_SETS, sets)},
+        isolatable_vertex=x, isolating_set=iso.certificate.mask, column_big=column_big.mask,
+        column_small=column_small.mask, left=graph_left, right=graph_right, product=product,
+        **dict(zip(PRODUCT_SETS, sets)),
     )
 
 
@@ -268,23 +280,25 @@ def _orient_witness(g: FactorAnalysis, h: FactorAnalysis) -> tuple[ProductWitnes
 def witness_invariants(witness: ProductWitness) -> dict[str, bool]:
     """Recheck every structural claim of a witness against the factors and
     the product it carries, by independence and domination tests on masks
-    alone: no constructor or search runs here."""
+    alone: no constructor or search runs here, and every global name read
+    is a builtin, ``PRODUCT_SETS`` or a primitive of ``graphs``.  A product
+    whose order is not that of the factors, or a mask with a bit at or
+    above the order of its host, raises ``ValueError`` before any test."""
     graph_left, graph_right, product = witness.left, witness.right, witness.product
     n_left, n_right, x = graph_left.n, graph_right.n, witness.isolatable_vertex
-    hosts = {getattr(witness, name).n for name in PRODUCT_SETS} | {product.n}
-    factor_hosts = witness.isolating_set.n, witness.column_big.n, witness.column_small.n
-    if hosts != {n_left * n_right} or factor_hosts != (n_left, n_right, n_right):
+    sets = [getattr(witness, name) for name in PRODUCT_SETS]
+    bounds = [(witness.isolating_set, n_left), (witness.column_big, n_right),
+              (witness.column_small, n_right), *((mask, product.n) for mask in sets)]
+    if product.n != n_left * n_right or any(mask >> order for mask, order in bounds):
         raise ValueError("witness sets do not match the factors and their product")
     if not 0 <= x < n_left:
         raise ValueError(f"vertex {x} out of range")
-    everything = product.full_mask
-    core, core_big, core_small, gaps_big, gaps_small, _, _, big, small = (
-        getattr(witness, name).mask for name in PRODUCT_SETS
-    )
-    column_big, gap = witness.column_big.mask, len(witness.column_big) - len(witness.column_small)
+    everything, column_big = product.full_mask, witness.column_big
+    core, core_big, core_small, gaps_big, gaps_small, _, _, big, small = sets
+    gap = column_big.bit_count() - witness.column_small.bit_count()
     closed_block = _rectangle_mask(graph_left.closed_adj[x], graph_right.full_mask, n_right)
     neighbor_block = _rectangle_mask(graph_left.adj[x], graph_right.full_mask, n_right)
-    seed = _rectangle_mask(witness.isolating_set.mask, column_big, n_right)
+    seed = _rectangle_mask(witness.isolating_set, column_big, n_right)
 
     return {
         "core_contains_seed": seed & ~core == 0,

@@ -25,7 +25,7 @@ from wellcovered import (
     is_well_covered,
     isolatable_vertices,
 )
-from wellcovered.graphs import _check_set, _rectangle_mask, iter_bits
+from wellcovered.graphs import _check_set, _maximal_independent_within, _rectangle_mask, iter_bits
 
 DEFAULT_DECOMPOSITION_CAP = 10
 
@@ -152,7 +152,7 @@ def is_greedy_decomposition(graph: Graph, decomposition: GreedyDecomposition) ->
     for block in decomposition.blocks:
         if block.n != graph.n:
             return False
-        if not independence._maximal_independent_within(graph, remaining, block.mask):
+        if not _maximal_independent_within(graph, remaining, block.mask):
             return False
         remaining &= ~block.mask
     return remaining == 0

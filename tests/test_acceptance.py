@@ -157,19 +157,19 @@ def test_criterion_4_constructive_witness_suite():
                 continue
             applicable += 1
             product = cartesian_product(g, h)
-            assert is_maximal_independent(product, witness.big)
-            assert is_maximal_independent(product, witness.small)
-            assert len(witness.big) > len(witness.small)
-            assert witness.gaps_small.mask & ~witness.gaps_big.mask == 0
+            assert is_maximal_independent(product, VertexSet(witness.big, product.n))
+            assert is_maximal_independent(product, VertexSet(witness.small, product.n))
+            assert witness.big.bit_count() > witness.small.bit_count()
+            assert witness.gaps_small & ~witness.gaps_big == 0
 
     c6 = cycle_graph(6)
     started = time.perf_counter()
     witness = fixed_orientation_witness(c6, c6)
     product = cartesian_product(c6, c6)
     spot_ok = (
-        is_maximal_independent(product, witness.big)
-        and is_maximal_independent(product, witness.small)
-        and len(witness.big) > len(witness.small)
+        is_maximal_independent(product, VertexSet(witness.big, product.n))
+        and is_maximal_independent(product, VertexSet(witness.small, product.n))
+        and witness.big.bit_count() > witness.small.bit_count()
     )
     spot_elapsed = time.perf_counter() - started
 
@@ -178,7 +178,7 @@ def test_criterion_4_constructive_witness_suite():
         4,
         ok,
         f"{applicable} applicable oriented pairs, C6 square witness "
-        f"{len(witness.big)}>{len(witness.small)} in {spot_elapsed:.3f}s (< 1s)",
+        f"{witness.big.bit_count()}>{witness.small.bit_count()} in {spot_elapsed:.3f}s (< 1s)",
     )
     assert applicable > 0
     assert spot_ok

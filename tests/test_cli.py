@@ -256,6 +256,20 @@ def test_witness_exits_one_when_a_check_fails(capsys, monkeypatch):
     assert doc["sets"]["big"]["size"] == 5
 
 
+@pytest.mark.parametrize(
+    "argv", [["witness", "Bg", "Bg"], ["product", "Bg", "Bg"], ["scan", "--gen-up-to", "3"]]
+)
+def test_a_failed_builder_check_exits_one_with_one_error_line(capsys, monkeypatch, argv):
+    """A greedy step that adds nothing leaves the built sets undominated, so
+    the builder's own final check fails: no report and no traceback."""
+    monkeypatch.setattr(
+        theorem, "_greedy_within", lambda graph, allowed_mask, chosen_mask: chosen_mask
+    )
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert "error: constructed witness sets are not maximal independent" in err.splitlines()
+
+
 def count_calls(monkeypatch, name):
     """Count calls of ``name`` through every module attribute that can reach it."""
     calls = []

@@ -1,8 +1,11 @@
+import builtins
+import dis
 import json
 import pickle
 import random
 from dataclasses import fields, replace
 from time import perf_counter
+from types import CodeType, FunctionType
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +28,8 @@ from wellcovered import (
     verify_pair,
     witness_invariants,
 )
-from wellcovered import independence, theorem
-from wellcovered.graphs import component_masks
+from wellcovered import graphs, independence, theorem
+from wellcovered.graphs import component_masks, iter_bits
 
 from paper_lemmas import (
     check_disjoint_mis,
@@ -48,7 +51,7 @@ from test_render import GOLDEN_PATH
 
 
 def decoded(witness, s):
-    return sorted(divmod(p, witness.column_big.n) for p in s)
+    return sorted(divmod(p, witness.right.n) for p in iter_bits(s))
 
 
 def verify(g, h, cap=36, reports=None):
@@ -140,11 +143,11 @@ def test_witness_p3_square_worked_example():
         p3, iso, p3, VertexSet.of(3, [0, 2]), VertexSet.of(3, [1])
     )
     assert decoded(witness, witness.core) == [(0, 0), (0, 2)]
-    assert len(witness.core_big) == 4
-    assert len(witness.core_small) == 3
+    assert witness.core_big.bit_count() == 4
+    assert witness.core_small.bit_count() == 3
     assert decoded(witness, witness.gaps_big) == [(1, 1)]
-    assert len(witness.gaps_small) == 0
-    assert len(witness.patch_small) == 0
+    assert witness.gaps_small == 0
+    assert witness.patch_small == 0
     assert decoded(witness, witness.patch_big) == [(1, 1)]
     assert decoded(witness, witness.big) == [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]
     assert decoded(witness, witness.small) == [(0, 0), (0, 2), (2, 1)]
@@ -152,8 +155,8 @@ def test_witness_p3_square_worked_example():
     # maximality confirmed against the subset oracle on the 9-vertex grid
     grid = cartesian_product(p3, p3)
     oracle = brute_maximal_independent_sets(grid.n, grid.edges())
-    assert frozenset(witness.big) in oracle
-    assert frozenset(witness.small) in oracle
+    assert frozenset(iter_bits(witness.big)) in oracle
+    assert frozenset(iter_bits(witness.small)) in oracle
 
 
 def test_witness_k1_left_factor_degenerates():
@@ -163,8 +166,8 @@ def test_witness_k1_left_factor_degenerates():
     witness = build_product_witness(
         k1, iso, p3, VertexSet.of(3, [0, 2]), VertexSet.of(3, [1])
     )
-    assert len(witness.gaps_big) == 0 and len(witness.gaps_small) == 0
-    assert len(witness.big) == 2 and len(witness.small) == 1
+    assert witness.gaps_big == 0 and witness.gaps_small == 0
+    assert witness.big.bit_count() == 2 and witness.small.bit_count() == 1
     assert all(witness_invariants(witness).values())
 
 
@@ -174,7 +177,7 @@ def test_witness_c6_square_at_scale():
     witness = build_product_witness(
         c6, iso, c6, VertexSet.of(6, [0, 2, 4]), VertexSet.of(6, [0, 3])
     )
-    assert len(witness.big) > len(witness.small)
+    assert witness.big.bit_count() > witness.small.bit_count()
     assert all(witness_invariants(witness).values())
 
 
@@ -209,13 +212,16 @@ def test_witness_precondition_errors():
 
 
 def _matches_the_reference(left, right, witness):
-    """The mask kernel's product sets equal those of the VertexSet
+    """The mask kernel's product sets equal the masks of the VertexSet
     reference construction, set by set."""
     expected = reference_product_witness(
-        witness.product, left, witness.isolatable_vertex, witness.isolating_set,
-        witness.column_big, witness.column_small,
+        witness.product, left, witness.isolatable_vertex,
+        VertexSet(witness.isolating_set, left.n),
+        VertexSet(witness.column_big, right.n), VertexSet(witness.column_small, right.n),
     )
-    return {name: getattr(witness, name) for name in theorem.PRODUCT_SETS} == expected
+    return {name: getattr(witness, name) for name in theorem.PRODUCT_SETS} == {
+        name: s.mask for name, s in expected.items()
+    }
 
 
 def test_mask_witness_matches_the_vertex_set_reference_on_random_pairs():
@@ -252,6 +258,13 @@ def test_witness_invariants_reject_a_witness_of_other_factors():
         witness_invariants(replace(witness, right=path_graph(4)))
     with pytest.raises(ValueError, match="do not match the factors"):
         witness_invariants(replace(witness, product=cartesian_product(p3, path_graph(4))))
+    for out_of_range in (
+        replace(witness, core_big=witness.core_big | 1 << witness.product.n),
+        replace(witness, isolating_set=1 << witness.left.n),
+        replace(witness, column_small=1 << witness.right.n),
+    ):
+        with pytest.raises(ValueError, match="do not match the factors"):
+            witness_invariants(out_of_range)
     for vertex in (-3, 3):  # -3 would read vertex 0's rows
         with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
             witness_invariants(replace(witness, isolatable_vertex=vertex))
@@ -304,6 +317,34 @@ def test_certificate_checks_reach_no_constructor_or_search(monkeypatch):
             theorem._validate_isolatable(p3, iso)
 
 
+def _global_loads(code):
+    """The global names ``code`` and every code object nested in it look up."""
+    names = {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            names |= _global_loads(const)
+    return names
+
+
+def test_certificate_checks_look_up_only_builtins_and_graphs_primitives():
+    """The trusted base by structure: every global name the certificate
+    checks look up is a builtin, ``PRODUCT_SETS`` or a function defined in
+    ``wellcovered.graphs``, so a checker can import ``graphs`` alone."""
+    for check in (theorem.witness_invariants, theorem._validate_isolatable):
+        for name in _global_loads(check.__code__):
+            if name == "PRODUCT_SETS":
+                continue
+            if name not in vars(theorem):
+                assert hasattr(builtins, name), (check.__name__, name)
+                continue
+            value = vars(theorem)[name]
+            assert isinstance(value, FunctionType), (check.__name__, name)
+            assert value.__module__ == "wellcovered.graphs", (check.__name__, name)
+    for check in (is_independent, is_maximal_independent, graphs._maximal_independent_within):
+        assert check.__module__ == "wellcovered.graphs"
+    assert not hasattr(independence, "_maximal_independent_within")
+
+
 def test_witness_core_size_gap_matches_columns():
     corpus = [g for n in range(1, 5) for g in generate_all_graphs(n)]
     seen = 0
@@ -313,10 +354,10 @@ def test_witness_core_size_gap_matches_columns():
             if witness is None:
                 continue
             seen += 1
-            gap = len(witness.column_big) - len(witness.column_small)
-            assert len(witness.core_big) - len(witness.core_small) == gap
-            assert len(witness.big) - len(witness.small) >= gap
-            assert witness.gaps_small.mask & ~witness.gaps_big.mask == 0
+            gap = witness.column_big.bit_count() - witness.column_small.bit_count()
+            assert witness.core_big.bit_count() - witness.core_small.bit_count() == gap
+            assert witness.big.bit_count() - witness.small.bit_count() >= gap
+            assert witness.gaps_small & ~witness.gaps_big == 0
             checks = witness_invariants(witness)
             assert all(checks.values()), checks
     assert seen > 50  # the corpus provides plenty of applicable pairs
@@ -404,7 +445,7 @@ def test_verify_pair_p3_square():
     assert verdict.product_report.min_maximal == 3
     assert verdict.theorem_consistent
     assert verdict.witness is not None and not verdict.witness_swapped
-    assert len(verdict.witness.big) == 5 and len(verdict.witness.small) == 3
+    assert verdict.witness.big.bit_count() == 5 and verdict.witness.small.bit_count() == 3
 
 
 def test_verify_pair_k2_square():
