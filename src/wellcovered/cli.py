@@ -10,11 +10,11 @@ Subcommands:
 
 Graphs are read as graph6 lines from arguments, files (--corpus), or
 standard input (one per line).  Reports are JSON (scan also supports CSV).
-Every indented JSON report goes through ``_render_json``, which writes the
-same bytes as ``json.dumps`` with a two-space indent and sorted keys; scan
-records and the product sets of a witness report reach it as text already
-rendered from their fields and masks.  ``analyze -`` writes compact one-line
-records with ``json.dumps``.
+Every indented JSON report is ``json.dumps`` with a two-space indent and
+sorted keys.  Two parts are spliced in as text already rendered for their
+place: each scan record, from its fields, and the nine product sets of a
+witness report, from their masks; each is tested against ``json.dumps``.
+``analyze -`` writes compact one-line records with ``json.dumps``.
 
 Exit codes: 0 success/consistent, 1 scan found a consistency violation or
 a witness check failed, 2 input error, 3 resource cap exceeded, 4 witness
@@ -273,57 +273,27 @@ def scan(config: ScanConfig) -> ScanResult:
 
 
 class _Rendered(str):
-    """JSON text already rendered for the place it is inserted at."""
+    """JSON text of a top-level report value, already rendered for its place:
+    ``json.dumps(value, indent=2, sort_keys=True)`` indented one level."""
 
 
 _INDENT = "  "
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-    _Rendered: str,
-}
 
 
-def _render_json(value, newline: str = "\n") -> str:
-    """``json.dumps`` with a two-space indent and sorted keys, byte for byte,
-    for the types the reports hold: dicts with ``str`` keys, lists, tuples,
-    ``str``, ``int``, ``bool`` and ``None``; a ``_Rendered`` text is written
-    as it is.  Any other type raises ``TypeError``.
+def _render_json(document: dict) -> str:
+    """``json.dumps(document, indent=2, sort_keys=True)``, with each
+    top-level ``_Rendered`` value written as it is.
 
-    ``json.dumps`` never uses its C encoder when it indents, so this renders
-    a list of ints with one join and scalar dict values without a recursive
-    call.
-    ``newline`` is a line break plus the indentation of the line ``value``
-    starts on."""
-    kind = type(value)
-    scalar = _SCALARS.get(kind)
-    if scalar is not None:
-        return scalar(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + _INDENT
-        items = []
-        for key in sorted(value):
-            if type(key) is not str:
-                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            item = value[key]
-            scalar = _SCALARS.get(type(item))
-            text = scalar(item) if scalar is not None else _render_json(item, inner)
-            items.append(f"{encode_basestring_ascii(key)}: {text}")
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = newline + _INDENT
-        if set(map(type, value)) == {int}:
-            items = map(int.__repr__, value)
-        else:
-            items = [_render_json(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise TypeError(f"cannot render {kind.__name__} as JSON")
+    Each such value is dumped as ``null``, then its key's line,
+    ``"\\n  " + key + ": null"``, is replaced once.  That line is the only
+    match: only top-level keys start a line indented by exactly two spaces,
+    and a JSON string never holds a raw line break."""
+    spliced = {key: value for key, value in document.items() if type(value) is _Rendered}
+    text = json.dumps({**document, **dict.fromkeys(spliced)}, indent=2, sort_keys=True)
+    for key, value in spliced.items():
+        line = "\n" + _INDENT + encode_basestring_ascii(key) + ": "
+        text = text.replace(line + "null", line + value, 1)
+    return text
 
 
 def _report_dict(report: WellCoveredReport) -> dict:
@@ -347,20 +317,31 @@ CSV_COLUMNS = list(ScanRecord._fields)
 
 # One record of the scan document's "records" list, whose fields start
 # three indents deep, as one template over the sorted field names.
-_RECORD_NEWLINE = "\n" + 3 * _INDENT
-_RECORD_TEMPLATE = "{" + _RECORD_NEWLINE + ("," + _RECORD_NEWLINE).join(
+_RECORD_BREAK = "\n" + 2 * _INDENT
+_FIELD_BREAK = _RECORD_BREAK + _INDENT
+_ITEM_SEP = "," + _FIELD_BREAK + _INDENT
+_RECORD_TEMPLATE = "{" + _FIELD_BREAK + ("," + _FIELD_BREAK).join(
     encode_basestring_ascii(name) + ": %s" for name in sorted(CSV_COLUMNS)
-) + "\n" + 2 * _INDENT + "}"
+) + _RECORD_BREAK + "}"
+_INT_LIST_TEMPLATE = "[" + _FIELD_BREAK + _INDENT + "%s" + _FIELD_BREAK + "]"
 _record_values = attrgetter(*sorted(CSV_COLUMNS))
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
 
 
-def _render_record(rec: ScanRecord) -> _Rendered:
-    """``_render_json`` of ``rec._asdict()`` in that list, by one ``%``."""
-    return _Rendered(_RECORD_TEMPLATE % tuple([
-        scalar(value) if (scalar := _SCALARS.get(type(value)))
-        else _render_json(value, _RECORD_NEWLINE)
+def _render_record(rec: ScanRecord) -> str:
+    """``json.dumps`` of ``rec._asdict()`` in that list, by one ``%``.  The
+    two isolatable vertex tuples are the only fields that are not scalars."""
+    return _RECORD_TEMPLATE % tuple([
+        _SCALARS[type(value)](value) if type(value) is not tuple
+        else _INT_LIST_TEMPLATE % _ITEM_SEP.join(map(str, value)) if value
+        else "[]"
         for value in _record_values(rec)
-    ]))
+    ])
 
 
 def _csv_cell(value) -> str:
@@ -382,6 +363,7 @@ def render_scan_csv(result: ScanResult, out: TextIO) -> None:
 
 def render_scan_json(result: ScanResult) -> str:
     config = result.config
+    records = [_render_record(rec) for rec in result.records]
     # Execution details (parallelism) are deliberately not
     # echoed: identical scan inputs give byte-identical reports.
     document = {
@@ -393,7 +375,10 @@ def render_scan_json(result: ScanResult) -> str:
             "connected_only": config.connected_only,
             "enum_cap": config.enum_cap,
         },
-        "records": [_render_record(rec) for rec in result.records],
+        "records": _Rendered(
+            "[" + _RECORD_BREAK + ("," + _RECORD_BREAK).join(records) + "\n" + _INDENT + "]"
+            if records else "[]"
+        ),
         "summary": {
             "pairs": len(result.records),
             "cells": result.cells,
@@ -417,7 +402,7 @@ _SET_BREAKS = ["\n" + depth * _INDENT for depth in range(1, 6)]
 
 
 def _render_sets(masks: dict[str, int], n_right: int) -> _Rendered:
-    """``_render_json`` of the witness report's ``"sets"`` dict, which maps
+    """``json.dumps`` text of the witness report's ``"sets"`` dict, which maps
     each name to ``{"size", "indices", "pairs"}`` of the product vertices in
     its mask, ``pairs`` holding each vertex p as ``divmod(p, n_right)`` (see
     cartesian_product).  The text is joined row by row: a product row g
@@ -729,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=_cmd_scan)
 
     p_gen = sub.add_parser("gen", help="emit canonical graph6 lines for one order")
-    p_gen.add_argument("n", type=int)
+    p_gen.add_argument("n", type=_int_flag(1, GENERATION_CAP,
+                                           f"an integer between 1 and {GENERATION_CAP}"))
     p_gen.set_defaults(func=_cmd_gen)
 
     return parser

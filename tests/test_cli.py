@@ -62,10 +62,12 @@ def test_gen_order_four_count(capsys):
 
 
 def test_gen_out_of_range(capsys):
-    for n in ("0", "9"):
+    for n in ("0", "9", "-1"):
         code, out, err = run_cli(capsys, ["gen", n])
         assert code == 2 and out == ""
-        assert err == "error: generation order must be between 1 and 8\n"
+        assert err.endswith(
+            f"error: argument n: must be an integer between 1 and 8, got '{n}'\n"
+        )
 
 
 # --- analyze ---------------------------------------------------------------------
