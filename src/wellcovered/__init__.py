@@ -14,9 +14,7 @@ from .graphs import (
     CapExceeded,
     Graph,
     Graph6Error,
-    VertexSet,
     cartesian_product,
-    closed_neighborhood,
     from_graph6,
     is_connected,
     is_independent,
@@ -55,11 +53,9 @@ __all__ = [
     "IsolatableWitness",
     "PairVerdict",
     "ProductWitness",
-    "VertexSet",
     "WellCoveredReport",
     "build_product_witness",
     "cartesian_product",
-    "closed_neighborhood",
     "enumerate_maximal_independent_sets",
     "from_graph6",
     "generate_all_graphs",

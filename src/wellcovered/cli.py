@@ -301,14 +301,14 @@ def _report_dict(report: WellCoveredReport) -> dict:
         "well_covered": report.verdict,
         "alpha": report.alpha,
         "min_maximal": report.min_maximal,
-        "witness_max": list(report.witness_max),
-        "witness_min": list(report.witness_min),
+        "witness_max": list(iter_bits(report.witness_max)),
+        "witness_min": list(iter_bits(report.witness_min)),
     }
 
 
 def _isolatable_list(witnesses: Iterable[IsolatableWitness]) -> list[dict]:
     return [
-        {"vertex": w.vertex, "certificate": list(w.certificate)} for w in witnesses
+        {"vertex": w.vertex, "certificate": list(iter_bits(w.certificate))} for w in witnesses
     ]
 
 

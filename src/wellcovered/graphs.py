@@ -1,11 +1,12 @@
-"""Immutable simple-graph core: bitmask adjacency, graph6 codec, closed
-neighborhoods, the independence checks, connected components, the
-Cartesian product, and the automorphism orbits that prune the product
-searches.
+"""Immutable simple-graph core: bitmask adjacency, graph6 codec, the
+independence checks, connected components, the Cartesian product, and the
+automorphism orbits that prune the product searches.
 
-Every vertex set is a fixed-width bitmask tied to its host graph, so the
+Every vertex set is a plain int mask, bit v for vertex v, so the
 independence machinery in the rest of the package runs on word-parallel
-integer operations.  The checks of independence and maximal independence
+integer operations.  A mask does not record its host: the public checks
+reject a negative mask or one with a bit at or above the graph's order,
+and nothing else.  The checks of independence and maximal independence
 live here, beside the sets they test: every certificate check of the
 package rests on them and on nothing that searches, so a checker needs
 this module alone.  All values are immutable after construction; every
@@ -36,40 +37,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """Subset of the vertices 0..n-1 of one host graph, stored as a bitmask."""
-
-    mask: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("host order must be nonnegative")
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError(
-                f"vertex set {bin(self.mask)} out of range for host of order {self.n}"
-            )
-
-    @classmethod
-    def of(cls, n: int, vertices: Iterable[int] = ()) -> "VertexSet":
-        mask = 0
-        for v in vertices:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range for host of order {n}")
-            mask |= 1 << v
-        return cls(mask, n)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __repr__(self) -> str:
-        return f"VertexSet({{{', '.join(map(str, self))}}}, n={self.n})"
 
 
 @dataclass(frozen=True)
@@ -229,17 +196,9 @@ def to_graph6(graph: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_set(graph: Graph, s: VertexSet) -> None:
-    if s.n != graph.n:
-        raise ValueError(
-            f"vertex set of host order {s.n} does not match graph of order {graph.n}"
-        )
-
-
-def closed_neighborhood(graph: Graph, s: VertexSet) -> VertexSet:
-    """N[S]: S together with every vertex adjacent to S."""
-    _check_set(graph, s)
-    return VertexSet(_closed_mask(graph, s.mask), graph.n)
+def _check_mask(graph: Graph, mask: int) -> None:
+    if mask < 0 or mask >> graph.n:
+        raise ValueError(f"vertex set {bin(mask)} out of range for graph of order {graph.n}")
 
 
 def _closed_mask(graph: Graph, mask: int) -> int:
@@ -252,16 +211,18 @@ def _closed_mask(graph: Graph, mask: int) -> int:
     return closed
 
 
-def is_independent(graph: Graph, s: VertexSet) -> bool:
-    """True iff no edge joins two members of S, by the maximality test of S within S."""
-    _check_set(graph, s)
-    return _maximal_independent_within(graph, s.mask, s.mask)
+def is_independent(graph: Graph, mask: int) -> bool:
+    """True iff no edge joins two members of the vertex mask, by the
+    maximality test of the set within itself."""
+    _check_mask(graph, mask)
+    return _maximal_independent_within(graph, mask, mask)
 
 
-def is_maximal_independent(graph: Graph, s: VertexSet) -> bool:
-    """True iff S is independent and dominating (no vertex can be added)."""
-    _check_set(graph, s)
-    return _maximal_independent_within(graph, graph.full_mask, s.mask)
+def is_maximal_independent(graph: Graph, mask: int) -> bool:
+    """True iff the vertex mask is independent and dominating (no vertex
+    can be added)."""
+    _check_mask(graph, mask)
+    return _maximal_independent_within(graph, graph.full_mask, mask)
 
 
 def _maximal_independent_within(graph: Graph, allowed_mask: int, chosen_mask: int) -> bool:

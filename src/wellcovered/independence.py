@@ -4,8 +4,9 @@ results, of independence and maximal independence, live in ``graphs``.
 
 Enumeration is exponential by nature; every entry point takes an order cap
 and raises :class:`CapExceeded` before doing any work when the input is too
-large.  All outputs are deterministic: maximal independent sets come in
-lexicographic order of their ascending vertex sequences.
+large.  Every set an entry point returns is an int mask, bit v for vertex
+v, as in ``graphs``.  All outputs are deterministic: maximal independent
+sets come in lexicographic order of their ascending vertex sequences.
 
 Everything runs on depth-first loops in that order.  The walk,
 :func:`_walk`, hands each maximal independent set of an induced subgraph
@@ -46,7 +47,6 @@ from typing import Callable, Iterator, Sequence
 from .graphs import (
     CapExceeded,
     Graph,
-    VertexSet,
     component_masks,
     iter_bits,
 )
@@ -60,18 +60,28 @@ Orbits = Sequence["tuple[int, ...] | None"]
 
 @dataclass(frozen=True)
 class WellCoveredReport:
-    """Outcome of the well-covered decision with certifying sets.
-
-    ``verdict`` is true iff every maximal independent set has the same size,
-    in which case ``alpha == min_maximal``.  The witnesses are the first sets
-    in enumeration order attaining the extreme sizes.
+    """Outcome of the well-covered decision, held as its two certifying
+    sets: the masks of the first sets in enumeration order attaining the
+    largest and the smallest size of a maximal independent set.  The sizes
+    and the verdict are read off the two masks, so a report cannot disagree
+    with its own sets.
     """
 
-    verdict: bool
-    alpha: int
-    min_maximal: int
-    witness_max: VertexSet
-    witness_min: VertexSet
+    witness_max: int
+    witness_min: int
+
+    @property
+    def alpha(self) -> int:
+        return self.witness_max.bit_count()
+
+    @property
+    def min_maximal(self) -> int:
+        return self.witness_min.bit_count()
+
+    @property
+    def verdict(self) -> bool:
+        """True iff every maximal independent set has the same size."""
+        return self.alpha == self.min_maximal
 
 
 @dataclass(frozen=True)
@@ -80,7 +90,7 @@ class IsolatableWitness:
     leaves exactly {x}."""
 
     vertex: int
-    certificate: VertexSet
+    certificate: int
 
 
 def _check_cap(order: int, cap: int) -> None:
@@ -104,8 +114,8 @@ def _greedy_within(graph: Graph, allowed_mask: int, chosen_mask: int) -> int:
 
 def enumerate_maximal_independent_sets(
     graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[VertexSet]:
-    """Every maximal independent set exactly once.
+) -> Iterator[int]:
+    """The mask of every maximal independent set exactly once.
 
     Emission order is lexicographic on the ascending vertex sequence, so the
     first emitted set is the greedy one.  The cap is checked first; then the
@@ -115,7 +125,7 @@ def enumerate_maximal_independent_sets(
     _check_cap(graph.n, cap)
     masks: list[int] = []
     _walk(graph, masks.append)
-    return (VertexSet(mask, graph.n) for mask in masks)
+    return iter(masks)
 
 
 def _walk(
@@ -302,18 +312,6 @@ def _smallest(graph: Graph, universe: int, orbits: Orbits | None = None) -> int:
     return best
 
 
-def _report(order: int, big: int, small: int) -> WellCoveredReport:
-    """The report certified by a largest and a smallest maximal set of a
-    graph of the given order."""
-    return WellCoveredReport(
-        verdict=big.bit_count() == small.bit_count(),
-        alpha=big.bit_count(),
-        min_maximal=small.bit_count(),
-        witness_max=VertexSet(big, order),
-        witness_min=VertexSet(small, order),
-    )
-
-
 def _isolating_set(graph: Graph, x: int) -> int | None:
     """Mask of the lexicographically first maximal independent set of
     G - N[x] that dominates N(x), or None when there is none, that is, when
@@ -417,7 +415,7 @@ def is_well_covered(
     for part in component_masks(graph):
         big |= _largest(graph, part, orbits)
         small |= _smallest(graph, part, orbits)
-    return _report(graph.n, big, small)
+    return WellCoveredReport(big, small)
 
 
 def isolatable_vertices(
@@ -441,4 +439,4 @@ def _isolatable(graph: Graph) -> Iterator[IsolatableWitness]:
     for x in range(graph.n):
         certificate = _isolating_set(graph, x)
         if certificate is not None:
-            yield IsolatableWitness(x, VertexSet(certificate, graph.n))
+            yield IsolatableWitness(x, certificate)

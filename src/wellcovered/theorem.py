@@ -6,11 +6,12 @@ Two routes certify that a product is or is not well-covered:
 * a constructive witness: when one factor has an isolatable vertex and the
   other has maximal independent sets of two different sizes, the product
   has maximal independent sets of distinct cardinalities, and
-  :func:`build_product_witness` builds them as the int masks a
-  :class:`ProductWitness` holds, checked by direct independence and
-  domination tests, never by enumeration, as :func:`witness_invariants`
-  rechecks them from the witness alone; every such check is a primitive
-  of ``graphs``, and none reads ``independence``;
+  :func:`build_product_witness` builds them from the factors' sets as the
+  int masks a :class:`ProductWitness` holds (every vertex set of the
+  package is an int mask), checked by direct independence and domination
+  tests, never by enumeration, as :func:`witness_invariants` rechecks them
+  from the witness alone; every such check is a primitive of ``graphs``,
+  and none reads ``independence``;
 * the product's report from branch-and-bound searches of its maximal
   independent sets (:func:`is_well_covered`), wrapped by :func:`verify_pair`,
   which also cross-checks the main claim: a well-covered product forces a
@@ -48,7 +49,6 @@ from functools import cached_property
 
 from .graphs import (
     Graph,
-    VertexSet,
     _closed_mask,
     _maximal_independent_within,
     _rectangle_mask,
@@ -67,7 +67,6 @@ from .independence import (
     _check_cap,
     _greedy_within,
     _isolatable,
-    _report,
     is_well_covered,
     isolatable_vertices,
 )
@@ -190,7 +189,7 @@ def _validate_isolatable(graph: Graph, iso: IsolatableWitness) -> None:
         raise ValueError(f"vertex {iso.vertex} out of range")
     if not is_independent(graph, iso.certificate):
         raise ValueError("set is not independent")
-    kept = graph.full_mask & ~_closed_mask(graph, iso.certificate.mask)
+    kept = graph.full_mask & ~_closed_mask(graph, iso.certificate)
     if kept != 1 << iso.vertex:
         raise ValueError(
             "certificate does not isolate the claimed vertex: deletion leaves "
@@ -202,39 +201,38 @@ def build_product_witness(
     graph_left: Graph,
     iso: IsolatableWitness,
     graph_right: Graph,
-    column_big: VertexSet,
-    column_small: VertexSet,
+    column_big: int,
+    column_small: int,
 ) -> ProductWitness:
     """Construct maximal independent sets of distinct sizes in the product
     ``graph_left`` □ ``graph_right``, which is built here.
 
     Requires an isolatable vertex of the left factor (with its certificate)
-    and two maximal independent sets of the right factor with
-    ``len(column_big) > len(column_small)``.  Once these are checked, the
-    construction runs on int masks; every greedy step scans candidates in
-    ascending product index, and the finished sets are rechecked by direct
-    independence and domination tests, never by enumeration.  A failed
-    recheck raises :class:`WitnessCheckError`.  The witness keeps the masks
-    of the inputs' sets and of the nine sets built."""
+    and the masks of two maximal independent sets of the right factor,
+    ``column_big`` the larger.  Once these are checked, every greedy step
+    scans candidates in ascending product index, and the finished sets are
+    rechecked by direct independence and domination tests, never by
+    enumeration.  A failed recheck raises :class:`WitnessCheckError`.  The
+    witness keeps the inputs' masks and the nine masks built."""
     _validate_isolatable(graph_left, iso)
     for column in (column_big, column_small):
         if not is_maximal_independent(graph_right, column):
             raise ValueError("column set is not maximal independent in the right factor")
-    if len(column_big) <= len(column_small):
+    gap = column_big.bit_count() - column_small.bit_count()
+    if gap <= 0:
         raise ValueError("column sets must have strictly decreasing sizes")
 
     product = cartesian_product(graph_left, graph_right)
-    # The inputs are checked; from here on every set is a plain int mask.
     x, n_right = iso.vertex, graph_right.n
     outside = _rectangle_mask(
         graph_left.full_mask & ~graph_left.closed_adj[x], graph_right.full_mask, n_right
     )
     neighbor_block = _rectangle_mask(graph_left.adj[x], graph_right.full_mask, n_right)
     core = _greedy_within(
-        product, outside, _rectangle_mask(iso.certificate.mask, column_big.mask, n_right)
+        product, outside, _rectangle_mask(iso.certificate, column_big, n_right)
     )
-    core_big = core | column_big.mask << x * n_right
-    core_small = core | column_small.mask << x * n_right
+    core_big = core | column_big << x * n_right
+    core_small = core | column_small << x * n_right
     gaps_big = neighbor_block & ~_closed_mask(product, core_big)
     gaps_small = neighbor_block & ~_closed_mask(product, core_small)
     patch_small = _greedy_within(product, gaps_small, 0)
@@ -247,13 +245,13 @@ def build_product_witness(
         and _maximal_independent_within(product, everything, small)
     ):
         raise WitnessCheckError("constructed witness sets are not maximal independent")
-    if big.bit_count() - small.bit_count() < len(column_big) - len(column_small):
+    if big.bit_count() - small.bit_count() < gap:
         raise WitnessCheckError("constructed witness sets do not realize the size gap")
 
     sets = core, core_big, core_small, gaps_big, gaps_small, patch_small, patch_big, big, small
     return ProductWitness(
-        isolatable_vertex=x, isolating_set=iso.certificate.mask, column_big=column_big.mask,
-        column_small=column_small.mask, left=graph_left, right=graph_right, product=product,
+        isolatable_vertex=x, isolating_set=iso.certificate, column_big=column_big,
+        column_small=column_small, left=graph_left, right=graph_right, product=product,
         **dict(zip(PRODUCT_SETS, sets)),
     )
 
@@ -345,13 +343,13 @@ def _product_report(g: FactorAnalysis, h: FactorAnalysis, reports: dict) -> Well
     for g_vertices, h_vertices, report in parts:
         # Component vertex a * |Hj| + b is (g_vertices[a], h_vertices[b]).
         width = len(h_vertices)
-        for p in iter_bits(report.witness_max.mask):
+        for p in iter_bits(report.witness_max):
             a, b = divmod(p, width)
             big |= 1 << g_vertices[a] * n_right + h_vertices[b]
-        for p in iter_bits(report.witness_min.mask):
+        for p in iter_bits(report.witness_min):
             a, b = divmod(p, width)
             small |= 1 << g_vertices[a] * n_right + h_vertices[b]
-    return _report(g.graph.n * n_right, big, small)
+    return WellCoveredReport(big, small)
 
 
 def verify_pair(

@@ -24,7 +24,6 @@ from wellcovered import (
     FactorAnalysis,
     Graph,
     ProductWitness,
-    VertexSet,
     WellCoveredReport,
     build_product_witness,
     enumerate_maximal_independent_sets,
@@ -230,32 +229,30 @@ def atlas_graphs(min_n: int = 1, max_n: int = 7) -> list[tuple[int, list[tuple[i
     return [(n, list(edges)) for n, edges in _atlas() if min_n <= n <= max_n]
 
 
+def mask_of(vertices) -> int:
+    """The int mask of a collection of vertices, bit v for vertex v."""
+    return sum(1 << v for v in set(vertices))
+
+
 def full_walk_report(graph: Graph, cap: int = 36) -> WellCoveredReport:
     """The well-covered report read off every maximal independent set: the
     first sets in enumeration order of the largest and the smallest size."""
     sets = list(enumerate_maximal_independent_sets(graph, cap))
-    big, small = max(sets, key=len), min(sets, key=len)
-    return WellCoveredReport(
-        verdict=len(big) == len(small),
-        alpha=len(big),
-        min_maximal=len(small),
-        witness_max=big,
-        witness_min=small,
-    )
+    return WellCoveredReport(max(sets, key=int.bit_count), min(sets, key=int.bit_count))
 
 
 def reference_product_witness(
-    product: Graph, graph_left: Graph, x: int, isolating_set: VertexSet,
-    column_big: VertexSet, column_small: VertexSet,
-) -> dict[str, VertexSet]:
-    """The product sets of the constructive witness, by name, built with
-    Python set arithmetic one vertex at a time: the core extends the
+    product: Graph, graph_left: Graph, x: int, isolating_set: list[int],
+    column_big: list[int], column_small: list[int], n_right: int,
+) -> dict[str, int]:
+    """The masks of the product sets of the constructive witness, by name,
+    built with Python set arithmetic one vertex at a time from the vertex
+    lists of its inputs, with ``n_right`` columns: the core extends the
     rectangle of the isolating set and the big column greedily, in ascending
     product index, over the rows outside N[x]; column x takes either column;
     the gaps are the rows of N(x) that the core and column leave undominated,
     patched greedily, small first and then extended to big.  The inputs are
     taken as valid."""
-    n, n_right = product.n, column_big.n
 
     def neighbors(graph: Graph, v: int) -> set[int]:
         return {u for u in range(graph.n) if graph.adj[v] >> u & 1}
@@ -290,7 +287,7 @@ def reference_product_witness(
         "patch_small": patch_small, "patch_big": patch_big,
         "big": core_big | patch_big, "small": core_small | patch_small,
     }
-    return {name: VertexSet.of(n, members) for name, members in sets.items()}
+    return {name: mask_of(members) for name, members in sets.items()}
 
 
 def fixed_orientation_witness(left: Graph, right: Graph) -> ProductWitness | None:

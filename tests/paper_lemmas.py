@@ -3,8 +3,10 @@ package calls: induced subgraphs, greedy independent decompositions and
 their diagonal sets, the clique remainder and swap step of a maximum
 independent set, and the disjoint-MIS check.  They live beside the oracles
 so that the package ships only the verifier, and the tests check the
-lemmas with them on small graphs.  Their walks go through
-``independence._walk``, so the walk recorder of :mod:`oracles` sees them.
+lemmas with them on small graphs.  Every vertex set they take or return
+is an int mask, bit v for vertex v, as in the package.  Their walks go
+through ``independence._walk``, so the walk recorder of :mod:`oracles`
+sees them.
 """
 
 from __future__ import annotations
@@ -16,16 +18,16 @@ from typing import Iterable, Iterator
 from wellcovered import (
     DEFAULT_ENUMERATION_CAP,
     Graph,
-    VertexSet,
     cartesian_product,
-    closed_neighborhood,
     enumerate_maximal_independent_sets,
     independence,
     is_maximal_independent,
     is_well_covered,
     isolatable_vertices,
 )
-from wellcovered.graphs import _check_set, _maximal_independent_within, _rectangle_mask, iter_bits
+from wellcovered.graphs import (
+    _check_mask, _closed_mask, _maximal_independent_within, _rectangle_mask, iter_bits,
+)
 
 DEFAULT_DECOMPOSITION_CAP = 10
 
@@ -45,34 +47,33 @@ class SubgraphMap:
         return len(self.kept)
 
 
-def induced_subgraph(graph: Graph, s: VertexSet) -> tuple[Graph, SubgraphMap]:
+def induced_subgraph(graph: Graph, s: int) -> tuple[Graph, SubgraphMap]:
     """Subgraph induced by S, with the vertex correspondence."""
-    _check_set(graph, s)
-    kept = tuple(s)
+    _check_mask(graph, s)
+    kept = tuple(iter_bits(s))
     index = {orig: new for new, orig in enumerate(kept)}
     rows = []
     for orig in kept:
         row = 0
-        for u in iter_bits(graph.adj[orig] & s.mask):
+        for u in iter_bits(graph.adj[orig] & s):
             row |= 1 << index[u]
         rows.append(row)
     return Graph(len(kept), tuple(rows)), SubgraphMap(kept, graph.n)
 
 
-def delete_closed_neighborhood(graph: Graph, s: VertexSet) -> tuple[Graph, SubgraphMap]:
+def delete_closed_neighborhood(graph: Graph, s: int) -> tuple[Graph, SubgraphMap]:
     """G - N[S] for an independent set S."""
-    _check_set(graph, s)
-    for v in s:
-        if graph.adj[v] & s.mask:
+    _check_mask(graph, s)
+    for v in iter_bits(s):
+        if graph.adj[v] & s:
             raise ValueError("set is not independent")
-    remainder = graph.full_mask & ~closed_neighborhood(graph, s).mask
-    return induced_subgraph(graph, VertexSet(remainder, graph.n))
+    return induced_subgraph(graph, graph.full_mask & ~_closed_mask(graph, s))
 
 
-def is_clique(graph: Graph, s: VertexSet) -> bool:
+def is_clique(graph: Graph, s: int) -> bool:
     """True iff every pair of distinct members of S is adjacent."""
-    _check_set(graph, s)
-    return all(s.mask & ~graph.closed_adj[v] == 0 for v in s)
+    _check_mask(graph, s)
+    return all(s & ~graph.closed_adj[v] == 0 for v in iter_bits(s))
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,9 @@ class GreedyDecomposition:
     the graph left after removing the earlier blocks."""
 
     n: int
-    blocks: tuple[VertexSet, ...]
+    blocks: tuple[int, ...]
 
-    def __iter__(self) -> Iterator[VertexSet]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.blocks)
 
     def __len__(self) -> int:
@@ -104,7 +105,7 @@ def greedy_decomposition(
     if sorted(scan) != list(range(graph.n)):
         raise ValueError("order is not a permutation of the vertices")
     remaining = graph.full_mask
-    blocks: list[VertexSet] = []
+    blocks: list[int] = []
     while remaining:
         block = 0
         blocked = 0
@@ -113,7 +114,7 @@ def greedy_decomposition(
             if bit & remaining and not bit & blocked:
                 block |= bit
                 blocked |= graph.closed_adj[v]
-        blocks.append(VertexSet(block, graph.n))
+        blocks.append(block)
         remaining &= ~block
     return GreedyDecomposition(graph.n, tuple(blocks))
 
@@ -131,14 +132,14 @@ def enumerate_greedy_decompositions(
     """
     independence._check_cap(graph.n, cap)
 
-    def stage(remaining: int, prefix: tuple[VertexSet, ...]) -> Iterator[GreedyDecomposition]:
+    def stage(remaining: int, prefix: tuple[int, ...]) -> Iterator[GreedyDecomposition]:
         if not remaining:
             yield GreedyDecomposition(graph.n, prefix)
             return
         blocks: list[int] = []
         independence._walk(graph, blocks.append, remaining)
         for block in blocks:
-            yield from stage(remaining & ~block, prefix + (VertexSet(block, graph.n),))
+            yield from stage(remaining & ~block, prefix + (block,))
 
     stream = stage(graph.full_mask, ())
     return stream if limit is None else itertools.islice(stream, limit)
@@ -150,11 +151,9 @@ def is_greedy_decomposition(graph: Graph, decomposition: GreedyDecomposition) ->
         return False
     remaining = graph.full_mask
     for block in decomposition.blocks:
-        if block.n != graph.n:
+        if not _maximal_independent_within(graph, remaining, block):
             return False
-        if not _maximal_independent_within(graph, remaining, block.mask):
-            return False
-        remaining &= ~block.mask
+        remaining &= ~block
     return remaining == 0
 
 
@@ -162,7 +161,7 @@ def diagonal_set(
     left: GreedyDecomposition,
     right: GreedyDecomposition,
     n_right: int,
-) -> VertexSet:
+) -> int:
     """Union of the blockwise rectangles A_i x B_i, i up to the shorter
     decomposition, in the row-major labels of the product with ``n_right``
     columns.  Always maximal independent in the Cartesian product."""
@@ -171,39 +170,38 @@ def diagonal_set(
     depth = min(len(left.blocks), len(right.blocks))
     mask = 0
     for i in range(depth):
-        mask |= _rectangle_mask(left.blocks[i].mask, right.blocks[i].mask, n_right)
-    return VertexSet(mask, left.n * n_right)
+        mask |= _rectangle_mask(left.blocks[i], right.blocks[i], n_right)
+    return mask
 
 
-def _check_alpha_set(graph: Graph, s: VertexSet, cap: int) -> None:
+def _check_alpha_set(graph: Graph, s: int, cap: int) -> None:
     if not is_maximal_independent(graph, s):
         raise ValueError("set is not maximal independent")
-    if len(s) != is_well_covered(graph, cap).alpha:
+    if s.bit_count() != is_well_covered(graph, cap).alpha:
         raise ValueError("set is not a maximum independent set")
 
 
 def clique_remainder(
-    graph: Graph, maximum_set: VertexSet, x: int, cap: int = DEFAULT_ENUMERATION_CAP
+    graph: Graph, maximum_set: int, x: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[Graph, SubgraphMap]:
     """G - N[I - {x}] for a maximum independent set I and x in I.
 
     In a graph with no isolatable vertex this remainder is a clique of order
     at least two; x always survives in it.
     """
-    _check_set(graph, maximum_set)
     _check_alpha_set(graph, maximum_set, cap)
-    if x not in maximum_set:
+    if not maximum_set >> x & 1:
         raise ValueError(f"vertex {x} is not in the given set")
-    return delete_closed_neighborhood(graph, VertexSet(maximum_set.mask & ~(1 << x), graph.n))
+    return delete_closed_neighborhood(graph, maximum_set & ~(1 << x))
 
 
 def swap_step(
     graph: Graph,
-    maximum_set: VertexSet,
+    maximum_set: int,
     v: int,
-    other_set: VertexSet,
+    other_set: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> VertexSet:
+) -> int:
     """Exchange v in a maximum independent set I for the least remainder
     vertex outside J.
 
@@ -212,22 +210,20 @@ def swap_step(
     w not in J; the result (I - {v}) | {w} is independent, has the same size
     as I, and meets J in one vertex fewer whenever v is in J.
     """
-    _check_set(graph, maximum_set)
-    _check_set(graph, other_set)
     _check_alpha_set(graph, maximum_set, cap)
-    if v not in maximum_set:
+    if not maximum_set >> v & 1:
         raise ValueError(f"vertex {v} is not in the given set")
     if not is_maximal_independent(graph, other_set):
         raise ValueError("swap partner set is not maximal independent")
-    rest = VertexSet(maximum_set.mask & ~(1 << v), graph.n)
+    rest = maximum_set & ~(1 << v)
     remainder, back = delete_closed_neighborhood(graph, rest)
     if remainder.n < 2:
         raise ValueError(
             "remainder has fewer than two vertices; the graph has an isolatable vertex"
         )
     for w in back.kept:
-        if w != v and w not in other_set:
-            return VertexSet(rest.mask | 1 << w, graph.n)
+        if w != v and not other_set >> w & 1:
+            return rest | 1 << w
     raise ValueError(
         "every remainder vertex other than v lies in the partner set; "
         "the remainder is not a clique"
@@ -239,9 +235,9 @@ class FactorDisjointMis:
     """Disjoint maximal-independent-set structure of one factor."""
 
     all_have_disjoint: bool
-    counterexample: VertexSet | None
+    counterexample: int | None
     disjoint_equal_size: bool
-    unequal_pair: tuple[VertexSet, VertexSet] | None
+    unequal_pair: tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -311,14 +307,11 @@ def _factor_disjoint_mis(graph: Graph, cap: int) -> FactorDisjointMis:
     first pair S before T of disjoint sets of different sizes, in
     enumeration order, by testing every pair of the factor's k maximal
     independent sets: O(k^2) mask ANDs, with k at most 12 on seven vertices."""
-    n = graph.n
-    sets = [s.mask for s in enumerate_maximal_independent_sets(graph, cap)]
-    counterexample = next(
-        (VertexSet(s, n) for s in sets if not any(s & t == 0 for t in sets if t != s)), None
-    )
+    sets = list(enumerate_maximal_independent_sets(graph, cap))
+    counterexample = next((s for s in sets if not any(s & t == 0 for t in sets if t != s)), None)
     unequal = next(
         (
-            (VertexSet(s, n), VertexSet(t, n))
+            (s, t)
             for i, s in enumerate(sets)
             for t in sets[i + 1:]
             if s & t == 0 and s.bit_count() != t.bit_count()

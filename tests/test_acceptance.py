@@ -9,7 +9,6 @@ import json
 import time
 
 from wellcovered import (
-    VertexSet,
     cartesian_product,
     cli,
     enumerate_maximal_independent_sets,
@@ -20,6 +19,7 @@ from wellcovered import (
     isolatable_vertices,
     to_graph6,
 )
+from wellcovered.graphs import iter_bits
 import random
 
 from paper_lemmas import (
@@ -63,7 +63,7 @@ def test_criterion_1_oracle_equivalence_order_five():
     mismatches = 0
     for graph in graphs:
         expected = brute_maximal_independent_sets(graph.n, graph.edges())
-        got = [frozenset(s) for s in enumerate_maximal_independent_sets(graph)]
+        got = [frozenset(iter_bits(s)) for s in enumerate_maximal_independent_sets(graph)]
         if got != expected:
             mismatches += 1
     elapsed = time.perf_counter() - started
@@ -157,8 +157,8 @@ def test_criterion_4_constructive_witness_suite():
                 continue
             applicable += 1
             product = cartesian_product(g, h)
-            assert is_maximal_independent(product, VertexSet(witness.big, product.n))
-            assert is_maximal_independent(product, VertexSet(witness.small, product.n))
+            assert is_maximal_independent(product, witness.big)
+            assert is_maximal_independent(product, witness.small)
             assert witness.big.bit_count() > witness.small.bit_count()
             assert witness.gaps_small & ~witness.gaps_big == 0
 
@@ -167,8 +167,8 @@ def test_criterion_4_constructive_witness_suite():
     witness = fixed_orientation_witness(c6, c6)
     product = cartesian_product(c6, c6)
     spot_ok = (
-        is_maximal_independent(product, VertexSet(witness.big, product.n))
-        and is_maximal_independent(product, VertexSet(witness.small, product.n))
+        is_maximal_independent(product, witness.big)
+        and is_maximal_independent(product, witness.small)
         and witness.big.bit_count() > witness.small.bit_count()
     )
     spot_elapsed = time.perf_counter() - started
@@ -203,12 +203,12 @@ def test_criterion_5_clique_remainder_suite():
             continue
         alpha = is_well_covered(graph).alpha
         for chosen in enumerate_maximal_independent_sets(graph):
-            if len(chosen) != alpha:
+            if chosen.bit_count() != alpha:
                 continue
-            for x in chosen:
+            for x in iter_bits(chosen):
                 remainder, _ = clique_remainder(graph, chosen, x)
                 checked += 1
-                if remainder.n < 2 or not is_clique(remainder, VertexSet(remainder.full_mask, remainder.n)):
+                if remainder.n < 2 or not is_clique(remainder, remainder.full_mask):
                     violations += 1
 
     ok = counts_ok and checked > 0 and violations == 0
@@ -281,8 +281,8 @@ def test_criterion_7_diagonal_property():
         product = products[key]
         diagonal = diagonal_set(dec_g, dec_h, h.n)
         depth = min(len(dec_g.blocks), len(dec_h.blocks))
-        assert len(diagonal) == sum(
-            len(dec_g.blocks[i]) * len(dec_h.blocks[i]) for i in range(depth)
+        assert diagonal.bit_count() == sum(
+            dec_g.blocks[i].bit_count() * dec_h.blocks[i].bit_count() for i in range(depth)
         )
         assert is_maximal_independent(product, diagonal)
     report(7, True, "1000 random greedy decompositions, all diagonals maximal")

@@ -1,21 +1,21 @@
 import pytest
 
 from wellcovered import (
-    VertexSet,
     enumerate_maximal_independent_sets,
     generate_all_graphs,
     is_independent,
     is_well_covered,
     isolatable_vertices,
 )
+from wellcovered.graphs import iter_bits
 
 from paper_lemmas import clique_remainder, is_clique, swap_step
-from oracles import complete_graph, cycle_graph
+from oracles import complete_graph, cycle_graph, mask_of
 
 
 def alpha_sets(graph):
     alpha = is_well_covered(graph).alpha
-    return [s for s in enumerate_maximal_independent_sets(graph) if len(s) == alpha]
+    return [s for s in enumerate_maximal_independent_sets(graph) if s.bit_count() == alpha]
 
 
 # --- clique_remainder -----------------------------------------------------------
@@ -23,7 +23,7 @@ def alpha_sets(graph):
 
 def test_clique_remainder_c5():
     c5 = cycle_graph(5)
-    remainder, back = clique_remainder(c5, VertexSet.of(5, [0, 2]), 0)
+    remainder, back = clique_remainder(c5, mask_of([0, 2]), 0)
     assert back.kept == (0, 4)
     assert remainder.n == 2 and remainder.edge_count == 1
 
@@ -31,14 +31,14 @@ def test_clique_remainder_c5():
 def test_clique_remainder_c6_degenerates():
     # C6 has isolatable vertices, so the order-two guarantee does not apply.
     c6 = cycle_graph(6)
-    remainder, back = clique_remainder(c6, VertexSet.of(6, [0, 2, 4]), 0)
+    remainder, back = clique_remainder(c6, mask_of([0, 2, 4]), 0)
     assert back.kept == (0,)
     assert remainder.n == 1
 
 
 def test_clique_remainder_k2_whole_graph():
     k2 = complete_graph(2)
-    remainder, back = clique_remainder(k2, VertexSet.of(2, [0]), 0)
+    remainder, back = clique_remainder(k2, mask_of([0]), 0)
     assert back.kept == (0, 1)
     assert remainder.edge_count == 1
 
@@ -46,18 +46,18 @@ def test_clique_remainder_k2_whole_graph():
 def test_clique_remainder_distinct_precondition_errors():
     c6 = cycle_graph(6)
     with pytest.raises(ValueError, match="maximum"):
-        clique_remainder(c6, VertexSet.of(6, [0, 3]), 0)  # maximal but not maximum
+        clique_remainder(c6, mask_of([0, 3]), 0)  # maximal but not maximum
     with pytest.raises(ValueError, match="not in the given set"):
-        clique_remainder(c6, VertexSet.of(6, [0, 2, 4]), 1)
+        clique_remainder(c6, mask_of([0, 2, 4]), 1)
     with pytest.raises(ValueError, match="maximal"):
-        clique_remainder(c6, VertexSet.of(6, [0, 2]), 0)  # independent, not maximal
+        clique_remainder(c6, mask_of([0, 2]), 0)  # independent, not maximal
 
 
 def test_member_always_survives():
     for n in range(2, 6):
         for graph in generate_all_graphs(n):
             for chosen in alpha_sets(graph):
-                for x in chosen:
+                for x in iter_bits(chosen):
                     _, back = clique_remainder(graph, chosen, x)
                     assert x in back.kept
 
@@ -68,10 +68,10 @@ def test_clique_remainder_order_two_when_no_isolatable_vertex():
             if isolatable_vertices(graph):
                 continue
             for chosen in alpha_sets(graph):
-                for x in chosen:
+                for x in iter_bits(chosen):
                     remainder, back = clique_remainder(graph, chosen, x)
                     assert remainder.n >= 2
-                    assert is_clique(remainder, VertexSet(remainder.full_mask, remainder.n))
+                    assert is_clique(remainder, remainder.full_mask)
 
 
 def test_clique_remainder_order_eight_random_sample():
@@ -91,11 +91,11 @@ def test_clique_remainder_order_eight_random_sample():
         if isolatable_vertices(graph):
             continue
         for chosen in alpha_sets(graph):
-            for x in chosen:
+            for x in iter_bits(chosen):
                 remainder, _ = clique_remainder(graph, chosen, x)
                 checked += 1
                 assert remainder.n >= 2
-                assert is_clique(remainder, VertexSet(remainder.full_mask, remainder.n))
+                assert is_clique(remainder, remainder.full_mask)
     assert checked > 50
 
 
@@ -104,21 +104,20 @@ def test_clique_remainder_order_eight_random_sample():
 
 def test_swap_step_c5():
     c5 = cycle_graph(5)
-    swapped = swap_step(c5, VertexSet.of(5, [0, 2]), 0, VertexSet.of(5, [0, 3]))
-    assert frozenset(swapped) == {2, 4}
-    assert swapped.mask & VertexSet.of(5, [0, 3]).mask == 0
+    swapped = swap_step(c5, mask_of([0, 2]), 0, mask_of([0, 3]))
+    assert swapped == mask_of([2, 4])
 
 
 def test_swap_step_k2():
     k2 = complete_graph(2)
-    swapped = swap_step(k2, VertexSet.of(2, [0]), 0, VertexSet.of(2, [0]))
-    assert frozenset(swapped) == {1}
+    swapped = swap_step(k2, mask_of([0]), 0, mask_of([0]))
+    assert swapped == mask_of([1])
 
 
 def test_swap_step_c6_rejects_small_remainder():
     c6 = cycle_graph(6)
     with pytest.raises(ValueError, match="fewer than two"):
-        swap_step(c6, VertexSet.of(6, [0, 2, 4]), 0, VertexSet.of(6, [0, 3]))
+        swap_step(c6, mask_of([0, 2, 4]), 0, mask_of([0, 3]))
 
 
 def test_swap_step_properties():
@@ -132,19 +131,17 @@ def test_swap_step_properties():
                 continue
             partners = list(enumerate_maximal_independent_sets(graph))
             for chosen in alpha_sets(graph):
-                for x in chosen:
+                for x in iter_bits(chosen):
                     remainder, back = clique_remainder(graph, chosen, x)
                     for partner in partners:
-                        blocked = all(
-                            w == x or w in partner for w in back.kept
-                        )
+                        blocked = all(w == x or partner >> w & 1 for w in back.kept)
                         if blocked:
-                            assert x not in partner
+                            assert not partner >> x & 1
                             with pytest.raises(ValueError, match="partner"):
                                 swap_step(graph, chosen, x, partner)
                             continue
                         swapped = swap_step(graph, chosen, x, partner)
                         assert is_independent(graph, swapped)
-                        assert len(swapped) == len(chosen)
-                        shared = (swapped.mask & partner.mask).bit_count()
-                        assert shared == (chosen.mask & partner.mask).bit_count() - (x in partner)
+                        assert swapped.bit_count() == chosen.bit_count()
+                        shared = (swapped & partner).bit_count()
+                        assert shared == (chosen & partner).bit_count() - (partner >> x & 1)

@@ -7,17 +7,16 @@ from hypothesis import given, settings
 
 from wellcovered import (
     Graph,
-    VertexSet,
     cartesian_product,
-    closed_neighborhood,
     from_graph6,
     is_connected,
     is_independent,
+    is_maximal_independent,
     to_graph6,
 )
 from wellcovered.corpus import generate_all_graphs
 from wellcovered.graphs import (
-    _rectangle_mask, component_masks, iter_bits, product_orbits, stabilizer_orbits,
+    _closed_mask, _rectangle_mask, component_masks, iter_bits, product_orbits, stabilizer_orbits,
 )
 
 from paper_lemmas import delete_closed_neighborhood, induced_subgraph, is_clique
@@ -27,6 +26,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    mask_of,
     nx_encode_graph6,
     nx_parse_graph6,
     path_graph,
@@ -62,96 +62,76 @@ def test_edge_count_and_degrees():
     assert c5.adj == (0b10010, 0b00101, 0b01010, 0b10100, 0b01001)
 
 
-# --- VertexSet --------------------------------------------------------------
-
-
-def test_vertex_set_basics():
-    s = VertexSet.of(5, [3, 0])
-    assert s == VertexSet(0b01001, 5)
-    assert len(s) == 2
-    assert 3 in s and 1 not in s
-    assert list(s) == [0, 3]
-    assert repr(s) == "VertexSet({0, 3}, n=5)"
-
-
-def test_vertex_set_range_checks():
-    with pytest.raises(ValueError):
-        VertexSet.of(3, [3])
-    with pytest.raises(ValueError):
-        VertexSet(0b1000, 3)
-
-
-# --- closed_neighborhood ----------------------------------------------------
+# --- closed neighborhoods and the range check -------------------------------
 
 
 def test_closed_neighborhood_center_of_path():
-    p3 = path_graph(3)
-    assert tuple(closed_neighborhood(p3, VertexSet.of(3, [1]))) == (0, 1, 2)
+    assert tuple(iter_bits(_closed_mask(path_graph(3), 0b010))) == (0, 1, 2)
 
 
 def test_closed_neighborhood_cycle_pair():
-    c5 = cycle_graph(5)
-    assert tuple(closed_neighborhood(c5, VertexSet.of(5, [0, 2]))) == (0, 1, 2, 3, 4)
+    assert tuple(iter_bits(_closed_mask(cycle_graph(5), 0b00101))) == (0, 1, 2, 3, 4)
 
 
 def test_closed_neighborhood_empty():
-    assert tuple(closed_neighborhood(cycle_graph(4), VertexSet(0, 4))) == ()
+    assert _closed_mask(cycle_graph(4), 0) == 0
 
 
 def test_closed_neighborhood_monotone():
     c6 = cycle_graph(6)
-    small = VertexSet.of(6, [0])
-    large = VertexSet.of(6, [0, 3])
-    assert closed_neighborhood(c6, small).mask & ~closed_neighborhood(c6, large).mask == 0
+    assert _closed_mask(c6, 0b000001) & ~_closed_mask(c6, 0b001001) == 0
 
 
-def test_closed_neighborhood_host_mismatch():
-    with pytest.raises(ValueError):
-        closed_neighborhood(path_graph(3), VertexSet.of(4, [0]))
+def test_independence_checks_reject_out_of_range_masks():
+    p3 = path_graph(3)
+    for check in (is_independent, is_maximal_independent):
+        for mask in (1 << 3, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                check(p3, mask)
 
 
 # --- induced_subgraph / delete_closed_neighborhood --------------------------
 
 
 def test_induced_subgraph_cycle_edge():
-    sub, back = induced_subgraph(cycle_graph(5), VertexSet.of(5, [0, 4]))
+    sub, back = induced_subgraph(cycle_graph(5), mask_of([0, 4]))
     assert sub.n == 2 and list(sub.edges()) == [(0, 1)]
     assert back.kept == (0, 4)
 
 
 def test_induced_subgraph_identity():
     c4 = cycle_graph(4)
-    sub, back = induced_subgraph(c4, VertexSet(0b1111, 4))
+    sub, back = induced_subgraph(c4, 0b1111)
     assert sub == c4
     assert back.kept == (0, 1, 2, 3)
 
 
 def test_induced_subgraph_path_endpoints():
-    sub, _ = induced_subgraph(path_graph(3), VertexSet.of(3, [0, 2]))
+    sub, _ = induced_subgraph(path_graph(3), mask_of([0, 2]))
     assert sub.n == 2 and sub.edge_count == 0
 
 
 def test_delete_closed_neighborhood_cycle():
-    remainder, back = delete_closed_neighborhood(cycle_graph(5), VertexSet.of(5, [2]))
+    remainder, back = delete_closed_neighborhood(cycle_graph(5), mask_of([2]))
     assert back.kept == (0, 4)
     assert list(remainder.edges()) == [(0, 1)]
 
 
 def test_delete_closed_neighborhood_path_endpoint():
-    remainder, back = delete_closed_neighborhood(path_graph(3), VertexSet.of(3, [0]))
+    remainder, back = delete_closed_neighborhood(path_graph(3), mask_of([0]))
     assert remainder.n == 1 and back.kept == (2,)
 
 
 def test_delete_closed_neighborhood_empty_set_is_identity():
     c6 = cycle_graph(6)
-    remainder, back = delete_closed_neighborhood(c6, VertexSet(0, 6))
+    remainder, back = delete_closed_neighborhood(c6, 0)
     assert remainder == c6
     assert back.kept == tuple(range(6))
 
 
 def test_delete_closed_neighborhood_requires_independent():
     with pytest.raises(ValueError):
-        delete_closed_neighborhood(path_graph(3), VertexSet.of(3, [0, 1]))
+        delete_closed_neighborhood(path_graph(3), mask_of([0, 1]))
 
 
 # --- cartesian_product ------------------------------------------------------
@@ -240,11 +220,8 @@ def test_product_rejects_an_empty_factor():
 def test_rectangle_of_independent_sets_is_independent():
     c5, c6 = cycle_graph(5), cycle_graph(6)
     prod = cartesian_product(c5, c6)
-    left = VertexSet.of(5, [0, 2])
-    right = VertexSet.of(6, [1, 4])
-    image = VertexSet(_rectangle_mask(left.mask, right.mask, 6), prod.n)
-    assert len(image) == 4
-    assert frozenset(image) == {g * 6 + h for g in left for h in right}
+    image = _rectangle_mask(mask_of([0, 2]), mask_of([1, 4]), 6)
+    assert frozenset(iter_bits(image)) == {g * 6 + h for g in (0, 2) for h in (1, 4)}
     assert is_independent(prod, image)
 
 
@@ -253,10 +230,10 @@ def test_rectangle_of_independent_sets_is_independent():
 
 def test_is_clique():
     k3 = complete_graph(3)
-    assert is_clique(k3, VertexSet(0b111, 3))
-    assert not is_clique(path_graph(3), VertexSet.of(3, [0, 2]))
-    assert is_clique(path_graph(3), VertexSet.of(3, [1]))
-    assert is_clique(path_graph(3), VertexSet(0, 3))
+    assert is_clique(k3, 0b111)
+    assert not is_clique(path_graph(3), mask_of([0, 2]))
+    assert is_clique(path_graph(3), mask_of([1]))
+    assert is_clique(path_graph(3), 0)
 
 
 def test_is_connected():

@@ -2,6 +2,7 @@ import random
 import sys
 import types
 from collections import Counter
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from wellcovered import (
     CapExceeded,
     Graph,
-    VertexSet,
+    WellCoveredReport,
     cartesian_product,
     enumerate_maximal_independent_sets,
     from_graph6,
@@ -25,7 +26,7 @@ from wellcovered import (
     well_covered,
 )
 from wellcovered import independence
-from wellcovered.graphs import component_masks, product_orbits, stabilizer_orbits
+from wellcovered.graphs import component_masks, iter_bits, product_orbits, stabilizer_orbits
 from wellcovered.independence import _walk
 
 from paper_lemmas import delete_closed_neighborhood
@@ -37,13 +38,14 @@ from oracles import (
     cycle_graph,
     empty_graph,
     full_walk_report,
+    mask_of,
     path_graph,
     random_graphs,
 )
 
 
 def mis_list(graph, cap=36):
-    return [frozenset(s) for s in enumerate_maximal_independent_sets(graph, cap)]
+    return [frozenset(iter_bits(s)) for s in enumerate_maximal_independent_sets(graph, cap)]
 
 
 # --- is_independent / is_maximal_independent ---------------------------------
@@ -51,16 +53,16 @@ def mis_list(graph, cap=36):
 
 def test_is_independent():
     c4 = cycle_graph(4)
-    assert is_independent(c4, VertexSet.of(4, [0, 2]))
-    assert not is_independent(complete_graph(3), VertexSet.of(3, [0, 1]))
-    assert is_independent(c4, VertexSet(0, 4))
+    assert is_independent(c4, mask_of([0, 2]))
+    assert not is_independent(complete_graph(3), mask_of([0, 1]))
+    assert is_independent(c4, 0)
 
 
 def test_is_maximal_independent():
     p3 = path_graph(3)
-    assert is_maximal_independent(p3, VertexSet.of(3, [1]))
-    assert not is_maximal_independent(p3, VertexSet.of(3, [0]))
-    assert is_maximal_independent(cycle_graph(5), VertexSet.of(5, [0, 2]))
+    assert is_maximal_independent(p3, mask_of([1]))
+    assert not is_maximal_independent(p3, mask_of([0]))
+    assert is_maximal_independent(cycle_graph(5), mask_of([0, 2]))
 
 
 # --- enumeration -------------------------------------------------------------
@@ -74,7 +76,7 @@ def test_enumeration_examples():
 
 def test_enumeration_order_is_lexicographic():
     for graph in (cycle_graph(6), path_graph(5), empty_graph(4)):
-        seqs = [tuple(s) for s in enumerate_maximal_independent_sets(graph)]
+        seqs = [tuple(iter_bits(s)) for s in enumerate_maximal_independent_sets(graph)]
         assert seqs == sorted(seqs)
 
 
@@ -86,7 +88,7 @@ def test_enumeration_matches_oracle_up_to_order_six():
             assert got == expected
             assert len(set(got)) == len(got)
             for s in got:
-                assert is_maximal_independent(graph, VertexSet.of(graph.n, s))
+                assert is_maximal_independent(graph, mask_of(s))
 
 
 def test_enumeration_matches_oracle_order_seven_atlas():
@@ -126,7 +128,7 @@ def test_walk_matches_oracle_on_induced_subgraphs():
     rng = random.Random(6681)
     for n, edges in atlas_graphs(1, 7):
         graph = Graph.from_edges(n, edges)
-        whole = [s.mask for s in enumerate_maximal_independent_sets(graph)]
+        whole = list(enumerate_maximal_independent_sets(graph))
         assert walk_masks(graph) == whole
         for universe in (0, graph.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
             expected = brute_walk(n, edges, universe, universe)
@@ -172,10 +174,16 @@ def test_enumeration_cap_is_eager():
 
 def test_early_termination_allowed():
     stream = enumerate_maximal_independent_sets(cycle_graph(6))
-    assert tuple(next(stream)) == (0, 2, 4)
+    assert next(stream) == mask_of([0, 2, 4])
 
 
 # --- well-covered reports -------------------------------------------------------
+
+
+def test_report_sizes_and_verdict_are_read_off_its_two_sets():
+    assert [field.name for field in fields(WellCoveredReport)] == ["witness_max", "witness_min"]
+    report = WellCoveredReport(0b101, 0b010)
+    assert (report.alpha, report.min_maximal, report.verdict) == (2, 1, False)
 
 
 def test_independence_number():
@@ -194,16 +202,16 @@ def test_not_well_covered_p3():
     report = is_well_covered(path_graph(3))
     assert not report.verdict
     assert report.alpha == 2 and report.min_maximal == 1
-    assert frozenset(report.witness_max) == {0, 2}
-    assert frozenset(report.witness_min) == {1}
+    assert report.witness_max == mask_of([0, 2])
+    assert report.witness_min == mask_of([1])
 
 
 def test_not_well_covered_c6():
     report = is_well_covered(cycle_graph(6))
     assert not report.verdict
     assert report.alpha == 3 and report.min_maximal == 2
-    assert frozenset(report.witness_max) == {0, 2, 4}
-    assert frozenset(report.witness_min) == {0, 3}
+    assert report.witness_max == mask_of([0, 2, 4])
+    assert report.witness_min == mask_of([0, 3])
 
 
 def test_report_witnesses_are_first_in_enumeration_order():
@@ -214,10 +222,10 @@ def test_report_witnesses_are_first_in_enumeration_order():
             sizes = [len(s) for s in sets]
             assert report.alpha == max(sizes)
             assert report.min_maximal == min(sizes)
-            assert frozenset(report.witness_max) == next(
+            assert frozenset(iter_bits(report.witness_max)) == next(
                 s for s in sets if len(s) == report.alpha
             )
-            assert frozenset(report.witness_min) == next(
+            assert frozenset(iter_bits(report.witness_min)) == next(
                 s for s in sets if len(s) == report.min_maximal
             )
             assert report.verdict == (len(set(sizes)) == 1)
@@ -308,10 +316,7 @@ def test_mis_size_histogram():
 
 def test_isolatable_p3():
     witnesses = isolatable_vertices(path_graph(3))
-    assert [(w.vertex, frozenset(w.certificate)) for w in witnesses] == [
-        (0, frozenset({2})),
-        (2, frozenset({0})),
-    ]
+    assert [(w.vertex, w.certificate) for w in witnesses] == [(0, mask_of([2])), (2, mask_of([0]))]
 
 
 def test_isolatable_c5_empty():
@@ -322,7 +327,7 @@ def test_isolatable_k1_via_empty_set():
     witnesses = isolatable_vertices(Graph(1, (0,)))
     assert len(witnesses) == 1
     assert witnesses[0].vertex == 0
-    assert len(witnesses[0].certificate) == 0
+    assert witnesses[0].certificate == 0
 
 
 def lex_first_isolating_set(graph, x):
@@ -353,16 +358,16 @@ def test_isolatable_matches_brute_force_and_certifies():
         assert set(vertices) == brute_isolatable_vertices(n, edges)
         for w in witnesses:
             assert is_independent(graph, w.certificate)
-            assert graph.closed_adj[w.vertex] & w.certificate.mask == 0
+            assert graph.closed_adj[w.vertex] & w.certificate == 0
             remainder, back = delete_closed_neighborhood(graph, w.certificate)
             assert back.kept == (w.vertex,)
-            assert tuple(w.certificate) == lex_first_isolating_set(graph, w.vertex)
+            assert tuple(iter_bits(w.certificate)) == lex_first_isolating_set(graph, w.vertex)
 
 
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)
 @given(random_graphs())
 def test_isolatable_matches_brute_force_on_random_graphs(graph):
-    found = {w.vertex: tuple(w.certificate) for w in isolatable_vertices(graph)}
+    found = {w.vertex: tuple(iter_bits(w.certificate)) for w in isolatable_vertices(graph)}
     expected = {}
     for x in range(graph.n):
         certificate = lex_first_isolating_set(graph, x)
@@ -404,7 +409,7 @@ def test_isolatable_on_disjoint_five_cycles_walks_no_graph(monkeypatch):
     assert visits == []
     witnesses = isolatable_vertices(disjoint_union(*[c5] * 6, path_graph(3)))
     cycles = [5 * k + v for k in range(6) for v in (0, 2)]
-    assert [(w.vertex, tuple(w.certificate)) for w in witnesses] == [
+    assert [(w.vertex, tuple(iter_bits(w.certificate))) for w in witnesses] == [
         (30, tuple(cycles + [32])),
         (32, tuple(cycles + [30])),
     ]

@@ -15,7 +15,6 @@ from wellcovered import (
     FactorAnalysis,
     Graph,
     IsolatableWitness,
-    VertexSet,
     build_product_witness,
     cartesian_product,
     from_graph6,
@@ -42,6 +41,7 @@ from oracles import (
     cycle_graph,
     fixed_orientation_witness,
     full_walk_report,
+    mask_of,
     path_graph,
     random_graphs,
     record_walks,
@@ -117,9 +117,9 @@ def test_witness_hypotheses_p3_p3():
     iso, report = p3.first_isolatable, p3.report
     assert iso is not None and not report.verdict
     assert iso.vertex == 0
-    assert frozenset(iso.certificate) == {2}
-    assert frozenset(report.witness_max) == {0, 2}
-    assert frozenset(report.witness_min) == {1}
+    assert iso.certificate == mask_of([2])
+    assert report.witness_max == mask_of([0, 2])
+    assert report.witness_min == mask_of([1])
 
 
 def test_witness_hypotheses_absent_without_isolatable_factor():
@@ -138,10 +138,8 @@ def test_witness_hypotheses_absent_for_well_covered_cofactor():
 
 def test_witness_p3_square_worked_example():
     p3 = path_graph(3)
-    iso = IsolatableWitness(2, VertexSet.of(3, [0]))
-    witness = build_product_witness(
-        p3, iso, p3, VertexSet.of(3, [0, 2]), VertexSet.of(3, [1])
-    )
+    iso = IsolatableWitness(2, mask_of([0]))
+    witness = build_product_witness(p3, iso, p3, mask_of([0, 2]), mask_of([1]))
     assert decoded(witness, witness.core) == [(0, 0), (0, 2)]
     assert witness.core_big.bit_count() == 4
     assert witness.core_small.bit_count() == 3
@@ -162,10 +160,8 @@ def test_witness_p3_square_worked_example():
 def test_witness_k1_left_factor_degenerates():
     k1 = Graph(1, (0,))
     p3 = path_graph(3)
-    iso = IsolatableWitness(0, VertexSet(0, 1))
-    witness = build_product_witness(
-        k1, iso, p3, VertexSet.of(3, [0, 2]), VertexSet.of(3, [1])
-    )
+    iso = IsolatableWitness(0, 0)
+    witness = build_product_witness(k1, iso, p3, mask_of([0, 2]), mask_of([1]))
     assert witness.gaps_big == 0 and witness.gaps_small == 0
     assert witness.big.bit_count() == 2 and witness.small.bit_count() == 1
     assert all(witness_invariants(witness).values())
@@ -173,10 +169,8 @@ def test_witness_k1_left_factor_degenerates():
 
 def test_witness_c6_square_at_scale():
     c6 = cycle_graph(6)
-    iso = IsolatableWitness(4, VertexSet.of(6, [0, 2]))
-    witness = build_product_witness(
-        c6, iso, c6, VertexSet.of(6, [0, 2, 4]), VertexSet.of(6, [0, 3])
-    )
+    iso = IsolatableWitness(4, mask_of([0, 2]))
+    witness = build_product_witness(c6, iso, c6, mask_of([0, 2, 4]), mask_of([0, 3]))
     assert witness.big.bit_count() > witness.small.bit_count()
     assert all(witness_invariants(witness).values())
 
@@ -193,35 +187,32 @@ def test_witness_invariants_hold_on_random_pairs(g, h):
 
 def test_witness_precondition_errors():
     p3 = path_graph(3)
-    big = VertexSet.of(3, [0, 2])
-    small = VertexSet.of(3, [1])
+    big = mask_of([0, 2])
+    small = mask_of([1])
     with pytest.raises(ValueError, match=r"isolate the claimed vertex: deletion leaves \(2,\)"):
-        build_product_witness(p3, IsolatableWitness(1, VertexSet.of(3, [0])), p3, big, small)
+        build_product_witness(p3, IsolatableWitness(1, mask_of([0])), p3, big, small)
     with pytest.raises(ValueError, match="not independent"):
-        build_product_witness(p3, IsolatableWitness(2, VertexSet.of(3, [0, 1])), p3, big, small)
-    with pytest.raises(ValueError, match="host order 4"):
-        build_product_witness(p3, IsolatableWitness(0, VertexSet.of(4, [2])), p3, big, small)
+        build_product_witness(p3, IsolatableWitness(2, mask_of([0, 1])), p3, big, small)
+    with pytest.raises(ValueError, match="out of range"):
+        build_product_witness(p3, IsolatableWitness(0, 1 << 3), p3, big, small)
+    with pytest.raises(ValueError, match="out of range"):
+        build_product_witness(p3, IsolatableWitness(0, mask_of([2])), p3, 0b1101, small)
     with pytest.raises(ValueError, match="maximal"):
-        build_product_witness(
-            p3, IsolatableWitness(0, VertexSet.of(3, [2])), p3, big, VertexSet.of(3, [0])
-        )
+        build_product_witness(p3, IsolatableWitness(0, mask_of([2])), p3, big, mask_of([0]))
     with pytest.raises(ValueError, match="decreasing"):
-        build_product_witness(
-            p3, IsolatableWitness(0, VertexSet.of(3, [2])), p3, small, big
-        )
+        build_product_witness(p3, IsolatableWitness(0, mask_of([2])), p3, small, big)
 
 
 def _matches_the_reference(left, right, witness):
-    """The mask kernel's product sets equal the masks of the VertexSet
-    reference construction, set by set."""
+    """The mask kernel's product sets equal the masks of the reference
+    construction over Python sets, set by set."""
     expected = reference_product_witness(
         witness.product, left, witness.isolatable_vertex,
-        VertexSet(witness.isolating_set, left.n),
-        VertexSet(witness.column_big, right.n), VertexSet(witness.column_small, right.n),
+        list(iter_bits(witness.isolating_set)),
+        list(iter_bits(witness.column_big)), list(iter_bits(witness.column_small)),
+        right.n,
     )
-    return {name: getattr(witness, name) for name in theorem.PRODUCT_SETS} == {
-        name: s.mask for name, s in expected.items()
-    }
+    return {name: getattr(witness, name) for name in theorem.PRODUCT_SETS} == expected
 
 
 def test_mask_witness_matches_the_vertex_set_reference_on_random_pairs():
@@ -283,8 +274,8 @@ def test_certificate_checks_reach_no_constructor_or_search(monkeypatch):
     witnesses = [
         fixed_orientation_witness(p3, p3),
         build_product_witness(
-            c6, IsolatableWitness(4, VertexSet.of(6, [0, 2])), c6,
-            VertexSet.of(6, [0, 2, 4]), VertexSet.of(6, [0, 3]),
+            c6, IsolatableWitness(4, mask_of([0, 2])), c6,
+            mask_of([0, 2, 4]), mask_of([0, 3]),
         ),
         theorem._orient_witness(*pool_pair)[0],
     ]
@@ -302,16 +293,16 @@ def test_certificate_checks_reach_no_constructor_or_search(monkeypatch):
         assert all(witness_invariants(witness).values())
     spoiled = replace(witnesses[0], small=witnesses[0].core)
     assert not witness_invariants(spoiled)["small_maximal_independent"]
-    assert is_independent(p3, VertexSet.of(3, [0, 2])) and is_independent(p3, VertexSet(0, 3))
-    assert not is_independent(p3, VertexSet.of(3, [0, 1]))
-    assert is_maximal_independent(p3, VertexSet.of(3, [1]))
-    assert not is_maximal_independent(p3, VertexSet.of(3, [0]))
-    assert not is_maximal_independent(p3, VertexSet.of(3, [0, 1]))
-    theorem._validate_isolatable(p3, IsolatableWitness(0, VertexSet.of(3, [2])))
+    assert is_independent(p3, mask_of([0, 2])) and is_independent(p3, 0)
+    assert not is_independent(p3, mask_of([0, 1]))
+    assert is_maximal_independent(p3, mask_of([1]))
+    assert not is_maximal_independent(p3, mask_of([0]))
+    assert not is_maximal_independent(p3, mask_of([0, 1]))
+    theorem._validate_isolatable(p3, IsolatableWitness(0, mask_of([2])))
     for iso, message in (
-        (IsolatableWitness(3, VertexSet.of(3, [0])), "vertex 3 out of range"),
-        (IsolatableWitness(2, VertexSet.of(3, [0, 1])), "set is not independent"),
-        (IsolatableWitness(1, VertexSet.of(3, [0])), r"does not isolate .* leaves \(2,\)"),
+        (IsolatableWitness(3, mask_of([0])), "vertex 3 out of range"),
+        (IsolatableWitness(2, mask_of([0, 1])), "set is not independent"),
+        (IsolatableWitness(1, mask_of([0])), r"does not isolate .* leaves \(2,\)"),
     ):
         with pytest.raises(ValueError, match=message):
             theorem._validate_isolatable(p3, iso)
