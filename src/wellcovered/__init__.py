@@ -29,7 +29,6 @@ from .independence import (
     is_well_covered,
     isolatable_vertices,
     mis_size_histogram,
-    well_covered,
 )
 from .theorem import (
     FactorAnalysis,
@@ -67,6 +66,5 @@ __all__ = [
     "mis_size_histogram",
     "to_graph6",
     "verify_pair",
-    "well_covered",
     "witness_invariants",
 ]

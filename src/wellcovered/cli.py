@@ -52,7 +52,6 @@ from .independence import (
     DEFAULT_ENUMERATION_CAP,
     IsolatableWitness,
     WellCoveredReport,
-    _check_cap,
     mis_size_histogram,
 )
 from .theorem import (
@@ -61,6 +60,7 @@ from .theorem import (
     PairVerdict,
     ProductWitness,
     WitnessCheckError,
+    _check_pair_cap,
     _orient_witness,
     verify_pair,
     witness_invariants,
@@ -248,8 +248,7 @@ def scan(config: ScanConfig) -> ScanResult:
     used = dict.fromkeys(chain.from_iterable(pairs))
     analyses = {g6: FactorAnalysis(graphs[g6], config.enum_cap) for g6 in used}
     for g, h in pairs:
-        order = analyses[g].largest_component * analyses[h].largest_component
-        _check_cap(order, config.enum_cap)
+        _check_pair_cap(analyses[g], analyses[h])
     workers = _worker_count(config.parallelism, len(pairs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

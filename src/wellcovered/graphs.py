@@ -1,6 +1,5 @@
 """Immutable simple-graph core: bitmask adjacency, graph6 codec, the
-independence checks, connected components, the Cartesian product, and the
-automorphism orbits that prune the product searches.
+independence checks, the Cartesian product and connected components.
 
 Every vertex set is a plain int mask, bit v for vertex v, so the
 independence machinery in the rest of the package runs on word-parallel
@@ -8,9 +7,9 @@ integer operations.  A mask does not record its host: the public checks
 reject a negative mask or one with a bit at or above the graph's order,
 and nothing else.  The checks of independence and maximal independence
 live here, beside the sets they test: every certificate check of the
-package rests on them and on nothing that searches, so a checker needs
-this module alone.  All values are immutable after construction; every
-function here is pure.
+package rests on them.  Nothing here searches; every search lives in
+``independence``, so a checker needs this module alone.  All values are
+immutable after construction; every function here is pure.
 """
 
 from __future__ import annotations
@@ -289,126 +288,3 @@ def compact_components(graph: Graph) -> tuple[tuple[tuple[int, ...], Graph], ...
 def is_connected(graph: Graph) -> bool:
     """True for graphs with at most one vertex and for connected graphs."""
     return next(component_masks(graph), 0) == graph.full_mask
-
-
-def stabilizer_orbits(graph: Graph) -> tuple[tuple[int, ...], ...]:
-    """Row k, for k = 0, ..., n, maps each vertex to the mask of its orbit
-    under the automorphisms that fix each of 0, ..., k-1.
-
-    The rows are built from k = n down.  The automorphisms fixing 0..k-1
-    are generated by those fixing 0..k together with one that maps k to w
-    for each w in the orbit of k.  So row k is row k+1 joined, by
-    union-find, along the cycles of the automorphisms found, each by one
-    backtracking search.  A vertex w is tried only when its class so far is
-    neither the class of k nor one a failed search has ruled out.  The
-    group is never listed: K_n and the empty graph have n! automorphisms
-    and take one search per row."""
-    n, adj = graph.n, graph.adj
-    degree = [row.bit_count() for row in adj]
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    rows = [tuple(1 << v for v in range(n))] * (n + 1)
-    for k in range(n - 2, -1, -1):
-        missed = []
-        for w in range(k + 1, n):
-            root = find(w)
-            if (
-                root == find(k)
-                or degree[w] != degree[k]
-                or any(find(m) == root for m in missed)
-            ):
-                continue
-            image = _automorphism(adj, degree, k, w)
-            if image is None:
-                missed.append(w)
-                continue
-            for v in range(k, n):
-                parent[find(v)] = find(image[v])
-        orbit: dict[int, int] = {}
-        for v in range(n):
-            orbit[find(v)] = orbit.get(find(v), 0) | 1 << v
-        rows[k] = tuple(orbit[find(v)] for v in range(n))
-    return tuple(rows)
-
-
-def _automorphism(
-    adj: tuple[int, ...], degree: list[int], k: int, w: int
-) -> list[int] | None:
-    """The images of an automorphism that fixes 0, ..., k-1 and maps k to
-    w, or None when there is none.  Vertices are mapped in breadth-first
-    order from k, each to an unused vertex of its degree whose neighbours
-    among the images so far are the images of its own mapped neighbours."""
-    n, fixed = len(adj), (1 << k) - 1
-    order, seen = [], fixed
-    for root in range(k, n):
-        if not seen >> root & 1:
-            seen |= 1 << root
-            reached = len(order)
-            order.append(root)
-            while reached < len(order):
-                fresh = adj[order[reached]] & ~seen
-                seen |= fresh
-                order.extend(iter_bits(fresh))
-                reached += 1
-    image = list(range(n))
-    full = (1 << n) - 1
-
-    def extend(i: int, domain: int, used: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
-        target = 0
-        for u in iter_bits(adj[x] & domain):
-            target |= 1 << image[u]
-        for y in iter_bits(1 << w if i == 0 else full & ~used):
-            if degree[y] == degree[x] and adj[y] & used == target:
-                image[x] = y
-                if extend(i + 1, domain | 1 << x, used | 1 << y):
-                    return True
-        return False
-
-    return image if extend(0, fixed, fixed) else None
-
-
-def product_orbits(
-    left: tuple[tuple[int, ...], ...], right: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...] | None, ...]:
-    """Orbit rows of G □ H in its row-major labels, from the factors' rows
-    of :func:`stabilizer_orbits`: entry s maps each vertex p >= s to its
-    orbit under the automorphisms of Aut(G) × Aut(H) that fix every vertex
-    below s, or is None when all those orbits are single vertices.
-
-    With s = r·|H| + c, an automorphism (α, β) fixes (0, 0), ..., (0, c-1)
-    iff α fixes 0 (when c > 0) and β fixes 0, ..., c-1.  Fixing all of row
-    0 forces β to be the identity; α then fixes 0, ..., r-1, and r when
-    c > 0.  So the orbit of (g, h) is orbG_k(g) × orbH_j(h), with
-    (k, j) = ([c > 0], c) for r = 0 and (r + [c > 0], |H|) for r >= 1,
-    where row |H| of H is all single vertices.  An orbit of G spread to one
-    bit per row, times a mask of H, is their rectangle: no terms overlap."""
-    n_g, n_h = len(left) - 1, len(right) - 1
-    # Rows from the first one equal to the last hold single vertices only.
-    plain_g = next(k for k, row in enumerate(left) if row == left[n_g])
-    plain_h = next(j for j, row in enumerate(right) if row == right[n_h])
-
-    spreads: dict[int, list[int]] = {}
-
-    def rectangles(k: int, j: int) -> tuple[int, ...] | None:
-        if k >= plain_g and j >= plain_h:
-            return None
-        if k not in spreads:
-            unit = {m: _rectangle_mask(m, 1, n_h) for m in set(left[k])}
-            spreads[k] = [unit[mask] for mask in left[k]]
-        return tuple([a * b for a in spreads[k] for b in right[j]])
-
-    by_row = [None] + [rectangles(k, n_h) for k in range(1, n_g + 1)]
-    rows = [rectangles(0, 0)] + [rectangles(1, c) for c in range(1, n_h)]
-    for r in range(1, n_g):
-        rows += [by_row[r]] + [by_row[r + 1]] * (n_h - 1)
-    rows.append(None)
-    return tuple(rows)

@@ -1,6 +1,8 @@
-"""Independent-set searches: maximal independent set enumeration,
-well-coveredness and isolatable vertices.  The checks that certify their
-results, of independence and maximal independence, live in ``graphs``.
+"""Every search of the package: maximal independent set enumeration,
+well-coveredness, isolatable vertices and the automorphism orbits that prune
+the product searches.  The checks that certify their results, of
+independence and maximal independence, live in ``graphs``, which searches
+nothing.
 
 Enumeration is exponential by nature; every entry point takes an order cap
 and raises :class:`CapExceeded` before doing any work when the input is too
@@ -11,32 +13,35 @@ sets come in lexicographic order of their ascending vertex sequences.
 Everything runs on depth-first loops in that order.  The walk,
 :func:`_walk`, hands each maximal independent set of an induced subgraph
 (that also dominates some target vertices) to a callback, which can end it;
-it serves every full enumeration (size histograms and the early-exit
-verdict of :func:`well_covered`) and, stopped at its first set, the
-certificate search of each isolatable vertex x over G - N[x], run only
-once a local test over the second neighbourhood of x shows that a
-certificate exists.  Two branch-and-bound loops over the same order give
-the well-covered report without visiting the sets whose sizes their bounds
-rule out: :func:`_largest` cuts by a greedy clique cover of the candidates,
-:func:`_smallest` by a packing of undominated vertices with disjoint
-dominator sets, built once per node and updated as each sibling drops a
-candidate.  Both run once per connected
-component, and the union of the components' first sets is the first set
-(:func:`is_well_covered` says why).
+it serves every full enumeration (the enumeration itself and size
+histograms) and, stopped at its first set, the certificate search of each
+isolatable vertex x over G - N[x], run only once a local test over the
+second neighbourhood of x shows that a certificate exists.  Two
+branch-and-bound loops over the same order give the well-covered report,
+the one source of every verdict, without visiting the sets whose sizes
+their bounds rule out: :func:`_largest` cuts by a greedy clique cover of
+the candidates, :func:`_smallest` by a packing of undominated vertices with
+disjoint dominator sets, built once per node and updated as each sibling
+drops a candidate.  Both run once per connected component, and the union of
+the components' first sets is the first set (:func:`is_well_covered` says
+why).
 
 Both searches can also prune by symmetry (McKay-Piperno, "Practical graph
-isomorphism II", 2014), given orbit rows: entry s maps each vertex v >= s
-to its orbit under automorphisms that fix every vertex below s.  Once a
-node at start s has explored its child v, every vertex of the orbit of v
-leaves the remaining siblings and is banned below them: it must still be
-dominated, but is never chosen.  A set of the node's family holding
-w = σ(v), with σ fixing every vertex below s, maps under σ⁻¹ to a set of
-the node's family of the same size holding v, which an explored branch has
-already held or ruled out, so the cut set cannot beat the best.  The first
-extreme set has no earlier set of its size, so it is never cut, and every
-report stays the same.  ``theorem``
-passes the rows of Aut(G) × Aut(H) for each component product it
-searches; factors are searched without.
+isomorphism II", 2014), given orbit rows.  The orbit rows of a graph of
+order n are n + 1 entries: entry s maps each vertex v >= s to the mask of
+its orbit under a group of automorphisms that fix every vertex below s, or
+is None when each of those orbits is the vertex alone.
+:func:`stabilizer_orbits` gives the rows of a graph's whole automorphism
+group, and :func:`product_orbits` those of Aut(G) × Aut(H) on G □ H from
+the factors' rows.  Once a node at start s has explored its child v, every
+vertex of the orbit of v leaves the remaining siblings and is banned below
+them: it must still be dominated, but is never chosen.  A set of the node's
+family holding w = σ(v), with σ fixing every vertex below s, maps under σ⁻¹
+to a set of the node's family of the same size holding v, which an explored
+branch has already held or ruled out, so the cut set cannot beat the best.
+The first extreme set has no earlier set of its size, so it is never cut,
+and every report stays the same.  ``theorem`` passes the product rows for
+each component product it searches; factors are searched without.
 """
 
 from __future__ import annotations
@@ -47,15 +52,12 @@ from typing import Callable, Iterator, Sequence
 from .graphs import (
     CapExceeded,
     Graph,
+    _rectangle_mask,
     component_masks,
     iter_bits,
 )
 
 DEFAULT_ENUMERATION_CAP = 36
-
-# Entry s maps each vertex v >= s to the mask of its orbit under a group of
-# automorphisms that fix every vertex below s; None stands for {v} alone.
-Orbits = Sequence["tuple[int, ...] | None"]
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,131 @@ def _walk(
         return None
 
     return walk(0, 0, 0)
+
+
+# Orbit rows, in the format of the module docstring.
+Orbits = Sequence["tuple[int, ...] | None"]
+
+
+def stabilizer_orbits(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """The orbit rows of Aut(G), with no None entry: row k maps every
+    vertex, those below k to themselves.
+
+    The rows are built from k = n down.  The automorphisms fixing 0..k-1
+    are generated by those fixing 0..k together with one that maps k to w
+    for each w in the orbit of k.  So row k is row k+1 joined, by
+    union-find, along the cycles of the automorphisms found, each by one
+    backtracking search.  A vertex w is tried only when its class so far is
+    neither the class of k nor one a failed search has ruled out.  The
+    group is never listed: K_n and the empty graph have n! automorphisms
+    and take one search per row."""
+    n, adj = graph.n, graph.adj
+    degree = [row.bit_count() for row in adj]
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    rows = [tuple(1 << v for v in range(n))] * (n + 1)
+    for k in range(n - 2, -1, -1):
+        missed = []
+        for w in range(k + 1, n):
+            root = find(w)
+            if (
+                root == find(k)
+                or degree[w] != degree[k]
+                or any(find(m) == root for m in missed)
+            ):
+                continue
+            image = _automorphism(adj, degree, k, w)
+            if image is None:
+                missed.append(w)
+                continue
+            for v in range(k, n):
+                parent[find(v)] = find(image[v])
+        orbit: dict[int, int] = {}
+        for v in range(n):
+            orbit[find(v)] = orbit.get(find(v), 0) | 1 << v
+        rows[k] = tuple(orbit[find(v)] for v in range(n))
+    return tuple(rows)
+
+
+def _automorphism(
+    adj: tuple[int, ...], degree: list[int], k: int, w: int
+) -> list[int] | None:
+    """The images of an automorphism that fixes 0, ..., k-1 and maps k to
+    w, or None when there is none.  Vertices are mapped in breadth-first
+    order from k, each to an unused vertex of its degree whose neighbours
+    among the images so far are the images of its own mapped neighbours."""
+    n, fixed = len(adj), (1 << k) - 1
+    order, seen = [], fixed
+    for root in range(k, n):
+        if not seen >> root & 1:
+            seen |= 1 << root
+            reached = len(order)
+            order.append(root)
+            while reached < len(order):
+                fresh = adj[order[reached]] & ~seen
+                seen |= fresh
+                order.extend(iter_bits(fresh))
+                reached += 1
+    image = list(range(n))
+    full = (1 << n) - 1
+
+    def extend(i: int, domain: int, used: int) -> bool:
+        if i == len(order):
+            return True
+        x = order[i]
+        target = 0
+        for u in iter_bits(adj[x] & domain):
+            target |= 1 << image[u]
+        for y in iter_bits(1 << w if i == 0 else full & ~used):
+            if degree[y] == degree[x] and adj[y] & used == target:
+                image[x] = y
+                if extend(i + 1, domain | 1 << x, used | 1 << y):
+                    return True
+        return False
+
+    return image if extend(0, fixed, fixed) else None
+
+
+def product_orbits(
+    left: tuple[tuple[int, ...], ...], right: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...] | None, ...]:
+    """The orbit rows of Aut(G) × Aut(H) on G □ H, in its row-major labels,
+    from the factors' rows of :func:`stabilizer_orbits`.
+
+    With s = r·|H| + c, an automorphism (α, β) fixes (0, 0), ..., (0, c-1)
+    iff α fixes 0 (when c > 0) and β fixes 0, ..., c-1.  Fixing all of row
+    0 forces β to be the identity; α then fixes 0, ..., r-1, and r when
+    c > 0.  So the orbit of (g, h) is orbG_k(g) × orbH_j(h), with
+    (k, j) = ([c > 0], c) for r = 0 and (r + [c > 0], |H|) for r >= 1,
+    where row |H| of H is all single vertices.  An orbit of G spread to one
+    bit per row, times a mask of H, is their rectangle: no terms overlap."""
+    n_g, n_h = len(left) - 1, len(right) - 1
+    # Rows from the first one equal to the last hold single vertices only.
+    plain_g = next(k for k, row in enumerate(left) if row == left[n_g])
+    plain_h = next(j for j, row in enumerate(right) if row == right[n_h])
+
+    spreads: dict[int, list[int]] = {}
+
+    def rectangles(k: int, j: int) -> tuple[int, ...] | None:
+        if k >= plain_g and j >= plain_h:
+            return None
+        if k not in spreads:
+            unit = {m: _rectangle_mask(m, 1, n_h) for m in set(left[k])}
+            spreads[k] = [unit[mask] for mask in left[k]]
+        return tuple([a * b for a in spreads[k] for b in right[j]])
+
+    by_row = [None] + [rectangles(k, n_h) for k in range(1, n_g + 1)]
+    rows = [rectangles(0, 0)] + [rectangles(1, c) for c in range(1, n_h)]
+    for r in range(1, n_g):
+        rows += [by_row[r]] + [by_row[r + 1]] * (n_h - 1)
+    rows.append(None)
+    return tuple(rows)
 
 
 def _largest(graph: Graph, universe: int, orbits: Orbits | None = None) -> int:
@@ -373,23 +500,6 @@ def mis_size_histogram(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict
     return {size: count for size, count in enumerate(total) if count}
 
 
-def well_covered(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-    """Fast verdict only: a disjoint union is well-covered iff every
-    component is, so each component is walked on its own, up to its first
-    size disagreement."""
-    _check_cap(graph.n, cap)
-    for part in component_masks(graph):
-        sizes: set[int] = set()
-
-        def differs(mask: int) -> bool:
-            sizes.add(mask.bit_count())
-            return len(sizes) > 1
-
-        if _walk(graph, differs, part):
-            return False
-    return True
-
-
 def is_well_covered(
     graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP, orbits: Orbits | None = None
 ) -> WellCoveredReport:
@@ -398,8 +508,7 @@ def is_well_covered(
     Two branch-and-bound searches per connected component find the first
     maximum and the first minimum maximal independent set in enumeration
     order, so the report is the one a full enumeration gives, without
-    visiting the sets whose sizes the bounds rule out; use
-    :func:`well_covered` when only the verdict matters.  ``orbits``, orbit
+    visiting the sets whose sizes the bounds rule out.  ``orbits``, orbit
     rows of the graph's automorphisms (see the module docstring), prune
     both searches without changing the report.
 

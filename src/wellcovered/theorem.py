@@ -27,9 +27,9 @@ first extreme sets.  The product is well-covered iff every component is,
 its sizes are the sums, and its first sets are the unions of the lifted
 component sets (see :func:`is_well_covered`).  A scan passes one dict of
 component reports to all its pairs, so each distinct pair of compacted
-components is searched once per scan, pruned by the orbits of
-Aut(Gi) × Aut(Hj) (:func:`product_orbits`) from one table per compacted
-component (:func:`stabilizer_orbits`, cached on the :class:`FactorAnalysis`).
+components is searched once per scan, pruned by the orbit rows of
+Aut(Gi) × Aut(Hj), which ``independence`` describes and builds from one
+table per compacted component, cached on the :class:`FactorAnalysis`.
 
 A factor is a :class:`FactorAnalysis` and a product is a :class:`Graph`.
 :func:`verify_pair` takes two analyses.  A :class:`FactorAnalysis` checks
@@ -57,8 +57,6 @@ from .graphs import (
     is_independent,
     is_maximal_independent,
     iter_bits,
-    product_orbits,
-    stabilizer_orbits,
 )
 from .independence import (
     DEFAULT_ENUMERATION_CAP,
@@ -69,6 +67,8 @@ from .independence import (
     _isolatable,
     is_well_covered,
     isolatable_vertices,
+    product_orbits,
+    stabilizer_orbits,
 )
 
 
@@ -341,15 +341,17 @@ def _product_report(g: FactorAnalysis, h: FactorAnalysis, reports: dict) -> Well
         return report  # a connected product is its own component, same labels
     n_right, big, small = h.graph.n, 0, 0
     for g_vertices, h_vertices, report in parts:
-        # Component vertex a * |Hj| + b is (g_vertices[a], h_vertices[b]).
-        width = len(h_vertices)
-        for p in iter_bits(report.witness_max):
-            a, b = divmod(p, width)
-            big |= 1 << g_vertices[a] * n_right + h_vertices[b]
-        for p in iter_bits(report.witness_min):
-            a, b = divmod(p, width)
-            small |= 1 << g_vertices[a] * n_right + h_vertices[b]
+        # label[a * |Hj| + b] is the product vertex (g_vertices[a], h_vertices[b]).
+        label = [g * n_right + h for g in g_vertices for h in h_vertices]
+        big |= sum(1 << label[p] for p in iter_bits(report.witness_max))
+        small |= sum(1 << label[p] for p in iter_bits(report.witness_min))
     return WellCoveredReport(big, small)
+
+
+def _check_pair_cap(g: FactorAnalysis, h: FactorAnalysis) -> None:
+    """Check the largest component product Gi □ Hj, the largest graph the
+    pair's search builds, against the smaller of the two enumeration caps."""
+    _check_cap(g.largest_component * h.largest_component, min(g.cap, h.cap))
 
 
 def verify_pair(
@@ -366,10 +368,9 @@ def verify_pair(
     and only for the witness.
 
     Building the analyses checks the enumeration caps of G and H, and the
-    caller checks any product cap; this checks the largest component
-    product Gi □ Hj, the largest graph searched, against the smaller of the
-    two enumeration caps before any search."""
-    _check_cap(g.largest_component * h.largest_component, min(g.cap, h.cap))
+    caller checks any product cap; :func:`_check_pair_cap` checks the
+    largest component product before any search."""
+    _check_pair_cap(g, h)
     product_report = _product_report(g, h, {} if component_reports is None else component_reports)
     consistent = not (
         product_report.verdict and not g.report.verdict and not h.report.verdict

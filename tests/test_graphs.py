@@ -1,6 +1,3 @@
-import random
-from time import perf_counter
-
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -14,15 +11,10 @@ from wellcovered import (
     is_maximal_independent,
     to_graph6,
 )
-from wellcovered.corpus import generate_all_graphs
-from wellcovered.graphs import (
-    _closed_mask, _rectangle_mask, component_masks, iter_bits, product_orbits, stabilizer_orbits,
-)
+from wellcovered.graphs import _closed_mask, _rectangle_mask, component_masks, iter_bits
 
 from paper_lemmas import delete_closed_neighborhood, induced_subgraph, is_clique
 from oracles import (
-    brute_automorphisms,
-    brute_stabilizer_orbits,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -254,62 +246,3 @@ def test_component_masks_match_networkx(graph):
     assert sorted(masks) == expected
     assert masks == sorted(masks, key=lambda mask: mask & -mask)
     assert is_connected(graph) == (len(masks) <= 1)
-
-
-# --- automorphism orbits ------------------------------------------------------
-
-
-def _relabelled(graph: Graph, rng: random.Random) -> Graph:
-    perm = list(range(graph.n))
-    rng.shuffle(perm)
-    return Graph.from_edges(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])
-
-
-def _orbit_sets(row, n: int) -> list[frozenset[int]]:
-    if row is None:
-        return [frozenset({v}) for v in range(n)]
-    return [frozenset(iter_bits(mask)) for mask in row]
-
-
-def test_stabilizer_orbits_match_brute_force_permutations():
-    # Every class of order <= 5, in its canonical labels and relabelled, and
-    # a seeded sample of order 6, at every prefix length k.
-    rng = random.Random(17)
-    graphs = [Graph(0, ())] + [g for n in range(1, 6) for g in generate_all_graphs(n)]
-    graphs += [_relabelled(g, rng) for g in graphs]
-    graphs += [_relabelled(g, rng) for g in rng.sample(generate_all_graphs(6), 30)]
-    for graph in graphs:
-        expected = brute_stabilizer_orbits(graph.n, brute_automorphisms(graph.n, graph.edges()))
-        assert [_orbit_sets(row, graph.n) for row in stabilizer_orbits(graph)] == expected
-
-
-def test_product_orbits_match_the_factor_groups_by_brute_force():
-    # Entry s of G x H holds, for each vertex p >= s, its orbit under the
-    # elements of Aut(G) x Aut(H) that fix every vertex below s.
-    rng = random.Random(23)
-    graphs = [g for n in range(1, 5) for g in generate_all_graphs(n)]
-    pairs = [rng.sample(graphs, 2) for _ in range(30)] + [(g, g) for g in rng.sample(graphs, 6)]
-    for left, right in pairs:
-        n_right, order = right.n, left.n * right.n
-        lifted = [
-            tuple(a[p // n_right] * n_right + b[p % n_right] for p in range(order))
-            for a in brute_automorphisms(left.n, left.edges())
-            for b in brute_automorphisms(right.n, right.edges())
-        ]
-        expected = brute_stabilizer_orbits(order, lifted)
-        rows = product_orbits(stabilizer_orbits(left), stabilizer_orbits(right))
-        assert len(rows) == order + 1
-        for s, row in enumerate(rows):
-            assert _orbit_sets(row, order)[s:] == expected[s][s:]
-
-
-@pytest.mark.parametrize("graph", [complete_graph(12), empty_graph(12), complete_graph(37)])
-def test_stabilizer_orbits_of_huge_groups_take_one_search_per_row(graph):
-    # 12! and 37! automorphisms; row k fixes 0..k-1 and joins the rest.
-    begin = perf_counter()
-    rows = stabilizer_orbits(graph)
-    assert perf_counter() - begin < 0.5
-    n = graph.n
-    for k, row in enumerate(rows):
-        rest = (1 << n) - (1 << k)
-        assert row == tuple(1 << v if v < k else rest for v in range(n))

@@ -4,6 +4,7 @@ import types
 from collections import Counter
 from dataclasses import fields
 from itertools import combinations
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,17 +24,18 @@ from wellcovered import (
     is_well_covered,
     isolatable_vertices,
     mis_size_histogram,
-    well_covered,
 )
 from wellcovered import independence
-from wellcovered.graphs import component_masks, iter_bits, product_orbits, stabilizer_orbits
-from wellcovered.independence import _walk
+from wellcovered.graphs import component_masks, iter_bits
+from wellcovered.independence import _walk, product_orbits, stabilizer_orbits
 
 from paper_lemmas import delete_closed_neighborhood
 from oracles import (
     atlas_graphs,
+    brute_automorphisms,
     brute_isolatable_vertices,
     brute_maximal_independent_sets,
+    brute_stabilizer_orbits,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -229,7 +231,6 @@ def test_report_witnesses_are_first_in_enumeration_order():
                 s for s in sets if len(s) == report.min_maximal
             )
             assert report.verdict == (len(set(sizes)) == 1)
-            assert well_covered(graph) == report.verdict
 
 
 def test_search_report_matches_full_walk_on_atlas_and_order_zero():
@@ -289,7 +290,11 @@ def test_searches_with_orbits_match_the_searches_without():
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)
 @given(random_graphs())
 def test_search_report_matches_full_walk_on_random_graphs(graph):
-    assert is_well_covered(graph) == full_walk_report(graph)
+    # The orbit rows of a disconnected graph may map one component onto
+    # another; each component's search must still keep its first sets.
+    report = full_walk_report(graph)
+    assert is_well_covered(graph) == report
+    assert is_well_covered(graph, 36, stabilizer_orbits(graph)) == report
 
 
 def test_search_checks_cap_before_any_work(monkeypatch):
@@ -309,6 +314,65 @@ def test_mis_size_histogram():
     # Five disjoint 5-cycles: one of the five 2-sets of each cycle.
     five_cycles = cartesian_product(from_graph6("D??"), from_graph6("DLo"))
     assert mis_size_histogram(five_cycles) == {10: 5**5}
+
+
+# --- automorphism orbits ------------------------------------------------------
+
+
+def _relabelled(graph: Graph, rng: random.Random) -> Graph:
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])
+
+
+def _orbit_sets(row, n: int) -> list[frozenset[int]]:
+    if row is None:
+        return [frozenset({v}) for v in range(n)]
+    return [frozenset(iter_bits(mask)) for mask in row]
+
+
+def test_stabilizer_orbits_match_brute_force_permutations():
+    # Every class of order <= 5, in its canonical labels and relabelled, and
+    # a seeded sample of order 6, at every prefix length k.
+    rng = random.Random(17)
+    graphs = [Graph(0, ())] + [g for n in range(1, 6) for g in generate_all_graphs(n)]
+    graphs += [_relabelled(g, rng) for g in graphs]
+    graphs += [_relabelled(g, rng) for g in rng.sample(generate_all_graphs(6), 30)]
+    for graph in graphs:
+        expected = brute_stabilizer_orbits(graph.n, brute_automorphisms(graph.n, graph.edges()))
+        assert [_orbit_sets(row, graph.n) for row in stabilizer_orbits(graph)] == expected
+
+
+def test_product_orbits_match_the_factor_groups_by_brute_force():
+    # Entry s of G x H holds, for each vertex p >= s, its orbit under the
+    # elements of Aut(G) x Aut(H) that fix every vertex below s.
+    rng = random.Random(23)
+    graphs = [g for n in range(1, 5) for g in generate_all_graphs(n)]
+    pairs = [rng.sample(graphs, 2) for _ in range(30)] + [(g, g) for g in rng.sample(graphs, 6)]
+    for left, right in pairs:
+        n_right, order = right.n, left.n * right.n
+        lifted = [
+            tuple(a[p // n_right] * n_right + b[p % n_right] for p in range(order))
+            for a in brute_automorphisms(left.n, left.edges())
+            for b in brute_automorphisms(right.n, right.edges())
+        ]
+        expected = brute_stabilizer_orbits(order, lifted)
+        rows = product_orbits(stabilizer_orbits(left), stabilizer_orbits(right))
+        assert len(rows) == order + 1
+        for s, row in enumerate(rows):
+            assert _orbit_sets(row, order)[s:] == expected[s][s:]
+
+
+@pytest.mark.parametrize("graph", [complete_graph(12), empty_graph(12), complete_graph(37)])
+def test_stabilizer_orbits_of_huge_groups_take_one_search_per_row(graph):
+    # 12! and 37! automorphisms; row k fixes 0..k-1 and joins the rest.
+    begin = perf_counter()
+    rows = stabilizer_orbits(graph)
+    assert perf_counter() - begin < 0.5
+    n = graph.n
+    for k, row in enumerate(rows):
+        rest = (1 << n) - (1 << k)
+        assert row == tuple(1 << v if v < k else rest for v in range(n))
 
 
 # --- isolatable vertices -------------------------------------------------------
@@ -442,9 +506,7 @@ def shuffled_unions(draw):
 @settings(derandomize=True, max_examples=200, database=None, deadline=None)
 @given(shuffled_unions())
 def test_component_searches_match_full_walk_on_shuffled_unions(graph):
-    report = full_walk_report(graph)
-    assert is_well_covered(graph) == report
-    assert well_covered(graph) == report.verdict
+    assert is_well_covered(graph) == full_walk_report(graph)
 
 
 def test_search_work_grows_linearly_on_disjoint_five_cycles():

@@ -334,6 +334,8 @@ def test_certificate_checks_look_up_only_builtins_and_graphs_primitives():
     for check in (is_independent, is_maximal_independent, graphs._maximal_independent_within):
         assert check.__module__ == "wellcovered.graphs"
     assert not hasattr(independence, "_maximal_independent_within")
+    for name in ("stabilizer_orbits", "_automorphism", "product_orbits"):
+        assert not hasattr(graphs, name), name
 
 
 def test_witness_core_size_gap_matches_columns():
