@@ -361,19 +361,13 @@ def render_scan_csv(result: ScanResult, out: TextIO) -> None:
 
 
 def render_scan_json(result: ScanResult) -> str:
-    config = result.config
     records = [_render_record(rec) for rec in result.records]
     # Execution details (parallelism) are deliberately not
     # echoed: identical scan inputs give byte-identical reports.
+    config = result.config._asdict()
+    del config["parallelism"]
     document = {
-        "config": {
-            "max_factor_order": config.max_factor_order,
-            "max_product_order": config.max_product_order,
-            "corpus_paths": list(config.corpus_paths),
-            "generate_up_to": config.generate_up_to,
-            "connected_only": config.connected_only,
-            "enum_cap": config.enum_cap,
-        },
+        "config": config,
         "records": _Rendered(
             "[" + _RECORD_BREAK + ("," + _RECORD_BREAK).join(records) + "\n" + _INDENT + "]"
             if records else "[]"

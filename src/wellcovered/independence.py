@@ -46,8 +46,7 @@ each component product it searches; factors are searched without.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .graphs import (
     CapExceeded,
@@ -60,8 +59,7 @@ from .graphs import (
 DEFAULT_ENUMERATION_CAP = 36
 
 
-@dataclass(frozen=True)
-class WellCoveredReport:
+class WellCoveredReport(NamedTuple):
     """Outcome of the well-covered decision, held as its two certifying
     sets: the masks of the first sets in enumeration order attaining the
     largest and the smallest size of a maximal independent set.  The sizes
@@ -86,8 +84,7 @@ class WellCoveredReport:
         return self.alpha == self.min_maximal
 
 
-@dataclass(frozen=True)
-class IsolatableWitness:
+class IsolatableWitness(NamedTuple):
     """A vertex x with an independent set whose closed-neighborhood deletion
     leaves exactly {x}."""
 

@@ -44,8 +44,9 @@ the right factor's report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -77,8 +78,7 @@ class WitnessCheckError(RuntimeError):
     checked inputs: a fault of the construction, not of its input."""
 
 
-@dataclass(frozen=True)
-class ProductWitness:
+class ProductWitness(NamedTuple):
     """Two maximal independent sets of different sizes in the product of the
     two factors it carries, a certificate :func:`witness_invariants` checks.
     Every set is an int mask, bit v for vertex v: ``isolating_set`` of the
@@ -106,9 +106,9 @@ class ProductWitness:
     patch_big: int            # extends patch_small inside gaps_big
     big: int
     small: int
-    left: Graph = field(repr=False)     # the left factor
-    right: Graph = field(repr=False)    # the right factor
-    product: Graph = field(repr=False)  # left □ right, the sets' host
+    left: Graph               # the left factor
+    right: Graph              # the right factor
+    product: Graph            # left □ right, the sets' host
 
 
 # The ProductWitness fields that are sets of product vertices, in the order
@@ -166,8 +166,7 @@ class FactorAnalysis:
         return tuple(stabilizer_orbits(part) for _, part in self.components)
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     """Complete verification record for one factor pair: the two factor
     analyses, the product's report, order and edge count, the consistency
     flag, and the witness with its orientation.  A pair is inconsistent

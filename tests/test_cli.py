@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -5,11 +6,11 @@ import itertools
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import networkx as nx
@@ -671,6 +672,26 @@ def test_scan_default_enum_cap_follows_product_cap(tmp_path, capsys):
     assert code == 0 and doc["config"]["enum_cap"] == 36
 
 
+def test_scan_report_echoes_every_config_field_but_parallelism(tmp_path, capsys):
+    corpus = tmp_path / "p3.g6"
+    corpus.write_text("Bg\n")
+    argv = [
+        "scan", "--corpus", str(corpus), "--gen-up-to", "2", "--max-n", "4",
+        "--product-cap", "8", "--connected-only", "--enum-cap", "40", "--jobs", "2",
+    ]
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0
+    assert set(doc["config"]) == set(ScanConfig._fields) - {"parallelism"}
+    assert doc["config"] == {
+        "corpus_paths": [str(corpus)],
+        "generate_up_to": 2,
+        "max_factor_order": 4,
+        "max_product_order": 8,
+        "connected_only": True,
+        "enum_cap": 40,
+    }
+
+
 def test_scan_analyses_only_paired_factors(tmp_path, capsys):
     # K37 pairs with nothing under the product cap of 30, so its order above
     # the enumeration cap of 36 does not matter.
@@ -895,7 +916,7 @@ def test_scan_violation_through_verify_pair(tmp_path, capsys, monkeypatch):
 
     def only_products_well_covered(graph, cap, orbits=None):
         report = real(graph, cap)
-        return replace(report, witness_min=report.witness_max) if graph.n == 9 else report
+        return report._replace(witness_min=report.witness_max) if graph.n == 9 else report
 
     monkeypatch.setattr(theorem, "is_well_covered", only_products_well_covered)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -920,6 +941,37 @@ def test_scan_violation_through_verify_pair(tmp_path, capsys, monkeypatch):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched is_well_covered reaches pool workers only when they are forked")
     assert scan_violations("2") == out
+
+
+def test_results_are_named_tuples_and_only_caching_classes_are_dataclasses():
+    """Every result record is a NamedTuple; ``Graph`` and ``FactorAnalysis``
+    stay dataclasses because their ``cached_property`` facts need an
+    instance ``__dict__``.  A verdict survives the pickling that ships
+    violations through the ``scan --jobs`` pool."""
+    modules = [wellcovered] + [
+        importlib.import_module(f"wellcovered.{name}")
+        for name in ("cli", "corpus", "graphs", "independence", "theorem")
+    ]
+    classes = {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    }
+    assert {cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)} == {
+        "Graph", "FactorAnalysis",
+    }
+    records = (
+        wellcovered.WellCoveredReport, wellcovered.IsolatableWitness,
+        wellcovered.ProductWitness, wellcovered.PairVerdict,
+        ScanConfig, cli.ScanRecord, ScanResult,
+    )
+    assert all(issubclass(record, tuple) for record in records)
+    p3 = FactorAnalysis(path_graph(3))
+    verdict = theorem.verify_pair(p3, p3)
+    assert verdict.witness is not None
+    copy = pickle.loads(pickle.dumps(verdict))
+    assert copy == verdict
 
 
 def test_scan_gen_up_to_validation(capsys):

@@ -3,7 +3,7 @@ import dis
 import json
 import pickle
 import random
-from dataclasses import fields, replace
+from dataclasses import fields
 from time import perf_counter
 from types import CodeType, FunctionType
 
@@ -246,19 +246,19 @@ def test_witness_invariants_reject_a_witness_of_other_factors():
     p3 = path_graph(3)
     witness = fixed_orientation_witness(p3, p3)
     with pytest.raises(ValueError, match="do not match the factors"):
-        witness_invariants(replace(witness, right=path_graph(4)))
+        witness_invariants(witness._replace(right=path_graph(4)))
     with pytest.raises(ValueError, match="do not match the factors"):
-        witness_invariants(replace(witness, product=cartesian_product(p3, path_graph(4))))
+        witness_invariants(witness._replace(product=cartesian_product(p3, path_graph(4))))
     for out_of_range in (
-        replace(witness, core_big=witness.core_big | 1 << witness.product.n),
-        replace(witness, isolating_set=1 << witness.left.n),
-        replace(witness, column_small=1 << witness.right.n),
+        witness._replace(core_big=witness.core_big | 1 << witness.product.n),
+        witness._replace(isolating_set=1 << witness.left.n),
+        witness._replace(column_small=1 << witness.right.n),
     ):
         with pytest.raises(ValueError, match="do not match the factors"):
             witness_invariants(out_of_range)
     for vertex in (-3, 3):  # -3 would read vertex 0's rows
         with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
-            witness_invariants(replace(witness, isolatable_vertex=vertex))
+            witness_invariants(witness._replace(isolatable_vertex=vertex))
 
 
 def test_certificate_checks_reach_no_constructor_or_search(monkeypatch):
@@ -291,7 +291,7 @@ def test_certificate_checks_reach_no_constructor_or_search(monkeypatch):
             monkeypatch.setattr(module, name, forbidden)
     for witness in witnesses:
         assert all(witness_invariants(witness).values())
-    spoiled = replace(witnesses[0], small=witnesses[0].core)
+    spoiled = witnesses[0]._replace(small=witnesses[0].core)
     assert not witness_invariants(spoiled)["small_maximal_independent"]
     assert is_independent(p3, mask_of([0, 2])) and is_independent(p3, 0)
     assert not is_independent(p3, mask_of([0, 1]))
