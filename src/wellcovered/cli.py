@@ -38,7 +38,7 @@ from operator import attrgetter
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
-from .corpus import GENERATION_CAP, generate_all_graphs
+from .corpus import GENERATION_CAP, generate_all_graphs, generate_levels
 from .graphs import (
     CapExceeded,
     Graph,
@@ -163,8 +163,8 @@ def load_corpus(config: ScanConfig) -> dict[str, Graph]:
     deduplicated by graph6 line, keyed by that line in sorted order.  No
     order above the factor order cap is generated."""
     graphs: list[Graph] = []
-    for n in range(1, min(config.generate_up_to, config.max_factor_order) + 1):
-        graphs.extend(generate_all_graphs(n))
+    for level in generate_levels(min(config.generate_up_to, config.max_factor_order)):
+        graphs.extend(level)
     for path in config.corpus_paths:
         # latin-1 decodes every byte, so from_graph6 rejects a non-ASCII one
         # on the line that holds it.

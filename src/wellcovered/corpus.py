@@ -30,6 +30,8 @@ supplied externally as graph6 files.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .graphs import Graph
 
 GENERATION_CAP = 8
@@ -96,11 +98,12 @@ def _is_canonical(adj: tuple[int, ...]) -> bool:
     return search(0, (1 << n) - 1)
 
 
-def generate_all_graphs(n: int) -> list[Graph]:
-    """One canonical representative per isomorphism class of simple graphs
-    on n vertices, sorted by canonical adjacency bit-string."""
-    if not 1 <= n <= GENERATION_CAP:
-        raise ValueError(f"generation order must be between 1 and {GENERATION_CAP}")
+def generate_levels(n: int) -> Iterator[list[Graph]]:
+    """The classes of each order 1, ..., n in turn, each order's list as
+    :func:`generate_all_graphs` gives it; every level is built once, from
+    the one below it."""
+    if not 0 <= n <= GENERATION_CAP:
+        raise ValueError(f"generation order must be between 0 and {GENERATION_CAP}")
     level: list[tuple[int, ...]] = [()]
     for k in range(n):
         # Neighbour sets of the new vertex k in ascending order of its
@@ -124,4 +127,13 @@ def generate_all_graphs(n: int) -> list[Graph]:
                     if _is_canonical(child):
                         children.append(child)
         level = children
-    return [Graph._derived(n, rows) for rows in level]
+        yield [Graph._derived(k + 1, rows) for rows in level]
+
+
+def generate_all_graphs(n: int) -> list[Graph]:
+    """One canonical representative per isomorphism class of simple graphs
+    on n vertices, sorted by canonical adjacency bit-string."""
+    if not 1 <= n <= GENERATION_CAP:
+        raise ValueError(f"generation order must be between 1 and {GENERATION_CAP}")
+    *_, top = generate_levels(n)
+    return top

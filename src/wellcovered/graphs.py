@@ -7,7 +7,10 @@ integer operations.  A mask does not record its host: the public checks
 reject a negative mask or one with a bit at or above the graph's order,
 and nothing else.  The checks of independence and maximal independence
 live here, beside the sets they test: every certificate check of the
-package rests on them.  Nothing here searches; every search lives in
+package rests on them.  They take a set of a product G □ H as its rows,
+one mask of H per vertex of G, and the product's edges from the
+definition of □, so no witness builds G □ H; a mask of one graph is the
+one-row case, K1 □ G.  Nothing here searches; every search lives in
 ``independence``, so a checker needs this module alone.  All values are
 immutable after construction; every function here is pure.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 GRAPH6_MAX_ORDER = 62
 GRAPH6_HEADER = ">>graph6<<"
@@ -200,14 +203,48 @@ def _check_mask(graph: Graph, mask: int) -> None:
         raise ValueError(f"vertex set {bin(mask)} out of range for graph of order {graph.n}")
 
 
+_K1 = Graph._derived(1, (0,))  # the left factor of the one-row case
+
+
+def _rows(mask: int, n_left: int, n_right: int) -> list[int]:
+    """The rows of a mask of a product of orders ``n_left`` x ``n_right``."""
+    width = (1 << n_right) - 1
+    return [mask >> g * n_right & width for g in range(n_left)]
+
+
+def _rows_mask(rows: Sequence[int], n_right: int) -> int:
+    """The product mask of ``rows``, the inverse of :func:`_rows`."""
+    mask = 0
+    for row in reversed(rows):
+        mask = mask << n_right | row
+    return mask
+
+
+def _neighborhood_rows(left: Graph, right: Graph, rows: Sequence[int]) -> list[int]:
+    """The rows of N(S), the vertices with a neighbour in S, in left □ right
+    for the rows of S, unchecked: row g joins N(S_g) in the right factor,
+    once per distinct row, with the rows of g's neighbours in the left."""
+    adj, seen, joined = right.adj, {}, []
+    for row, near in zip(rows, left.adj):
+        union = seen.get(row)
+        if union is None:
+            union, rest = 0, row
+            while rest:
+                low = rest & -rest
+                union |= adj[low.bit_length() - 1]
+                rest ^= low
+            seen[row] = union
+        while near:
+            low = near & -near
+            union |= rows[low.bit_length() - 1]
+            near ^= low
+        joined.append(union)
+    return joined
+
+
 def _closed_mask(graph: Graph, mask: int) -> int:
-    """The mask of N[S] for the vertex mask of S, unchecked."""
-    closed, adj = mask, graph.adj
-    while mask:
-        low = mask & -mask
-        closed |= adj[low.bit_length() - 1]
-        mask ^= low
-    return closed
+    """The mask of N[S] for the vertex mask of S, unchecked: the one-row case."""
+    return mask | _neighborhood_rows(_K1, graph, (mask,))[0]
 
 
 def is_independent(graph: Graph, mask: int) -> bool:
@@ -224,20 +261,37 @@ def is_maximal_independent(graph: Graph, mask: int) -> bool:
     return _maximal_independent_within(graph, graph.full_mask, mask)
 
 
+def _maximal_independent_rows(
+    left: Graph, right: Graph, allowed: Sequence[int], chosen: Sequence[int]
+) -> bool:
+    """Maximal independence of the rows ``chosen`` inside the subgraph of
+    left □ right induced by the rows ``allowed``, checked without building
+    either: each chosen row lies in its allowed row and meets no row of
+    N(chosen), taken as in :func:`_neighborhood_rows` but row by row so
+    that a failed row ends the test, and N[chosen] covers every allowed row."""
+    adj, seen = right.adj, {}
+    for room, row, near in zip(allowed, chosen, left.adj):
+        union = seen.get(row)
+        if union is None:
+            union, rest = 0, row
+            while rest:
+                low = rest & -rest
+                union |= adj[low.bit_length() - 1]
+                rest ^= low
+            seen[row] = union
+        while near:
+            low = near & -near
+            union |= chosen[low.bit_length() - 1]
+            near ^= low
+        if row & (union | ~room) or room & ~(union | row):
+            return False
+    return True
+
+
 def _maximal_independent_within(graph: Graph, allowed_mask: int, chosen_mask: int) -> bool:
     """Maximal independence of ``chosen_mask`` inside the subgraph induced by
-    ``allowed_mask``, checked without building the subgraph."""
-    if chosen_mask & ~allowed_mask:
-        return False
-    adj, dominated, rest = graph.adj, chosen_mask, chosen_mask
-    while rest:
-        low = rest & -rest
-        row = adj[low.bit_length() - 1]
-        if row & chosen_mask:
-            return False
-        dominated |= row
-        rest ^= low
-    return allowed_mask & ~dominated == 0
+    ``allowed_mask``, checked without building the subgraph: the one-row case."""
+    return _maximal_independent_rows(_K1, graph, (allowed_mask,), (chosen_mask,))
 
 
 def cartesian_product(graph_left: Graph, graph_right: Graph) -> Graph:

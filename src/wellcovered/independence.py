@@ -51,6 +51,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .graphs import (
     CapExceeded,
     Graph,
+    _K1,
     _rectangle_mask,
     component_masks,
     iter_bits,
@@ -97,18 +98,38 @@ def _check_cap(order: int, cap: int) -> None:
         raise CapExceeded(f"graph order {order} exceeds enumeration cap {cap}")
 
 
+def _greedy_rows(
+    left: Graph, right: Graph, allowed: Sequence[int], chosen: Sequence[int]
+) -> list[int]:
+    """Extend the independent rows ``chosen`` of left □ right (see ``graphs``)
+    to a maximal independent set of the subgraph induced by the rows
+    ``allowed``: each allowed vertex, in ascending product index, joins when
+    no chosen vertex is its neighbour.  Rows are taken in order, so a row's
+    neighbours in the left factor are final below it and as given above it."""
+    adj, chosen = right.adj, list(chosen)
+    for g, near in enumerate(left.adj):
+        row = chosen[g]
+        free = allowed[g] & ~row
+        while free and near:
+            low = near & -near
+            free &= ~chosen[low.bit_length() - 1]
+            near ^= low
+        while free:
+            low = free & -free
+            neighbours = adj[low.bit_length() - 1]
+            free ^= low
+            if not neighbours & row:
+                row |= low
+                free &= ~neighbours
+        chosen[g] = row
+    return chosen
+
+
 def _greedy_within(graph: Graph, allowed_mask: int, chosen_mask: int) -> int:
     """Extend an independent ``chosen_mask`` to a maximal independent set of
-    G[allowed_mask] by each allowed vertex, ascending, with no chosen neighbour."""
-    adj, free = graph.adj, allowed_mask & ~chosen_mask
-    while free:
-        low = free & -free
-        row = adj[low.bit_length() - 1]
-        free ^= low
-        if not row & chosen_mask:
-            chosen_mask |= low
-            free &= ~row
-    return chosen_mask
+    G[allowed_mask] by each allowed vertex, ascending, with no chosen
+    neighbour: the one-row case of :func:`_greedy_rows`."""
+    return _greedy_rows(_K1, graph, (allowed_mask,), (chosen_mask,))[0]
 
 
 def enumerate_maximal_independent_sets(

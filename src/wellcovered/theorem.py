@@ -6,12 +6,13 @@ Two routes certify that a product is or is not well-covered:
 * a constructive witness: when one factor has an isolatable vertex and the
   other has maximal independent sets of two different sizes, the product
   has maximal independent sets of distinct cardinalities, and
-  :func:`build_product_witness` builds them from the factors' sets as the
+  :func:`build_product_witness` builds them from the factors' sets one
+  row of the left factor at a time, never building the product, as the
   int masks a :class:`ProductWitness` holds (every vertex set of the
   package is an int mask), checked by direct independence and domination
   tests, never by enumeration, as :func:`witness_invariants` rechecks them
-  from the witness alone; every such check is a primitive of ``graphs``,
-  and none reads ``independence``;
+  from the witness's factors alone; every such check is a primitive of
+  ``graphs``, and none reads ``independence``;
 * the product's report from branch-and-bound searches of its maximal
   independent sets (:func:`is_well_covered`), wrapped by :func:`verify_pair`,
   which also cross-checks the main claim: a well-covered product forces a
@@ -51,8 +52,11 @@ from typing import NamedTuple
 from .graphs import (
     Graph,
     _closed_mask,
-    _maximal_independent_within,
+    _maximal_independent_rows,
+    _neighborhood_rows,
     _rectangle_mask,
+    _rows,
+    _rows_mask,
     cartesian_product,
     compact_components,
     is_independent,
@@ -64,7 +68,7 @@ from .independence import (
     IsolatableWitness,
     WellCoveredReport,
     _check_cap,
-    _greedy_within,
+    _greedy_rows,
     _isolatable,
     is_well_covered,
     isolatable_vertices,
@@ -108,7 +112,6 @@ class ProductWitness(NamedTuple):
     small: int
     left: Graph               # the left factor
     right: Graph              # the right factor
-    product: Graph            # left □ right, the sets' host
 
 
 # The ProductWitness fields that are sets of product vertices, in the order
@@ -204,7 +207,8 @@ def build_product_witness(
     column_small: int,
 ) -> ProductWitness:
     """Construct maximal independent sets of distinct sizes in the product
-    ``graph_left`` □ ``graph_right``, which is built here.
+    ``graph_left`` □ ``graph_right``, one row of the left factor at a time:
+    the product is never built.
 
     Requires an isolatable vertex of the left factor (with its certificate)
     and the masks of two maximal independent sets of the right factor,
@@ -212,7 +216,8 @@ def build_product_witness(
     scans candidates in ascending product index, and the finished sets are
     rechecked by direct independence and domination tests, never by
     enumeration.  A failed recheck raises :class:`WitnessCheckError`.  The
-    witness keeps the inputs' masks and the nine masks built."""
+    witness keeps the inputs' masks and the nine sets built, each turned
+    from its rows into a product mask once, at the end."""
     _validate_isolatable(graph_left, iso)
     for column in (column_big, column_small):
         if not is_maximal_independent(graph_right, column):
@@ -221,38 +226,43 @@ def build_product_witness(
     if gap <= 0:
         raise ValueError("column sets must have strictly decreasing sizes")
 
-    product = cartesian_product(graph_left, graph_right)
-    x, n_right = iso.vertex, graph_right.n
-    outside = _rectangle_mask(
-        graph_left.full_mask & ~graph_left.closed_adj[x], graph_right.full_mask, n_right
-    )
-    neighbor_block = _rectangle_mask(graph_left.adj[x], graph_right.full_mask, n_right)
-    core = _greedy_within(
-        product, outside, _rectangle_mask(iso.certificate, column_big, n_right)
-    )
-    core_big = core | column_big << x * n_right
-    core_small = core | column_small << x * n_right
-    gaps_big = neighbor_block & ~_closed_mask(product, core_big)
-    gaps_small = neighbor_block & ~_closed_mask(product, core_small)
-    patch_small = _greedy_within(product, gaps_small, 0)
-    patch_big = _greedy_within(product, gaps_big, patch_small)
-    big, small = core_big | patch_big, core_small | patch_small
+    x, n_left, n_right, full = iso.vertex, graph_left.n, graph_right.n, graph_right.full_mask
+    ring = graph_left.adj[x]
+    outside, seed = [full] * n_left, [0] * n_left
+    for g in iter_bits(graph_left.closed_adj[x]):
+        outside[g] = 0
+    for g in iter_bits(iso.certificate):
+        seed[g] = column_big
+    core = _greedy_rows(graph_left, graph_right, outside, seed)
+    # The core avoids the rows of N[x], so on a row of N(x), N[core_big] is
+    # N(core) joined with column_big, and likewise for column_small.
+    near_core = _neighborhood_rows(graph_left, graph_right, core)
+    gaps_big, gaps_small = [0] * n_left, [0] * n_left
+    for g in iter_bits(ring):
+        gaps_big[g] = full & ~(near_core[g] | column_big)
+        gaps_small[g] = full & ~(near_core[g] | column_small)
+    patch_small = _greedy_rows(graph_left, graph_right, gaps_small, [0] * n_left)
+    patch_big = _greedy_rows(graph_left, graph_right, gaps_big, patch_small)
+    big, small = core.copy(), core.copy()
+    big[x], small[x] = column_big, column_small
+    for g in iter_bits(ring):
+        big[g], small[g] = patch_big[g], patch_small[g]
 
-    everything = product.full_mask
+    everything = [full] * n_left
     if not (
-        _maximal_independent_within(product, everything, big)
-        and _maximal_independent_within(product, everything, small)
+        _maximal_independent_rows(graph_left, graph_right, everything, big)
+        and _maximal_independent_rows(graph_left, graph_right, everything, small)
     ):
         raise WitnessCheckError("constructed witness sets are not maximal independent")
+    core, gaps_big, gaps_small, patch_small, patch_big = [
+        _rows_mask(rows, n_right) for rows in (core, gaps_big, gaps_small, patch_small, patch_big)
+    ]
+    core_big, core_small = core | column_big << x * n_right, core | column_small << x * n_right
+    big, small = core_big | patch_big, core_small | patch_small
     if big.bit_count() - small.bit_count() < gap:
         raise WitnessCheckError("constructed witness sets do not realize the size gap")
-
     sets = core, core_big, core_small, gaps_big, gaps_small, patch_small, patch_big, big, small
-    return ProductWitness(
-        isolatable_vertex=x, isolating_set=iso.certificate, column_big=column_big,
-        column_small=column_small, left=graph_left, right=graph_right, product=product,
-        **dict(zip(PRODUCT_SETS, sets)),
-    )
+    return ProductWitness(x, iso.certificate, column_big, column_small, *sets, graph_left, graph_right)
 
 
 def _orient_witness(g: FactorAnalysis, h: FactorAnalysis) -> tuple[ProductWitness, bool] | None:
@@ -275,45 +285,53 @@ def _orient_witness(g: FactorAnalysis, h: FactorAnalysis) -> tuple[ProductWitnes
 
 
 def witness_invariants(witness: ProductWitness) -> dict[str, bool]:
-    """Recheck every structural claim of a witness against the factors and
-    the product it carries, by independence and domination tests on masks
-    alone: no constructor or search runs here, and every global name read
-    is a builtin, ``PRODUCT_SETS`` or a primitive of ``graphs``.  A product
-    whose order is not that of the factors, or a mask with a bit at or
-    above the order of its host, raises ``ValueError`` before any test."""
-    graph_left, graph_right, product = witness.left, witness.right, witness.product
+    """Recheck every structural claim of a witness against its two factors,
+    by independence and domination tests on masks and on their rows alone:
+    no constructor or search runs here, the product's edges come from the
+    definition of □ on the factors' rows, and every global name read is a
+    builtin, ``PRODUCT_SETS`` or a primitive of ``graphs``.  A mask with a
+    bit at or above the order of its host raises ``ValueError`` before any
+    test."""
+    graph_left, graph_right = witness.left, witness.right
     n_left, n_right, x = graph_left.n, graph_right.n, witness.isolatable_vertex
     sets = [getattr(witness, name) for name in PRODUCT_SETS]
     bounds = [(witness.isolating_set, n_left), (witness.column_big, n_right),
-              (witness.column_small, n_right), *((mask, product.n) for mask in sets)]
-    if product.n != n_left * n_right or any(mask >> order for mask, order in bounds):
-        raise ValueError("witness sets do not match the factors and their product")
+              (witness.column_small, n_right), *((mask, n_left * n_right) for mask in sets)]
+    if any(mask >> order for mask, order in bounds):
+        raise ValueError("witness sets do not match the factors")
     if not 0 <= x < n_left:
         raise ValueError(f"vertex {x} out of range")
-    everything, column_big = product.full_mask, witness.column_big
+    full, column_big = graph_right.full_mask, witness.column_big
     core, core_big, core_small, gaps_big, gaps_small, _, _, big, small = sets
     gap = column_big.bit_count() - witness.column_small.bit_count()
-    closed_block = _rectangle_mask(graph_left.closed_adj[x], graph_right.full_mask, n_right)
-    neighbor_block = _rectangle_mask(graph_left.adj[x], graph_right.full_mask, n_right)
+    closed_x = graph_left.closed_adj[x]
+    closed_block = _rectangle_mask(closed_x, full, n_right)
+    neighbor_block = _rectangle_mask(graph_left.adj[x], full, n_right)
     seed = _rectangle_mask(witness.isolating_set, column_big, n_right)
+    outside = [0 if closed_x >> g & 1 else full for g in range(n_left)]
+    everything = [full] * n_left
+
+    def closed(mask: int) -> int:
+        rows = _rows(mask, n_left, n_right)
+        return mask | _rows_mask(_neighborhood_rows(graph_left, graph_right, rows), n_right)
+
+    def maximal(allowed: list[int], mask: int) -> bool:
+        rows = _rows(mask, n_left, n_right)
+        return _maximal_independent_rows(graph_left, graph_right, allowed, rows)
 
     return {
         "core_contains_seed": seed & ~core == 0,
         "core_avoids_closed_columns": core & closed_block == 0,
-        "core_maximal_in_residual": _maximal_independent_within(
-            product, everything & ~closed_block, core
-        ),
+        "core_maximal_in_residual": maximal(outside, core),
         "gaps_inside_neighbor_columns": gaps_big & ~neighbor_block == 0,
         "gaps_small_subset_of_gaps_big": gaps_small & ~gaps_big == 0,
-        "gaps_big_undominated_by_core_big": gaps_big & _closed_mask(product, core_big) == 0,
-        "gaps_small_undominated_by_core_small": (
-            gaps_small & _closed_mask(product, core_small) == 0
-        ),
+        "gaps_big_undominated_by_core_big": gaps_big & closed(core_big) == 0,
+        "gaps_small_undominated_by_core_small": gaps_small & closed(core_small) == 0,
         "gaps_big_avoid_column_big": (
             gaps_big & _rectangle_mask(graph_left.full_mask, column_big, n_right) == 0
         ),
-        "big_maximal_independent": _maximal_independent_within(product, everything, big),
-        "small_maximal_independent": _maximal_independent_within(product, everything, small),
+        "big_maximal_independent": maximal(everything, big),
+        "small_maximal_independent": maximal(everything, small),
         "big_strictly_larger": big.bit_count() > small.bit_count(),
         "size_gap_at_least_column_gap": big.bit_count() - small.bit_count() >= gap,
     }
@@ -363,8 +381,8 @@ def verify_pair(
     :func:`_product_report` builds and searches the component products,
     keeping their reports in ``component_reports``; a caller that verifies
     many pairs passes the same dict to each, and by default every call
-    starts an empty one.  :func:`_orient_witness` builds the whole product,
-    and only for the witness.
+    starts an empty one.  :func:`_orient_witness` builds the witness on the
+    factors' rows; no call builds the whole product.
 
     Building the analyses checks the enumeration caps of G and H, and the
     caller checks any product cap; :func:`_check_pair_cap` checks the

@@ -266,7 +266,7 @@ def test_a_failed_builder_check_exits_one_with_one_error_line(capsys, monkeypatc
     """A greedy step that adds nothing leaves the built sets undominated, so
     the builder's own final check fails: no report and no traceback."""
     monkeypatch.setattr(
-        theorem, "_greedy_within", lambda graph, allowed_mask, chosen_mask: chosen_mask
+        theorem, "_greedy_rows", lambda left, right, allowed, chosen: list(chosen)
     )
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
@@ -292,7 +292,7 @@ def test_witness_walks_each_factor_once(capsys, monkeypatch):
     code, doc, _ = run_json(capsys, ["witness", "Bg", "Bg"])
     assert code == 0 and doc["swapped"] is False and doc["all_checks_pass"] is True
     assert walked == []  # no factor is enumerated, and no product
-    assert len(built) == 1  # the witness and its checks share one product
+    assert built == []  # the witness and its checks run on the factors' rows
 
 
 def test_witness_not_applicable_reuses_factor_analysis(capsys, monkeypatch):
@@ -509,11 +509,13 @@ def test_default_scan_witness_sizes_lie_between_the_searched_extremes():
 
 
 def test_scan_generates_only_orders_it_keeps(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, "generate_all_graphs")
+    """The corpus is generated in one pass, up to the factor order cap."""
+    calls = count_calls(monkeypatch, "generate_levels")
+    each_order = count_calls(monkeypatch, "generate_all_graphs")
     code, doc, _ = run_json(capsys, ["scan", "--gen-up-to", "6", "--max-n", "3"])
     assert code == 0 and doc["summary"]["pairs"] == 28
     assert doc["config"]["generate_up_to"] == 6
-    assert calls == [(1,), (2,), (3,)]
+    assert calls == [(3,)] and each_order == []
 
 
 def test_scan_encodes_each_corpus_graph_once(capsys, monkeypatch):
@@ -549,11 +551,9 @@ def component_products(graphs, product_cap):
     return count, distinct
 
 
-def test_scan_builds_a_pair_product_only_for_its_witness(capsys, monkeypatch):
-    """The product of a pair's own factors is built exactly once per
-    witnessed pair, in the witness's orientation, and for no other pair;
-    every other build is a component product, one per distinct pair of
-    compacted components."""
+def test_scan_builds_only_component_products(capsys, monkeypatch):
+    """No pair's own product is built, not even for its witness: every build
+    is a component product, one per distinct pair of compacted components."""
     corpus = {}
     real_load, real_product = cli.load_corpus, theorem.cartesian_product
     built = []
@@ -570,25 +570,19 @@ def test_scan_builds_a_pair_product_only_for_its_witness(capsys, monkeypatch):
     monkeypatch.setattr(theorem, "cartesian_product", recorded)
     code, doc, _ = run_json(capsys, ["scan", "--gen-up-to", "3"])
     assert code == 0 and doc["summary"]["pairs"] == 28
-    name = {id(graph): g6 for g6, graph in corpus.items()}
-    whole = [
-        (name[id(left)], name[id(right)])
-        for left, right in built if id(left) in name and id(right) in name
-    ]
-    witnessed = [
-        (r["g6_h"], r["g6_g"]) if r["witness_swapped"] else (r["g6_g"], r["g6_h"])
-        for r in doc["records"] if r["witness_applicable"]
-    ]
-    assert Counter(whole) == Counter(witnessed) and len(witnessed) == 5
-    assert len(built) - len(whole) == len(component_products(corpus.values(), 30)[1])
+    factors = {id(graph) for graph in corpus.values()}
+    assert not [pair for pair in built if id(pair[0]) in factors or id(pair[1]) in factors]
+    assert sum(r["witness_applicable"] for r in doc["records"]) == 5
+    assert len(built) == len(component_products(corpus.values(), 30)[1])
 
 
-def test_default_scan_builds_each_component_product_and_witness_once(monkeypatch):
-    """The default scan builds its 586 distinct component products and its
-    824 witnesses' products, and nothing else."""
+def test_default_scan_builds_each_component_product_once(monkeypatch):
+    """The default scan builds its 586 distinct component products and
+    nothing else: its 824 witnesses are built on the factors' rows."""
     built = count_calls(monkeypatch, "cartesian_product")
-    scan(ScanConfig())
-    assert len(built) == 586 + 824
+    result = scan(ScanConfig())
+    assert len(built) == 586
+    assert sum(record.witness_applicable for record in result.records) == 824
 
 
 def test_scan_searches_each_distinct_component_product_once_per_scan(monkeypatch):

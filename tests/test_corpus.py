@@ -13,7 +13,8 @@ from wellcovered import (
     generate_all_graphs,
     to_graph6,
 )
-from wellcovered.corpus import _is_canonical
+from wellcovered import corpus
+from wellcovered.corpus import _is_canonical, generate_levels
 
 from oracles import (
     atlas_graphs,
@@ -190,3 +191,23 @@ def test_rejects_out_of_range_order():
     for n in (0, 9, -1):
         with pytest.raises(ValueError):
             generate_all_graphs(n)
+
+
+def test_levels_match_each_order_and_build_each_level_once(monkeypatch):
+    """``generate_levels(n)`` gives every order's classes up to n in one
+    pass: it runs the canonical tests of ``generate_all_graphs(n)`` alone,
+    where generating each order on its own repeats every lower level."""
+    tested = []
+    real = corpus._is_canonical
+    monkeypatch.setattr(corpus, "_is_canonical", lambda adj: tested.append(adj) or real(adj))
+    levels = list(generate_levels(5))
+    one_pass = len(tested)
+    tested.clear()
+    assert levels == [generate_all_graphs(n) for n in range(1, 6)]
+    each_order = len(tested)
+    tested.clear()
+    generate_all_graphs(5)
+    assert len(tested) == one_pass < each_order
+    assert list(generate_levels(0)) == []
+    with pytest.raises(ValueError):
+        list(generate_levels(9))

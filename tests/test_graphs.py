@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,18 @@ from wellcovered import (
     is_maximal_independent,
     to_graph6,
 )
-from wellcovered.graphs import _closed_mask, _rectangle_mask, component_masks, iter_bits
+from wellcovered.graphs import (
+    _closed_mask,
+    _maximal_independent_rows,
+    _maximal_independent_within,
+    _neighborhood_rows,
+    _rectangle_mask,
+    _rows,
+    _rows_mask,
+    component_masks,
+    iter_bits,
+)
+from wellcovered.independence import _greedy_rows, _greedy_within
 
 from paper_lemmas import delete_closed_neighborhood, induced_subgraph, is_clique
 from oracles import (
@@ -215,6 +228,58 @@ def test_rectangle_of_independent_sets_is_independent():
     image = _rectangle_mask(mask_of([0, 2]), mask_of([1, 4]), 6)
     assert frozenset(iter_bits(image)) == {g * 6 + h for g in (0, 2) for h in (1, 4)}
     assert is_independent(prod, image)
+
+
+# --- row forms of product sets --------------------------------------------
+
+
+def test_row_forms_match_the_mask_forms_on_the_product():
+    """Each row form, on the rows of a product set, gives the mask form's
+    answer on the built product G x H: the round trip, the closed
+    neighbourhood, the greedy extension and maximality within a random
+    ``allowed``, for K1, edgeless, disconnected and random factors."""
+    rng = random.Random(1204)
+    factors = [
+        Graph(1, (0,)), empty_graph(3), Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)]),
+        path_graph(4), cycle_graph(5),
+    ]
+    for _ in range(6):
+        n = rng.randint(1, 6)
+        factors.append(Graph.from_edges(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
+        ]))
+    verdicts = set()
+    for left in factors:
+        for right in factors:
+            product = cartesian_product(left, right)
+            n_left, n_right = left.n, right.n
+
+            def rows(mask):
+                return _rows(mask, n_left, n_right)
+
+            for _ in range(4):
+                mask = rng.getrandbits(product.n)
+                allowed = rng.getrandbits(product.n) | mask
+                assert len(rows(mask)) == n_left and all(row >> n_right == 0 for row in rows(mask))
+                assert _rows_mask(rows(mask), n_right) == mask
+                closed = mask | _rows_mask(_neighborhood_rows(left, right, rows(mask)), n_right)
+                assert closed == _closed_mask(product, mask)
+                assert closed == mask | sum(
+                    1 << u for u in range(product.n)
+                    if any(product.adj[v] >> u & 1 for v in iter_bits(mask))
+                )
+                chosen = _greedy_within(product, allowed & mask, 0)
+                grown = _greedy_within(product, allowed, chosen)
+                assert grown == _rows_mask(
+                    _greedy_rows(left, right, rows(allowed), rows(chosen)), n_right
+                )
+                for candidate in (chosen, grown, grown ^ 1 << rng.randrange(product.n)):
+                    verdict = _maximal_independent_within(product, allowed, candidate)
+                    verdicts.add(verdict)
+                    assert verdict == _maximal_independent_rows(
+                        left, right, rows(allowed), rows(candidate)
+                    )
+    assert verdicts == {True, False}
 
 
 # --- is_clique / is_connected -----------------------------------------------

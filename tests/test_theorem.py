@@ -207,7 +207,7 @@ def _matches_the_reference(left, right, witness):
     """The mask kernel's product sets equal the masks of the reference
     construction over Python sets, set by set."""
     expected = reference_product_witness(
-        witness.product, left, witness.isolatable_vertex,
+        cartesian_product(witness.left, witness.right), left, witness.isolatable_vertex,
         list(iter_bits(witness.isolating_set)),
         list(iter_bits(witness.column_big)), list(iter_bits(witness.column_small)),
         right.n,
@@ -245,12 +245,14 @@ def test_mask_witness_matches_the_vertex_set_reference_on_the_witness_pool():
 def test_witness_invariants_reject_a_witness_of_other_factors():
     p3 = path_graph(3)
     witness = fixed_orientation_witness(p3, p3)
+    # P3 x P2 has 6 vertices, fewer than the sets' 9-vertex host.
     with pytest.raises(ValueError, match="do not match the factors"):
-        witness_invariants(witness._replace(right=path_graph(4)))
-    with pytest.raises(ValueError, match="do not match the factors"):
-        witness_invariants(witness._replace(product=cartesian_product(p3, path_graph(4))))
+        witness_invariants(witness._replace(right=path_graph(2)))
+    # P3 x P4 holds every mask, read in other rows, so the checks fail.
+    checks = witness_invariants(witness._replace(right=path_graph(4)))
+    assert not checks["big_maximal_independent"] and not checks["small_maximal_independent"]
     for out_of_range in (
-        witness._replace(core_big=witness.core_big | 1 << witness.product.n),
+        witness._replace(core_big=witness.core_big | 1 << p3.n * p3.n),
         witness._replace(isolating_set=1 << witness.left.n),
         witness._replace(column_small=1 << witness.right.n),
     ):
@@ -261,12 +263,43 @@ def test_witness_invariants_reject_a_witness_of_other_factors():
             witness_invariants(witness._replace(isolatable_vertex=vertex))
 
 
+def test_witness_invariants_take_the_product_edges_from_the_factors():
+    """With no product to read, the checks still see every edge of G x H:
+    dropping any vertex of ``big`` leaves it undominated, and adding to
+    ``small`` any vertical neighbour (g', h) of a member (g, h), g' ~ g in
+    the left factor, makes it dependent."""
+    c6 = cycle_graph(6)
+    witnesses = [
+        fixed_orientation_witness(path_graph(3), path_graph(3)),
+        build_product_witness(
+            c6, IsolatableWitness(4, mask_of([0, 2])), c6, mask_of([0, 2, 4]), mask_of([0, 3])
+        ),
+    ]
+    mutants = 0
+    for witness in witnesses:
+        assert all(witness_invariants(witness).values())
+        n_right = witness.right.n
+        for v in iter_bits(witness.big):
+            checks = witness_invariants(witness._replace(big=witness.big ^ 1 << v))
+            assert not checks["big_maximal_independent"]
+            mutants += 1
+        for v in iter_bits(witness.small):
+            g, h = divmod(v, n_right)
+            for neighbour in iter_bits(witness.left.adj[g]):
+                small = witness.small | 1 << neighbour * n_right + h
+                checks = witness_invariants(witness._replace(small=small))
+                assert not checks["small_maximal_independent"]
+                mutants += 1
+    assert mutants > 30
+
+
 def test_certificate_checks_reach_no_constructor_or_search(monkeypatch):
-    """The trusted base of every certificate check: the mask test
-    ``_maximal_independent_within``, the deletion test of
-    ``_validate_isolatable``, set sizes, and the product a witness carries.
-    With every constructor and search patched to raise, the checks still
-    give their answers."""
+    """The trusted base of every certificate check: the row test
+    ``_maximal_independent_rows`` (of which the mask test is the one-row
+    case), the deletion test of ``_validate_isolatable`` and set sizes.
+    With every constructor and search patched to raise, the product
+    constructor and the row greedy among them, the checks still give their
+    answers, so no check builds a product."""
     p3, c6 = path_graph(3), cycle_graph(6)
     with open(GOLDEN_PATH, encoding="utf-8") as handle:
         g6_g, g6_h, _, _ = min(json.load(handle)["witness-large"]["pool"], key=lambda e: e[2])
@@ -284,8 +317,11 @@ def test_certificate_checks_reach_no_constructor_or_search(monkeypatch):
         raise AssertionError("a certificate check reached a constructor or a search")
 
     for module, names in (
-        (independence, ("_greedy_within", "_walk", "_largest", "_smallest", "_isolating_set")),
-        (theorem, ("_greedy_within", "_isolatable", "cartesian_product")),
+        (independence, (
+            "_greedy_rows", "_greedy_within", "_walk", "_largest", "_smallest", "_isolating_set",
+        )),
+        (theorem, ("_greedy_rows", "_isolatable", "cartesian_product")),
+        (graphs, ("cartesian_product",)),
     ):
         for name in names:
             monkeypatch.setattr(module, name, forbidden)
@@ -331,7 +367,10 @@ def test_certificate_checks_look_up_only_builtins_and_graphs_primitives():
             value = vars(theorem)[name]
             assert isinstance(value, FunctionType), (check.__name__, name)
             assert value.__module__ == "wellcovered.graphs", (check.__name__, name)
-    for check in (is_independent, is_maximal_independent, graphs._maximal_independent_within):
+    for check in (
+        is_independent, is_maximal_independent, graphs._maximal_independent_within,
+        graphs._maximal_independent_rows, graphs._neighborhood_rows,
+    ):
         assert check.__module__ == "wellcovered.graphs"
     assert not hasattr(independence, "_maximal_independent_within")
     for name in ("stabilizer_orbits", "_automorphism", "product_orbits"):
@@ -552,9 +591,9 @@ def test_product_searches_consult_the_factor_orbits(monkeypatch):
     assert verdict.product_report == full_walk_report(cartesian_product(c5, c5))
 
 
-def test_connected_pair_builds_its_witness_product_apart_from_the_search(monkeypatch):
-    # The search builds the component product G x H, then the witness
-    # builds its own product in its orientation.
+def test_connected_pair_builds_only_its_search_product(monkeypatch):
+    # The search builds the component product G x H; the witness, in either
+    # orientation, runs on the factors' rows and builds none.
     real, built = theorem.cartesian_product, []
 
     def recorded(left, right):
@@ -564,11 +603,11 @@ def test_connected_pair_builds_its_witness_product_apart_from_the_search(monkeyp
     monkeypatch.setattr(theorem, "cartesian_product", recorded)
     k1, p3 = complete_graph(1), path_graph(3)
     verdict = verify(k1, p3)  # K1 is isolatable and P3 is not well-covered
-    assert not verdict.witness_swapped and built == [(1, 3), (1, 3)]
+    assert not verdict.witness_swapped and built == [(1, 3)]
     assert all(witness_invariants(verdict.witness).values())
     built.clear()
-    verdict = verify(p3, k1)  # a swapped witness builds H x G
-    assert verdict.witness_swapped and built == [(3, 1), (1, 3)]
+    verdict = verify(p3, k1)  # a swapped witness lives in H x G
+    assert verdict.witness_swapped and built == [(3, 1)]
     assert all(witness_invariants(verdict.witness).values())
 
 
