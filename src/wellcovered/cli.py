@@ -180,29 +180,30 @@ def load_corpus(config: ScanConfig) -> dict[str, Graph]:
     return dict(sorted(selected.items()))
 
 
-def _record_from_verdict(g6_g: str, g6_h: str, verdict: PairVerdict) -> ScanRecord:
-    g, h = verdict.g_analysis, verdict.h_analysis
+def _factor_fields(analysis: FactorAnalysis) -> tuple:
+    """A factor's scan-record fields, in ``ScanRecord`` order: the verdict,
+    alpha, the smallest maximal size and the isolatable vertices."""
+    report, isolatable = analysis.report, tuple(w.vertex for w in analysis.isolatable)
+    return report.verdict, report.alpha, report.min_maximal, isolatable
+
+
+def _record_from_verdict(g6_g: str, g6_h: str, fields: dict, verdict: PairVerdict) -> ScanRecord:
+    witness, product = verdict.witness, verdict.product_report
     return ScanRecord(
-        g6_g=g6_g,
-        g6_h=g6_h,
-        g_well_covered=g.report.verdict,
-        g_alpha=g.report.alpha,
-        g_min_maximal=g.report.min_maximal,
-        g_isolatable=tuple(w.vertex for w in g.isolatable),
-        h_well_covered=h.report.verdict,
-        h_alpha=h.report.alpha,
-        h_min_maximal=h.report.min_maximal,
-        h_isolatable=tuple(w.vertex for w in h.isolatable),
+        g6_g,
+        g6_h,
+        *fields[g6_g],
+        *fields[g6_h],
         product_n=verdict.product_order,
         product_m=verdict.product_size,
-        product_well_covered=verdict.product_report.verdict,
-        product_alpha=verdict.product_report.alpha,
-        product_min_maximal=verdict.product_report.min_maximal,
+        product_well_covered=product.verdict,
+        product_alpha=product.alpha,
+        product_min_maximal=product.min_maximal,
         theorem_consistent=verdict.theorem_consistent,
-        witness_applicable=verdict.witness is not None,
-        witness_swapped=verdict.witness_swapped if verdict.witness else None,
-        witness_big_size=verdict.witness.big.bit_count() if verdict.witness else None,
-        witness_small_size=verdict.witness.small.bit_count() if verdict.witness else None,
+        witness_applicable=witness is not None,
+        witness_swapped=verdict.witness_swapped if witness else None,
+        witness_big_size=witness.big.bit_count() if witness else None,
+        witness_small_size=witness.small.bit_count() if witness else None,
     )
 
 
@@ -211,12 +212,14 @@ def _evaluate(
 ) -> list[tuple[ScanRecord, PairVerdict | None]]:
     """Each pair's record, with its verdict when it is inconsistent.  The
     pairs share one dict of component-product reports, so each distinct
-    pair of compacted components is searched once per call."""
+    pair of compacted components is searched once per call, and each
+    factor's record fields are read once per call."""
     reports: dict = {}
+    fields = {g6: _factor_fields(analyses[g6]) for g6 in dict.fromkeys(chain.from_iterable(pairs))}
     outcomes = []
     for g, h in pairs:
         verdict = verify_pair(analyses[g], analyses[h], reports)
-        record = _record_from_verdict(g, h, verdict)
+        record = _record_from_verdict(g, h, fields, verdict)
         outcomes.append((record, None if verdict.theorem_consistent else verdict))
     return outcomes
 

@@ -21,8 +21,10 @@ branch-and-bound loops over the same order give the well-covered report,
 the one source of every verdict, without visiting the sets whose sizes
 their bounds rule out: :func:`_largest` cuts by a greedy clique cover of
 the candidates, :func:`_smallest` by a packing of undominated vertices with
-disjoint dominator sets, built once per node and updated as each sibling
-drops a candidate.  Both run once per connected component, and the union of
+disjoint dominator sets, taken in ascending degree, built once per node
+and updated as each sibling drops a candidate; a node ends before its
+candidates run out, since each undominated vertex is retested as its
+dominators drop.  Both run once per connected component, and the union of
 the components' first sets is the first set (:func:`is_well_covered` says
 why).
 
@@ -382,17 +384,21 @@ def _smallest(graph: Graph, universe: int, orbits: Orbits | None = None) -> int:
     candidates each need a vertex of their own, so a node ends, with every
     sibling still waiting, once its size plus such a packing cannot beat the
     best, or once some vertex has no dominator left.  The packing is built on
-    entering a node, over the undominated vertices ascending: each joins
-    with its dominators D, and N[D] leaves the scan.  Dropping the lowest
-    candidate v for the next sibling only shrinks dominator sets, so only
-    the undominated vertices of N[v] change: the node ends if one has no
-    dominator left, and one whose dominators now miss those in use joins.
-    Any such packing is a lower bound, so the first smallest set is kept.
+    entering a node, over the undominated vertices in ascending degree, ties
+    by label (one mask per degree, built once per call): each joins with its
+    dominators D, and N[D] leaves the scan.  Low degrees first keep each
+    N[D] small, where an early vertex of high degree would take most of a
+    sparse graph out of the scan.  Dropping the lowest candidate v for the
+    next sibling only shrinks dominator sets, so only the undominated
+    vertices of N[v] change: the node ends if one has no dominator left,
+    and one whose dominators now miss those in use joins.  Any such packing
+    is a lower bound, so the first smallest set is kept.
 
-    The packing holds the lowest undominated vertex from entry on.  So the
-    node ends before its candidates run out, and a child is entered only at
-    a room over the packing of at least 2: every set reached is a new best,
-    stored without a test.
+    Every undominated vertex has a dominator on entry and is retested as
+    its dominators drop, so the node ends, at the latest when one loses
+    its last, before its candidates run out.  The packing is not empty, so
+    a child is entered only at a room over the node's size of at least 2:
+    every set reached is a new best, stored without a test.
 
     With ``orbits``, each explored child's whole orbit is dropped, and
     banned below the siblings, by the rule of the module docstring, and the
@@ -403,6 +409,13 @@ def _smallest(graph: Graph, universe: int, orbits: Orbits | None = None) -> int:
     closed = graph.closed_adj
     rows = orbits or (None,) * (graph.n + 1)
     best_size, best = universe.bit_count() + 1, 0
+    by_degree = [0] * (graph.n + 1)
+    rest = universe
+    while rest:
+        low = rest & -rest
+        by_degree[closed[low.bit_length() - 1].bit_count()] |= low
+        rest ^= low
+    runs = tuple(filter(None, by_degree))
 
     def walk(chosen: int, size: int, dominated: int, start: int, banned: int) -> None:
         nonlocal best_size, best
@@ -414,17 +427,22 @@ def _smallest(graph: Graph, universe: int, orbits: Orbits | None = None) -> int:
         if banned:
             candidates &= ~banned
         need, used, rest = size, 0, undominated
-        while rest:
-            low = rest & -rest
-            dominators = closed[low.bit_length() - 1] & candidates
-            need += 1
-            if not dominators or need >= best_size:
-                return
-            used |= dominators
-            while dominators:
-                low = dominators & -dominators
-                rest &= ~closed[low.bit_length() - 1]
-                dominators ^= low
+        for run in runs:
+            pending = rest & run
+            while pending:
+                low = pending & -pending
+                dominators = closed[low.bit_length() - 1] & candidates
+                need += 1
+                if not dominators or need >= best_size:
+                    return
+                used |= dominators
+                while dominators:
+                    low = dominators & -dominators
+                    rest &= ~closed[low.bit_length() - 1]
+                    dominators ^= low
+                pending &= rest
+            if not rest:
+                break
         row = rows[start]
         while need < best_size:
             low = candidates & -candidates
@@ -526,9 +544,10 @@ def is_well_covered(
     Two branch-and-bound searches per connected component find the first
     maximum and the first minimum maximal independent set in enumeration
     order, so the report is the one a full enumeration gives, without
-    visiting the sets whose sizes the bounds rule out.  ``orbits``, orbit
-    rows of the graph's automorphisms (see the module docstring), prune
-    both searches without changing the report.
+    visiting the sets whose sizes the bounds rule out; an isolated vertex,
+    its own only maximal independent set, is searched by neither.
+    ``orbits``, orbit rows of the graph's automorphisms (see the module
+    docstring), prune both searches without changing the report.
 
     The union of the components' first sets is the graph's first set, even
     when the components' labels interleave.  Every largest (or smallest
@@ -540,8 +559,11 @@ def is_well_covered(
     _check_cap(graph.n, cap)
     big = small = 0
     for part in component_masks(graph):
-        big |= _largest(graph, part, orbits)
-        small |= _smallest(graph, part, orbits)
+        if part & (part - 1):
+            big |= _largest(graph, part, orbits)
+            small |= _smallest(graph, part, orbits)
+        else:
+            big, small = big | part, small | part
     return WellCoveredReport(big, small)
 
 

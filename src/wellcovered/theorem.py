@@ -212,8 +212,10 @@ def build_product_witness(
 
     Requires an isolatable vertex of the left factor (with its certificate)
     and the masks of two maximal independent sets of the right factor,
-    ``column_big`` the larger.  Once these are checked, every greedy step
-    scans candidates in ascending product index, and the finished sets are
+    ``column_big`` the larger.  This API boundary checks them, raising
+    ``ValueError``; :func:`_orient_witness` passes a factor's own search
+    results straight to :func:`_build_witness`.  Every greedy step scans
+    candidates in ascending product index, and the finished sets are
     rechecked by direct independence and domination tests, never by
     enumeration.  A failed recheck raises :class:`WitnessCheckError`.  The
     witness keeps the inputs' masks and the nine sets built, each turned
@@ -222,10 +224,17 @@ def build_product_witness(
     for column in (column_big, column_small):
         if not is_maximal_independent(graph_right, column):
             raise ValueError("column set is not maximal independent in the right factor")
-    gap = column_big.bit_count() - column_small.bit_count()
-    if gap <= 0:
+    if column_big.bit_count() <= column_small.bit_count():
         raise ValueError("column sets must have strictly decreasing sizes")
+    return _build_witness(graph_left, iso, graph_right, column_big, column_small)
 
+
+def _build_witness(
+    graph_left: Graph, iso: IsolatableWitness, graph_right: Graph, column_big: int, column_small: int
+) -> ProductWitness:
+    """:func:`build_product_witness` without its input checks; its final
+    checks still require a positive size gap."""
+    gap = column_big.bit_count() - column_small.bit_count()
     x, n_left, n_right, full = iso.vertex, graph_left.n, graph_right.n, graph_right.full_mask
     ring = graph_left.adj[x]
     outside, seed = [full] * n_left, [0] * n_left
@@ -259,8 +268,8 @@ def build_product_witness(
     ]
     core_big, core_small = core | column_big << x * n_right, core | column_small << x * n_right
     big, small = core_big | patch_big, core_small | patch_small
-    if big.bit_count() - small.bit_count() < gap:
-        raise WitnessCheckError("constructed witness sets do not realize the size gap")
+    if not big.bit_count() - small.bit_count() >= gap > 0:
+        raise WitnessCheckError("constructed witness sets do not realize a positive size gap")
     sets = core, core_big, core_small, gaps_big, gaps_small, patch_small, patch_big, big, small
     return ProductWitness(x, iso.certificate, column_big, column_small, *sets, graph_left, graph_right)
 
@@ -272,12 +281,12 @@ def _orient_witness(g: FactorAnalysis, h: FactorAnalysis) -> tuple[ProductWitnes
     with the right factor's first extreme sets; the right factor's report is
     searched only once the left factor has an isolatable vertex.  Returns
     the witness, built in G □ H or, when swapped, in H □ G by
-    :func:`build_product_witness`, and whether the factors were swapped, or
-    None when neither applies.  Callers check the product cap first."""
+    :func:`_build_witness`, and whether the factors were swapped, or None
+    when neither applies.  Callers check the product cap first."""
     for left, right, swapped in ((g, h, False), (h, g, True)):
         iso = left.first_isolatable
         if iso is not None and not right.report.verdict:
-            witness = build_product_witness(
+            witness = _build_witness(
                 left.graph, iso, right.graph, right.report.witness_max, right.report.witness_min
             )
             return witness, swapped

@@ -611,6 +611,31 @@ def test_scan_never_enumerates_a_product(capsys, monkeypatch):
     assert walked == []  # neither the products nor the factors
 
 
+def test_scan_checks_no_witness_input_and_reads_each_factor_once(monkeypatch):
+    # The witnesses of a scan are built from the factors' own search
+    # results, so the input checks of the public builder never run, and
+    # each factor's record fields are read once, not once per pair.
+    config = ScanConfig(generate_up_to=4)
+    expected = render_scan_json(scan(config))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a witness input was checked")
+
+    for name in ("_validate_isolatable", "is_maximal_independent"):
+        monkeypatch.setattr(theorem, name, forbidden)
+    read, real = [], cli._factor_fields
+
+    def fields(analysis):
+        read.append(analysis.graph)
+        return real(analysis)
+
+    monkeypatch.setattr(cli, "_factor_fields", fields)
+    result = scan(config)
+    assert render_scan_json(result) == expected
+    assert any(record.witness_applicable for record in result.records)
+    assert len(read) == len(set(read)) == len(cli.load_corpus(config))
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -508,6 +508,45 @@ def test_component_searches_match_full_walk_on_shuffled_unions(graph):
     assert is_well_covered(graph) == full_walk_report(graph)
 
 
+def relabelled(rng, graph):
+    label = rng.sample(range(graph.n), graph.n)
+    return Graph.from_edges(graph.n, [(label[u], label[v]) for u, v in graph.edges()])
+
+
+def test_smallest_matches_full_walk_on_sparse_relabelled_graphs():
+    # The packing of the smallest-set search is scanned in ascending degree,
+    # ties by label, and may miss the lowest undominated vertex; sparse,
+    # arbitrarily labelled graphs are where that order differs most from
+    # label order.  Trees and G(n, 0.15) of order <= 14 and shuffled disjoint
+    # unions of the smaller ones, each searched with and without orbit rows.
+    rng = random.Random(1204)
+    trees = [
+        relabelled(rng, Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)]))
+        for n in [rng.randint(3, 14) for _ in range(25)]
+    ]
+    sparse = [
+        Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.15])
+        for n in [rng.randint(3, 14) for _ in range(25)]
+    ]
+    small = [graph for graph in trees + sparse if graph.n <= 7]
+    unions = [relabelled(rng, disjoint_union(*rng.sample(small, 2))) for _ in range(15)]
+    inputs = trees + sparse + unions
+    several_runs = 0
+    for graph in inputs:
+        expected = full_walk_report(graph)
+        orbits = stabilizer_orbits(graph)
+        assert is_well_covered(graph) == expected
+        assert is_well_covered(graph, 36, orbits) == expected
+        degrees = []
+        for part in component_masks(graph):
+            smallest = expected.witness_min & part
+            assert independence._smallest(graph, part) == smallest
+            assert independence._smallest(graph, part, orbits) == smallest
+            degrees.append(len({graph.adj[v].bit_count() for v in iter_bits(part)}))
+        several_runs += max(degrees) > 1
+    assert several_runs > 0.8 * len(inputs), (several_runs, len(inputs))
+
+
 def test_search_work_grows_linearly_on_disjoint_five_cycles():
     # Every maximal independent set of k disjoint 5-cycles has size 2k, and
     # neither bound is tight on C5, so a search of the whole union would

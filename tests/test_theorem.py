@@ -201,6 +201,33 @@ def test_witness_precondition_errors():
         build_product_witness(p3, IsolatableWitness(0, mask_of([2])), p3, big, mask_of([0]))
     with pytest.raises(ValueError, match="decreasing"):
         build_product_witness(p3, IsolatableWitness(0, mask_of([2])), p3, small, big)
+    with pytest.raises(ValueError, match="decreasing"):
+        build_product_witness(p3, IsolatableWitness(0, mask_of([2])), p3, big, big)
+
+
+def test_internal_builder_checks_no_input_but_still_checks_its_sets(monkeypatch):
+    """``_build_witness`` takes a factor's own search results unchecked:
+    with the input checks patched to raise, the orientation rule still
+    builds its witness.  Corrupted inputs still end in the final checks."""
+    p3, iso = path_graph(3), IsolatableWitness(0, mask_of([2]))
+    big, small = mask_of([0, 2]), mask_of([1])
+    expected = build_product_witness(p3, iso, p3, big, small)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an input check ran")
+
+    for name in ("_validate_isolatable", "is_maximal_independent"):
+        monkeypatch.setattr(theorem, name, forbidden)
+    assert theorem._build_witness(p3, iso, p3, big, small) == expected
+    witness, swapped = theorem._orient_witness(FactorAnalysis(p3), FactorAnalysis(p3))
+    assert (witness, swapped) == (expected, False)
+    for column_big, column_small in (
+        (small, big),             # no positive size gap
+        (big, big),
+        (mask_of([0, 1]), small), # a column that is not independent
+    ):
+        with pytest.raises(theorem.WitnessCheckError):
+            theorem._build_witness(p3, iso, p3, column_big, column_small)
 
 
 def _matches_the_reference(left, right, witness):
