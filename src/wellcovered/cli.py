@@ -62,6 +62,8 @@ from .theorem import (
     WitnessCheckError,
     _check_pair_cap,
     _orient_witness,
+    _pair_summary,
+    _product_sizes,
     verify_pair,
     witness_invariants,
 )
@@ -187,40 +189,29 @@ def _factor_fields(analysis: FactorAnalysis) -> tuple:
     return report.verdict, report.alpha, report.min_maximal, isolatable
 
 
-def _record_from_verdict(g6_g: str, g6_h: str, fields: dict, verdict: PairVerdict) -> ScanRecord:
-    witness, product = verdict.witness, verdict.product_report
-    return ScanRecord(
-        g6_g,
-        g6_h,
-        *fields[g6_g],
-        *fields[g6_h],
-        product_n=verdict.product_order,
-        product_m=verdict.product_size,
-        product_well_covered=product.verdict,
-        product_alpha=product.alpha,
-        product_min_maximal=product.min_maximal,
-        theorem_consistent=verdict.theorem_consistent,
-        witness_applicable=witness is not None,
-        witness_swapped=verdict.witness_swapped if witness else None,
-        witness_big_size=witness.big.bit_count() if witness else None,
-        witness_small_size=witness.small.bit_count() if witness else None,
-    )
-
-
 def _evaluate(
     pairs: list[tuple[str, str]], analyses: dict[str, FactorAnalysis]
 ) -> list[tuple[ScanRecord, PairVerdict | None]]:
-    """Each pair's record, with its verdict when it is inconsistent.  The
-    pairs share one dict of component-product reports, so each distinct
-    pair of compacted components is searched once per call, and each
-    factor's record fields are read once per call."""
-    reports: dict = {}
+    """Each pair's record, with its verdict when it is inconsistent.  A
+    record reads the product's sizes from one dict for all pairs, searched
+    once per unordered component pair, and each factor's fields once;
+    ``scan`` has checked the caps.  Only an inconsistent pair goes through
+    ``verify_pair``, for the full reports its violation entry renders."""
+    sizes: dict = {}
     fields = {g6: _factor_fields(analyses[g6]) for g6 in dict.fromkeys(chain.from_iterable(pairs))}
     outcomes = []
-    for g, h in pairs:
-        verdict = verify_pair(analyses[g], analyses[h], reports)
-        record = _record_from_verdict(g, h, fields, verdict)
-        outcomes.append((record, None if verdict.theorem_consistent else verdict))
+    for g6_g, g6_h in pairs:
+        g, h = analyses[g6_g], analyses[g6_h]
+        alpha, min_maximal = _product_sizes(g, h, sizes)
+        product_wc = alpha == min_maximal
+        order, size, consistent = _pair_summary(g, h, product_wc)
+        witness, swapped = _orient_witness(g, h) or (None, False)
+        record = ScanRecord(
+            g6_g, g6_h, *fields[g6_g], *fields[g6_h], order, size, product_wc,
+            alpha, min_maximal, consistent, witness is not None, swapped if witness else None,
+            *((witness.big.bit_count(), witness.small.bit_count()) if witness else (None, None)),
+        )
+        outcomes.append((record, None if consistent else verify_pair(g, h)))
     return outcomes
 
 
@@ -238,7 +229,8 @@ def scan(config: ScanConfig) -> ScanResult:
     """Evaluate every unordered corpus pair whose product fits the cap.
     Only the factors of those pairs are analysed, and every pair's largest
     component product is checked against the enumeration cap, in pair
-    order, before any search.  Records come in the order of the pairs,
+    order, before any search.  Records come from the products' sizes,
+    shared by unordered component pair (:func:`_evaluate`), in pair order,
     sorted since the corpus keys are.  With ``--jobs``, worker w evaluates
     the interleaved share ``pairs[w::workers]`` as one task, so it receives
     the analyses once and builds each orbit table at most once."""

@@ -26,11 +26,12 @@ rank in Hj), so each is the product of the compacted components
 (:func:`compact_components`) under an order-preserving map, which keeps the
 first extreme sets.  The product is well-covered iff every component is,
 its sizes are the sums, and its first sets are the unions of the lifted
-component sets (see :func:`is_well_covered`).  A scan passes one dict of
-component reports to all its pairs, so each distinct pair of compacted
-components is searched once per scan, pruned by the orbit rows of
-Aut(Gi) × Aut(Hj), which ``independence`` describes and builds from one
-table per compacted component, cached on the :class:`FactorAnalysis`.
+component sets (see :func:`is_well_covered`); only :func:`verify_pair`
+lifts them.  A scan reads only the sizes, shared by unordered pair of
+compacted components (:func:`_product_sizes`).  Every search is pruned by
+the orbit rows of Aut(Gi) × Aut(Hj), which ``independence`` describes and
+builds from one table per compacted component, cached on the
+:class:`FactorAnalysis`.
 
 A factor is a :class:`FactorAnalysis` and a product is a :class:`Graph`.
 :func:`verify_pair` takes two analyses.  A :class:`FactorAnalysis` checks
@@ -346,22 +347,25 @@ def witness_invariants(witness: ProductWitness) -> dict[str, bool]:
     }
 
 
-def _product_report(g: FactorAnalysis, h: FactorAnalysis, reports: dict) -> WellCoveredReport:
+def _component_report(g: FactorAnalysis, i: int, h: FactorAnalysis, j: int) -> WellCoveredReport:
+    """The report of Gi □ Hj, the one product search: under the smaller of
+    the two caps, pruned by the orbits of Aut(Gi) × Aut(Hj)."""
+    product = cartesian_product(g.components[i][1], h.components[j][1])
+    orbits = product_orbits(g.component_orbits[i], h.component_orbits[j])
+    return is_well_covered(product, min(g.cap, h.cap), orbits)
+
+
+def _product_report(g: FactorAnalysis, h: FactorAnalysis) -> WellCoveredReport:
     """The report of G □ H joined from the reports of its components
-    Gi □ Hj, each taken from ``reports`` (keyed by the two compacted
-    components' adjacency) or searched and stored there under the smaller
-    of the two analyses' enumeration caps.  Each search builds its component
-    product Gi □ Hj and is pruned by the orbits of Aut(Gi) × Aut(Hj)
-    (:func:`product_orbits`)."""
-    parts, cap = [], min(g.cap, h.cap)
+    Gi □ Hj, each searched by :func:`_component_report` once per call
+    (keyed by the two compacted components' adjacency)."""
+    parts, reports = [], {}
     for i, (g_vertices, g_part) in enumerate(g.components):
         for j, (h_vertices, h_part) in enumerate(h.components):
             key = g_part.adj, h_part.adj
             report = reports.get(key)
             if report is None:
-                product = cartesian_product(g_part, h_part)
-                orbits = product_orbits(g.component_orbits[i], h.component_orbits[j])
-                report = reports[key] = is_well_covered(product, cap, orbits)
+                report = reports[key] = _component_report(g, i, h, j)
             parts.append((g_vertices, h_vertices, report))
     if len(parts) == 1:
         return report  # a connected product is its own component, same labels
@@ -374,40 +378,59 @@ def _product_report(g: FactorAnalysis, h: FactorAnalysis, reports: dict) -> Well
     return WellCoveredReport(big, small)
 
 
+def _product_sizes(g: FactorAnalysis, h: FactorAnalysis, sizes: dict) -> tuple[int, int]:
+    """alpha and the smallest maximal size of G □ H, summed over its
+    components Gi □ Hj from ``sizes``, or searched and stored there under
+    both orders of their key, since Gi □ Hj ≅ Hj □ Gi; no set is lifted."""
+    alpha = min_maximal = 0
+    for i, (_, g_part) in enumerate(g.components):
+        for j, (_, h_part) in enumerate(h.components):
+            key = g_part.adj, h_part.adj
+            part = sizes.get(key)
+            if part is None:
+                report = _component_report(g, i, h, j)
+                part = sizes[key] = sizes[key[::-1]] = report.alpha, report.min_maximal
+            alpha, min_maximal = alpha + part[0], min_maximal + part[1]
+    return alpha, min_maximal
+
+
+def _pair_summary(g: FactorAnalysis, h: FactorAnalysis, product_wc: bool) -> tuple[int, int, bool]:
+    """The product's order and edge count, and the consistency flag: a pair
+    is inconsistent when its product is well-covered and neither factor is."""
+    consistent = not (product_wc and not g.report.verdict and not h.report.verdict)
+    n_g, n_h = g.graph.n, h.graph.n
+    return n_g * n_h, n_g * h.graph.edge_count + n_h * g.graph.edge_count, consistent
+
+
 def _check_pair_cap(g: FactorAnalysis, h: FactorAnalysis) -> None:
     """Check the largest component product Gi □ Hj, the largest graph the
     pair's search builds, against the smaller of the two enumeration caps."""
     _check_cap(g.largest_component * h.largest_component, min(g.cap, h.cap))
 
 
-def verify_pair(
-    g: FactorAnalysis, h: FactorAnalysis, component_reports: dict | None = None
-) -> PairVerdict:
+def verify_pair(g: FactorAnalysis, h: FactorAnalysis) -> PairVerdict:
     """Full verification of one pair from its two factor analyses: the
     product's well-covered report, the consistency flag, and the
     constructive witness whenever it applies (in either orientation).
 
-    :func:`_product_report` builds and searches the component products,
-    keeping their reports in ``component_reports``; a caller that verifies
-    many pairs passes the same dict to each, and by default every call
-    starts an empty one.  :func:`_orient_witness` builds the witness on the
-    factors' rows; no call builds the whole product.
+    :func:`_product_report` searches each distinct component product of
+    the call once and lifts the sets to product labels, which a scan does
+    only for a violating pair.  :func:`_orient_witness` builds the witness
+    on the factors' rows; no call builds the whole product.
 
     Building the analyses checks the enumeration caps of G and H, and the
     caller checks any product cap; :func:`_check_pair_cap` checks the
     largest component product before any search."""
     _check_pair_cap(g, h)
-    product_report = _product_report(g, h, {} if component_reports is None else component_reports)
-    consistent = not (
-        product_report.verdict and not g.report.verdict and not h.report.verdict
-    )
+    product_report = _product_report(g, h)
+    order, size, consistent = _pair_summary(g, h, product_report.verdict)
     witness, swapped = _orient_witness(g, h) or (None, False)
     return PairVerdict(
         g_analysis=g,
         h_analysis=h,
         product_report=product_report,
-        product_order=g.graph.n * h.graph.n,
-        product_size=g.graph.n * h.graph.edge_count + h.graph.n * g.graph.edge_count,
+        product_order=order,
+        product_size=size,
         theorem_consistent=consistent,
         witness=witness,
         witness_swapped=swapped,

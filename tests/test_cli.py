@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import importlib
 import io
@@ -7,6 +8,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -21,16 +23,19 @@ from wellcovered import (
     FactorAnalysis,
     Graph,
     cli,
+    from_graph6,
     generate_all_graphs,
     independence,
     theorem,
     to_graph6,
+    verify_pair,
     witness_invariants,
 )
 from wellcovered.cli import ScanConfig, ScanResult, render_scan_json, scan
 
 from oracles import complete_graph, cycle_graph, full_walk_report, path_graph, record_walks
 from test_render import GOLDEN_PATH
+from test_theorem import _interleaved_union
 
 
 def run_cli(capsys, argv):
@@ -527,9 +532,10 @@ def test_scan_encodes_each_corpus_graph_once(capsys, monkeypatch):
 
 def component_products(graphs, product_cap):
     """Over the unordered pairs of ``graphs`` whose product fits the cap:
-    the number of components of their products, and the set of distinct
-    pairs of factor components, each relabelled in the order of its
-    vertices; computed with networkx."""
+    the number of components of their products, the set of distinct
+    ordered pairs of factor components, each relabelled in the order of its
+    vertices, and the set of distinct unordered ones; computed with
+    networkx."""
 
     def compacted(graph):
         nx_graph = nx.Graph()
@@ -548,12 +554,13 @@ def component_products(graphs, product_cap):
             pieces = [(a, b) for a in compacted(g) for b in compacted(h)]
             count += len(pieces)
             distinct.update(pieces)
-    return count, distinct
+    return count, distinct, {frozenset(piece) for piece in distinct}
 
 
 def test_scan_builds_only_component_products(capsys, monkeypatch):
     """No pair's own product is built, not even for its witness: every build
-    is a component product, one per distinct pair of compacted components."""
+    is a component product, one per distinct unordered pair of compacted
+    components."""
     corpus = {}
     real_load, real_product = cli.load_corpus, theorem.cartesian_product
     built = []
@@ -573,22 +580,27 @@ def test_scan_builds_only_component_products(capsys, monkeypatch):
     factors = {id(graph) for graph in corpus.values()}
     assert not [pair for pair in built if id(pair[0]) in factors or id(pair[1]) in factors]
     assert sum(r["witness_applicable"] for r in doc["records"]) == 5
-    assert len(built) == len(component_products(corpus.values(), 30)[1])
+    assert len(built) == len(component_products(corpus.values(), 30)[2])
 
 
 def test_default_scan_builds_each_component_product_once(monkeypatch):
-    """The default scan builds its 586 distinct component products and
-    nothing else: its 824 witnesses are built on the factors' rows."""
+    """The default scan builds one of each of its 496 distinct unordered
+    component products (586 ordered) and nothing else: its 824 witnesses
+    are built on the factors' rows."""
     built = count_calls(monkeypatch, "cartesian_product")
+    searched = count_calls(monkeypatch, "is_well_covered")
+    verified = count_calls(monkeypatch, "verify_pair")
     result = scan(ScanConfig())
-    assert len(built) == 586
+    assert len(built) == 496
+    assert len(searched) == 52 + 496  # each factor, then each product built
+    assert verified == []
     assert sum(record.witness_applicable for record in result.records) == 824
 
 
 def test_scan_searches_each_distinct_component_product_once_per_scan(monkeypatch):
     config = ScanConfig(generate_up_to=4)
     corpus = cli.load_corpus(config)
-    components, distinct = component_products(corpus.values(), config.max_product_order)
+    components, distinct, unordered = component_products(corpus.values(), config.max_product_order)
     real, searched = theorem.is_well_covered, []
 
     def counted(graph, cap, orbits=None):
@@ -599,9 +611,10 @@ def test_scan_searches_each_distinct_component_product_once_per_scan(monkeypatch
     for _ in range(2):  # the second scan searches as much as the first
         searched.clear()
         scan(config)
-        # One report per factor, then one per distinct component product.
-        assert len(searched) == len(corpus) + len(distinct)
-    assert len(distinct) < components
+        # One report per factor, then one per distinct unordered component
+        # product.
+        assert len(searched) == len(corpus) + len(unordered)
+    assert len(unordered) < len(distinct) < components
 
 
 def test_scan_never_enumerates_a_product(capsys, monkeypatch):
@@ -808,27 +821,31 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(unbuffered):
 
 def test_pool_workers_build_each_orbit_table_once(tmp_path, monkeypatch):
     """Each pool worker gets the factor analyses once, with the one task
-    that holds its share of the pairs, so a worker builds each analysis's
-    orbit tables at most once: two workers build at most twice as many as
-    one process."""
+    that holds its share of the pairs, so no worker builds the orbit tables
+    of the same analysis twice.  Which analyses' tables a worker builds
+    depends on which order of a component pair it meets first."""
     if multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patched stabilizer_orbits reaches pool workers only when they are forked")
-    log, real = tmp_path / "tables.log", theorem.stabilizer_orbits
+        pytest.skip("the patched component_orbits reaches pool workers only when they are forked")
+    log, real = tmp_path / "tables.log", FactorAnalysis.component_orbits.func
 
-    def logged(graph):
+    def logged(analysis):
         with open(log, "a", encoding="utf-8") as handle:
-            handle.write("table\n")
-        return real(graph)
+            handle.write(f"{os.getpid()} {to_graph6(analysis.graph)}\n")
+        return real(analysis)
 
-    monkeypatch.setattr(theorem, "stabilizer_orbits", logged)
+    tables = functools.cached_property(logged)
+    tables.__set_name__(FactorAnalysis, "component_orbits")
+    monkeypatch.setattr(FactorAnalysis, "component_orbits", tables)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    reports, tables = [], []
+    reports, builders = [], []
     for jobs in (1, 2):
         log.write_text("")
         reports.append(render_scan_json(scan(ScanConfig(generate_up_to=4, parallelism=jobs))))
-        tables.append(len(log.read_text().splitlines()))
+        built = log.read_text().splitlines()
+        assert built and len(built) == len(set(built))
+        builders.append({line.split()[0] for line in built})
     assert reports[0] == reports[1]
-    assert 0 < tables[0] and tables[1] <= 2 * tables[0]
+    assert builders[0] == {str(os.getpid())} and str(os.getpid()) not in builders[1]
 
 
 def test_default_scan_json_equals_the_stdlib_rendering(capsys):
@@ -960,6 +977,57 @@ def test_scan_violation_through_verify_pair(tmp_path, capsys, monkeypatch):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched is_well_covered reaches pool workers only when they are forked")
     assert scan_violations("2") == out
+
+
+def test_scan_calls_verify_pair_only_for_a_violating_pair(monkeypatch):
+    # Only the 9-vertex component products P3 x P3, P3 x K3 and K3 x K3 are
+    # made well-covered, so of the 28 pairs of order <= 3 only P3 x P3 (BW)
+    # violates the claim: K3 (Bw) is well-covered.
+    real = theorem.is_well_covered
+
+    def only_nine_vertex_products_well_covered(graph, cap, orbits=None):
+        report = real(graph, cap, orbits)
+        return report._replace(witness_min=report.witness_max) if graph.n == 9 else report
+
+    monkeypatch.setattr(theorem, "is_well_covered", only_nine_vertex_products_well_covered)
+    verified = count_calls(monkeypatch, "verify_pair")
+    result = scan(ScanConfig(generate_up_to=3))
+    assert len(result.records) == 28
+    assert [(r.g6_g, r.g6_h) for r, _ in result.violations] == [("BW", "BW")]
+    assert [tuple(to_graph6(a.graph) for a in pair) for pair in verified] == [("BW", "BW")]
+    assert result.violations[0][1].product_report.verdict
+
+
+def _record_from_verdict(g6_g, g6_h, verdict):
+    """The scan record of a pair read off its full verification."""
+    factors = [
+        (a.report.verdict, a.report.alpha, a.report.min_maximal, tuple(w.vertex for w in a.isolatable))
+        for a in (verdict.g_analysis, verdict.h_analysis)
+    ]
+    product, witness = verdict.product_report, verdict.witness
+    return cli.ScanRecord(
+        g6_g, g6_h, *factors[0], *factors[1], verdict.product_order, verdict.product_size,
+        product.verdict, product.alpha, product.min_maximal, verdict.theorem_consistent,
+        witness is not None, verdict.witness_swapped if witness else None,
+        witness.big.bit_count() if witness else None, witness.small.bit_count() if witness else None,
+    )
+
+
+def test_scan_records_match_verify_pair():
+    """Every record built from the component sizes equals the one read off
+    ``verify_pair`` on the same pair, on the scan of order <= 4 and on a
+    seeded corpus of disconnected graphs whose components interleave, where
+    pairs have many component products and meet them in both orders."""
+    rng = random.Random(3305)
+    unions = {to_graph6(graph): graph for graph in (_interleaved_union(rng) for _ in range(24))}
+    analyses = {g6: FactorAnalysis(graph) for g6, graph in unions.items()}
+    pairs = list(itertools.combinations_with_replacement(sorted(analyses), 2))
+    records = [record for record, _ in cli._evaluate(pairs, analyses)]
+    records += scan(ScanConfig(generate_up_to=4)).records
+    assert len(records) == len(pairs) + 171
+    for record in records:
+        g, h = (FactorAnalysis(from_graph6(g6)) for g6 in (record.g6_g, record.g6_h))
+        assert record == _record_from_verdict(record.g6_g, record.g6_h, verify_pair(g, h))
 
 
 def test_results_are_named_tuples_and_only_caching_classes_are_dataclasses():

@@ -54,8 +54,8 @@ def decoded(witness, s):
     return sorted(divmod(p, witness.right.n) for p in iter_bits(s))
 
 
-def verify(g, h, cap=36, reports=None):
-    return verify_pair(FactorAnalysis(g, cap), FactorAnalysis(h, cap), reports)
+def verify(g, h, cap=36):
+    return verify_pair(FactorAnalysis(g, cap), FactorAnalysis(h, cap))
 
 
 # --- FactorAnalysis ---------------------------------------------------------
@@ -577,21 +577,26 @@ def _interleaved_union(rng, max_n=6):
 
 
 def test_component_product_reports_match_the_whole_product_search():
-    """The report joined from the component products, with one dict of
-    component reports shared by all pairs as a scan shares it, against one
-    search of the whole product, on seeded disconnected factors whose
-    components interleave."""
+    """The report joined from the component products, and the sizes summed
+    over them in both orders of the pair with one dict shared by all pairs
+    as a scan shares it, against one search of the whole product, on seeded
+    disconnected factors whose components interleave."""
     rng = random.Random(1204)
-    reports, components = {}, 0
+    sizes, components = {}, 0
     for _ in range(300):
         g, h = _interleaved_union(rng), _interleaved_union(rng)
         assert not is_connected(g) and not is_connected(h)
-        verdict = verify(g, h, reports=reports)
+        verdict = verify(g, h)
         product = cartesian_product(g, h)
-        assert verdict.product_report == is_well_covered(product), (g, h)
+        whole = is_well_covered(product)
+        assert verdict.product_report == whole, (g, h)
         assert (verdict.product_order, verdict.product_size) == (product.n, product.edge_count)
+        for left, right in ((g, h), (h, g)):
+            found = theorem._product_sizes(FactorAnalysis(left), FactorAnalysis(right), sizes)
+            assert found == (whole.alpha, whole.min_maximal), (left, right)
         components += len(list(component_masks(product)))
-    assert len(reports) < components
+    # Fewer entries than the components of G x H alone, though H x G ran too.
+    assert len(sizes) < components
 
 
 def test_product_searches_consult_the_factor_orbits(monkeypatch):
