@@ -191,28 +191,25 @@ def _factor_fields(analysis: FactorAnalysis) -> tuple:
 
 def _evaluate(
     pairs: list[tuple[str, str]], analyses: dict[str, FactorAnalysis]
-) -> list[tuple[ScanRecord, PairVerdict | None]]:
-    """Each pair's record, with its verdict when it is inconsistent.  A
-    record reads the product's sizes from one dict for all pairs, searched
-    once per unordered component pair, and each factor's fields once;
-    ``scan`` has checked the caps.  Only an inconsistent pair goes through
-    ``verify_pair``, for the full reports its violation entry renders."""
+) -> list[ScanRecord]:
+    """Each pair's record.  A record reads the product's sizes from one dict
+    for all pairs, searched once per unordered component pair, and each
+    factor's fields once; ``scan`` has checked the caps."""
     sizes: dict = {}
     fields = {g6: _factor_fields(analyses[g6]) for g6 in dict.fromkeys(chain.from_iterable(pairs))}
-    outcomes = []
+    records = []
     for g6_g, g6_h in pairs:
         g, h = analyses[g6_g], analyses[g6_h]
         alpha, min_maximal = _product_sizes(g, h, sizes)
         product_wc = alpha == min_maximal
         order, size, consistent = _pair_summary(g, h, product_wc)
         witness, swapped = _orient_witness(g, h) or (None, False)
-        record = ScanRecord(
+        records.append(ScanRecord(
             g6_g, g6_h, *fields[g6_g], *fields[g6_h], order, size, product_wc,
             alpha, min_maximal, consistent, witness is not None, swapped if witness else None,
             *((witness.big.bit_count(), witness.small.bit_count()) if witness else (None, None)),
-        )
-        outcomes.append((record, None if consistent else verify_pair(g, h)))
-    return outcomes
+        ))
+    return records
 
 
 def _worker_count(requested: int, tasks: int) -> int:
@@ -233,7 +230,10 @@ def scan(config: ScanConfig) -> ScanResult:
     shared by unordered component pair (:func:`_evaluate`), in pair order,
     sorted since the corpus keys are.  With ``--jobs``, worker w evaluates
     the interleaved share ``pairs[w::workers]`` as one task, so it receives
-    the analyses once and builds each orbit table at most once."""
+    the analyses once and builds each orbit table at most once.  Only the
+    records cross the pool: the pair of each inconsistent record then goes
+    through ``verify_pair`` in this process, for the full reports its
+    violation entry renders."""
     graphs = load_corpus(config)
     pairs = [
         (g, h)
@@ -247,18 +247,19 @@ def scan(config: ScanConfig) -> ScanResult:
     workers = _worker_count(config.parallelism, len(pairs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        outcomes: list = [None] * len(pairs)
+        records: list = [None] * len(pairs)
         shares = [pairs[w::workers] for w in range(workers)]
         with ProcessPoolExecutor(workers) as pool:
             for w, share in enumerate(pool.map(_evaluate, shares, [analyses] * workers)):
-                outcomes[w::workers] = share
+                records[w::workers] = share
     else:
-        outcomes = _evaluate(pairs, analyses)
-    records = tuple(record for record, _ in outcomes)
+        records = _evaluate(pairs, analyses)
     violations = tuple(
-        (record, verdict) for record, verdict in outcomes if verdict is not None
+        (record, verify_pair(analyses[record.g6_g], analyses[record.g6_h]))
+        for record in records
+        if not record.theorem_consistent
     )
-    return ScanResult(config=config, records=records, violations=violations)
+    return ScanResult(config=config, records=tuple(records), violations=violations)
 
 
 # ---------------------------------------------------------------------------

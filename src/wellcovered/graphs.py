@@ -1,5 +1,5 @@
 """Immutable simple-graph core: bitmask adjacency, graph6 codec, the
-independence checks, the Cartesian product and connected components.
+independence checks, the Cartesian product and connectivity.
 
 Every vertex set is a plain int mask, bit v for vertex v, so the
 independence machinery in the rest of the package runs on word-parallel
@@ -10,7 +10,8 @@ live here, beside the sets they test: every certificate check of the
 package rests on them.  They take a set of a product G □ H as its rows,
 one mask of H per vertex of G, and the product's edges from the
 definition of □, so no witness builds G □ H; a mask of one graph is the
-one-row case, K1 □ G.  Nothing here searches; every search lives in
+one-row case, K1 □ G.  One loop, ``_neighborhood_rows``, computes N(S)
+for every check.  Nothing here searches; every search lives in
 ``independence``, so a checker needs this module alone.  All values are
 immutable after construction; every function here is pure.
 """
@@ -267,23 +268,9 @@ def _maximal_independent_rows(
     """Maximal independence of the rows ``chosen`` inside the subgraph of
     left □ right induced by the rows ``allowed``, checked without building
     either: each chosen row lies in its allowed row and meets no row of
-    N(chosen), taken as in :func:`_neighborhood_rows` but row by row so
-    that a failed row ends the test, and N[chosen] covers every allowed row."""
-    adj, seen = right.adj, {}
-    for room, row, near in zip(allowed, chosen, left.adj):
-        union = seen.get(row)
-        if union is None:
-            union, rest = 0, row
-            while rest:
-                low = rest & -rest
-                union |= adj[low.bit_length() - 1]
-                rest ^= low
-            seen[row] = union
-        while near:
-            low = near & -near
-            union |= chosen[low.bit_length() - 1]
-            near ^= low
-        if row & (union | ~room) or room & ~(union | row):
+    N(chosen), and N[chosen] covers every allowed row."""
+    for room, row, near in zip(allowed, chosen, _neighborhood_rows(left, right, chosen)):
+        if row & (near | ~room) or room & ~(near | row):
             return False
     return True
 
@@ -324,19 +311,6 @@ def component_masks(graph: Graph) -> Iterator[int]:
             reached |= frontier
         yield reached
         rest &= ~reached
-
-
-def compact_components(graph: Graph) -> tuple[tuple[tuple[int, ...], Graph], ...]:
-    """Each connected component, ordered by least vertex, as its vertices
-    ascending and the subgraph they induce, relabelled 0, 1, ... in that
-    order."""
-    parts = []
-    for mask in component_masks(graph):
-        vertices = tuple(iter_bits(mask))
-        rank = {v: i for i, v in enumerate(vertices)}
-        rows = tuple(sum(1 << rank[u] for u in iter_bits(graph.adj[v])) for v in vertices)
-        parts.append((vertices, Graph._derived(len(vertices), rows)))
-    return tuple(parts)
 
 
 def is_connected(graph: Graph) -> bool:

@@ -22,16 +22,17 @@ Two routes certify that a product is or is not well-covered:
 builds the whole product for that.  The components of G □ H are the
 products Gi □ Hj of the factors' components.  In the product's row-major
 labels the vertices of Gi □ Hj come in lexicographic order of (rank in Gi,
-rank in Hj), so each is the product of the compacted components
-(:func:`compact_components`) under an order-preserving map, which keeps the
-first extreme sets.  The product is well-covered iff every component is,
-its sizes are the sums, and its first sets are the unions of the lifted
-component sets (see :func:`is_well_covered`); only :func:`verify_pair`
-lifts them.  A scan reads only the sizes, shared by unordered pair of
-compacted components (:func:`_product_sizes`).  Every search is pruned by
-the orbit rows of Aut(Gi) × Aut(Hj), which ``independence`` describes and
-builds from one table per compacted component, cached on the
-:class:`FactorAnalysis`.
+rank in Hj), so each is the product of the compacted components under an
+order-preserving map, which keeps the first extreme sets.  Compacting
+(:func:`compact_components`) lives here, beside its one reader,
+:attr:`FactorAnalysis.components`; no certificate check uses it.  The
+product is well-covered iff every component is, its sizes are the sums,
+and its first sets are the unions of the lifted component sets (see
+:func:`is_well_covered`); only :func:`verify_pair` lifts them.  A scan
+reads only the sizes, shared by unordered pair of compacted components
+(:func:`_product_sizes`).  Every search is pruned by the orbit rows of
+Aut(Gi) × Aut(Hj), which ``independence`` describes and builds from one
+table per compacted component, cached on the :class:`FactorAnalysis`.
 
 A factor is a :class:`FactorAnalysis` and a product is a :class:`Graph`.
 :func:`verify_pair` takes two analyses.  A :class:`FactorAnalysis` checks
@@ -59,7 +60,7 @@ from .graphs import (
     _rows,
     _rows_mask,
     cartesian_product,
-    compact_components,
+    component_masks,
     is_independent,
     is_maximal_independent,
     iter_bits,
@@ -121,6 +122,19 @@ PRODUCT_SETS = (
     "core", "core_big", "core_small", "gaps_big", "gaps_small",
     "patch_small", "patch_big", "big", "small",
 )
+
+
+def compact_components(graph: Graph) -> tuple[tuple[tuple[int, ...], Graph], ...]:
+    """Each connected component, ordered by least vertex, as its vertices
+    ascending and the subgraph they induce, relabelled 0, 1, ... in that
+    order."""
+    parts = []
+    for mask in component_masks(graph):
+        vertices = tuple(iter_bits(mask))
+        rank = {v: i for i, v in enumerate(vertices)}
+        rows = tuple(sum(1 << rank[u] for u in iter_bits(graph.adj[v])) for v in vertices)
+        parts.append((vertices, Graph._derived(len(vertices), rows)))
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -357,18 +371,14 @@ def _component_report(g: FactorAnalysis, i: int, h: FactorAnalysis, j: int) -> W
 
 def _product_report(g: FactorAnalysis, h: FactorAnalysis) -> WellCoveredReport:
     """The report of G □ H joined from the reports of its components
-    Gi □ Hj, each searched by :func:`_component_report` once per call
-    (keyed by the two compacted components' adjacency)."""
-    parts, reports = [], {}
-    for i, (g_vertices, g_part) in enumerate(g.components):
-        for j, (h_vertices, h_part) in enumerate(h.components):
-            key = g_part.adj, h_part.adj
-            report = reports.get(key)
-            if report is None:
-                report = reports[key] = _component_report(g, i, h, j)
-            parts.append((g_vertices, h_vertices, report))
+    Gi □ Hj, each searched by :func:`_component_report`."""
+    parts = [
+        (g_vertices, h_vertices, _component_report(g, i, h, j))
+        for i, (g_vertices, _) in enumerate(g.components)
+        for j, (h_vertices, _) in enumerate(h.components)
+    ]
     if len(parts) == 1:
-        return report  # a connected product is its own component, same labels
+        return parts[0][2]  # a connected product is its own component, same labels
     n_right, big, small = h.graph.n, 0, 0
     for g_vertices, h_vertices, report in parts:
         # label[a * |Hj| + b] is the product vertex (g_vertices[a], h_vertices[b]).
@@ -413,10 +423,10 @@ def verify_pair(g: FactorAnalysis, h: FactorAnalysis) -> PairVerdict:
     product's well-covered report, the consistency flag, and the
     constructive witness whenever it applies (in either orientation).
 
-    :func:`_product_report` searches each distinct component product of
-    the call once and lifts the sets to product labels, which a scan does
-    only for a violating pair.  :func:`_orient_witness` builds the witness
-    on the factors' rows; no call builds the whole product.
+    :func:`_product_report` searches each component product and lifts the
+    sets to product labels, which a scan does only for a violating pair.
+    :func:`_orient_witness` builds the witness on the factors' rows; no
+    call builds the whole product.
 
     Building the analyses checks the enumeration caps of G and H, and the
     caller checks any product cap; :func:`_check_pair_cap` checks the

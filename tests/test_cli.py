@@ -946,8 +946,8 @@ def test_scan_violation_exit_code(capsys, monkeypatch):
 def test_scan_violation_through_verify_pair(tmp_path, capsys, monkeypatch):
     # Reports in which only the 9-vertex products are well-covered make every
     # pair of a corpus of 3-vertex factors a violation.  Three pairs, so that
-    # --jobs 2 really sends the verdicts, factor analyses and all, through the
-    # process pool.
+    # with --jobs 2 the pool workers find the violating records and the
+    # parent renders them from its own verify_pair verdicts.
     real = theorem.is_well_covered
 
     def only_products_well_covered(graph, cap, orbits=None):
@@ -1022,7 +1022,7 @@ def test_scan_records_match_verify_pair():
     unions = {to_graph6(graph): graph for graph in (_interleaved_union(rng) for _ in range(24))}
     analyses = {g6: FactorAnalysis(graph) for g6, graph in unions.items()}
     pairs = list(itertools.combinations_with_replacement(sorted(analyses), 2))
-    records = [record for record, _ in cli._evaluate(pairs, analyses)]
+    records = cli._evaluate(pairs, analyses)
     records += scan(ScanConfig(generate_up_to=4)).records
     assert len(records) == len(pairs) + 171
     for record in records:
@@ -1033,8 +1033,9 @@ def test_scan_records_match_verify_pair():
 def test_results_are_named_tuples_and_only_caching_classes_are_dataclasses():
     """Every result record is a NamedTuple; ``Graph`` and ``FactorAnalysis``
     stay dataclasses because their ``cached_property`` facts need an
-    instance ``__dict__``.  A verdict survives the pickling that ships
-    violations through the ``scan --jobs`` pool."""
+    instance ``__dict__``.  A verdict, its factor analyses and witness
+    included, survives pickling, as the analyses a ``scan --jobs`` pool
+    receives must."""
     modules = [wellcovered] + [
         importlib.import_module(f"wellcovered.{name}")
         for name in ("cli", "corpus", "graphs", "independence", "theorem")
@@ -1123,7 +1124,8 @@ def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
 
 
 def test_readme_library_table_and_all_name_only_real_attributes():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text("utf-8")
     table = readme.split("## Library overview", 1)[1].split("\n\n")[1]
     rows = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `")]
     assert len(rows) == 5
@@ -1133,6 +1135,10 @@ def test_readme_library_table_and_all_name_only_real_attributes():
         assert names and [n for n in names if not hasattr(module, n)] == [], module
     assert wellcovered.__all__ == sorted(set(wellcovered.__all__))
     assert [n for n in wellcovered.__all__ if not hasattr(wellcovered, n)] == []
+    # The trusted base's size as the README states it, against wc -l.
+    stated = re.findall(r"(\d+) lines\s+\(`wc -l src/wellcovered/graphs\.py`", readme)
+    graphs_py = (root / "src" / "wellcovered" / "graphs.py").read_bytes()
+    assert [int(n) for n in stated] == [graphs_py.count(b"\n")]
 
 
 def test_readme_python_example_runs():

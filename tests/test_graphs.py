@@ -237,7 +237,9 @@ def test_row_forms_match_the_mask_forms_on_the_product():
     """Each row form, on the rows of a product set, gives the mask form's
     answer on the built product G x H: the round trip, the closed
     neighbourhood, the greedy extension and maximality within a random
-    ``allowed``, for K1, edgeless, disconnected and random factors."""
+    ``allowed``, for K1, edgeless, disconnected and random factors.
+    Maximality is also checked against its definition on the product's
+    adjacency, on candidates that fail each of its three conditions."""
     rng = random.Random(1204)
     factors = [
         Graph(1, (0,)), empty_graph(3), Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)]),
@@ -248,7 +250,7 @@ def test_row_forms_match_the_mask_forms_on_the_product():
         factors.append(Graph.from_edges(n, [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
         ]))
-    verdicts = set()
+    verdicts, failures = set(), set()
     for left in factors:
         for right in factors:
             product = cartesian_product(left, right)
@@ -273,13 +275,27 @@ def test_row_forms_match_the_mask_forms_on_the_product():
                 assert grown == _rows_mask(
                     _greedy_rows(left, right, rows(allowed), rows(chosen)), n_right
                 )
-                for candidate in (chosen, grown, grown ^ 1 << rng.randrange(product.n)):
+                outside, addable = product.full_mask & ~allowed, allowed & ~grown
+                for candidate in (
+                    chosen, grown, grown ^ 1 << rng.randrange(product.n),
+                    grown | outside & -outside, grown | addable & -addable, grown & grown - 1,
+                ):
                     verdict = _maximal_independent_within(product, allowed, candidate)
                     verdicts.add(verdict)
                     assert verdict == _maximal_independent_rows(
                         left, right, rows(allowed), rows(candidate)
                     )
+                    failed = {
+                        "outside": candidate & ~allowed != 0,
+                        "edge": any(product.adj[v] & candidate for v in iter_bits(candidate)),
+                        "undominated": any(
+                            not product.adj[v] & candidate for v in iter_bits(allowed & ~candidate)
+                        ),
+                    }
+                    assert verdict == (not any(failed.values()))
+                    failures.update(kind for kind, hit in failed.items() if hit)
     assert verdicts == {True, False}
+    assert failures == {"outside", "edge", "undominated"}
 
 
 # --- is_clique / is_connected -----------------------------------------------
