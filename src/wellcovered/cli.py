@@ -11,9 +11,9 @@ Subcommands:
 Graphs are read as graph6 lines from arguments, files (--corpus), or
 standard input (one per line).  Reports are JSON (scan also supports CSV).
 Every indented JSON report is ``json.dumps`` with a two-space indent and
-sorted keys.  Two parts are spliced in as text already rendered for their
-place: each scan record, from its fields, and the nine product sets of a
-witness report, from their masks; each is tested against ``json.dumps``.
+sorted keys.  Two parts are spliced in as rendered text: each scan record,
+with each factor's block rendered once per report, and the nine product
+sets of a witness report, from their masks; both are tested against it.
 ``analyze -`` writes compact one-line records with ``json.dumps``.
 
 Exit codes: 0 success/consistent, 1 scan found a consistency violation or
@@ -310,16 +310,20 @@ def _isolatable_list(witnesses: Iterable[IsolatableWitness]) -> list[dict]:
 CSV_COLUMNS = list(ScanRecord._fields)
 
 
-# One record of the scan document's "records" list, whose fields start
-# three indents deep, as one template over the sorted field names.
+# A record of the scan document's "records" list, fields three indents
+# deep.  Sorted, they are g6_g, g6_h, the g_* block, the h_* block and the
+# pair's fields; each block is a ``%`` template led by its separator.
 _RECORD_BREAK = "\n" + 2 * _INDENT
 _FIELD_BREAK = _RECORD_BREAK + _INDENT
 _ITEM_SEP = "," + _FIELD_BREAK + _INDENT
-_RECORD_TEMPLATE = "{" + _FIELD_BREAK + ("," + _FIELD_BREAK).join(
-    encode_basestring_ascii(name) + ": %s" for name in sorted(CSV_COLUMNS)
-) + _RECORD_BREAK + "}"
+_RECORD_HEAD = "{" + _FIELD_BREAK + '"g6_g": %s,' + _FIELD_BREAK + '"g6_h": '
+_BLOCKS = [sorted(CSV_COLUMNS[first:last]) for first, last in ((2, 6), (6, 10), (10, 20))]
+_G_TEMPLATE, _H_TEMPLATE, _PAIR_TEMPLATE = (
+    "".join("," + _FIELD_BREAK + encode_basestring_ascii(name) + ": %s" for name in names)
+    for names in _BLOCKS
+)
+_g_values, _h_values, _pair_values = (attrgetter(*names) for names in _BLOCKS)
 _INT_LIST_TEMPLATE = "[" + _FIELD_BREAK + _INDENT + "%s" + _FIELD_BREAK + "]"
-_record_values = attrgetter(*sorted(CSV_COLUMNS))
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -328,14 +332,14 @@ _SCALARS = {
 }
 
 
-def _render_record(rec: ScanRecord) -> str:
-    """``json.dumps`` of ``rec._asdict()`` in that list, by one ``%``.  The
-    two isolatable vertex tuples are the only fields that are not scalars."""
-    return _RECORD_TEMPLATE % tuple([
+def _render_fields(template: str, values: tuple) -> str:
+    """``json.dumps`` of each value, put into ``template``.  The two
+    isolatable vertex tuples are the only fields that are not scalars."""
+    return template % tuple([
         _SCALARS[type(value)](value) if type(value) is not tuple
         else _INT_LIST_TEMPLATE % _ITEM_SEP.join(map(str, value)) if value
         else "[]"
-        for value in _record_values(rec)
+        for value in values
     ])
 
 
@@ -357,7 +361,16 @@ def render_scan_csv(result: ScanResult, out: TextIO) -> None:
 
 
 def render_scan_json(result: ScanResult) -> str:
-    records = [_render_record(rec) for rec in result.records]
+    # Each head and factor block is rendered once per content in one call.
+    head = functools.cache(lambda g6: _RECORD_HEAD % encode_basestring_ascii(g6))
+    g_block = functools.cache(functools.partial(_render_fields, _G_TEMPLATE))
+    h_block = functools.cache(functools.partial(_render_fields, _H_TEMPLATE))
+    records = [
+        head(rec.g6_g) + encode_basestring_ascii(rec.g6_h) + g_block(_g_values(rec))
+        + h_block(_h_values(rec)) + _render_fields(_PAIR_TEMPLATE, _pair_values(rec))
+        + _RECORD_BREAK + "}"
+        for rec in result.records
+    ]
     # Execution details (parallelism) are deliberately not
     # echoed: identical scan inputs give byte-identical reports.
     config = result.config._asdict()

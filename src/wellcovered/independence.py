@@ -34,16 +34,18 @@ order n are n + 1 entries: entry s maps each vertex v >= s to the mask of
 its orbit under a group of automorphisms that fix every vertex below s, or
 is None when each of those orbits is the vertex alone.
 :func:`stabilizer_orbits` gives the rows of a graph's whole automorphism
-group, and :func:`product_orbits` those of Aut(G) × Aut(H) on G □ H from
-the factors' rows.  Once a node at start s has explored its child v, every
-vertex of the orbit of v leaves the remaining siblings and is banned below
-them: it must still be dominated, but is never chosen.  A set of the node's
-family holding w = σ(v), with σ fixing every vertex below s, maps under σ⁻¹
-to a set of the node's family of the same size holding v, which an explored
-branch has already held or ruled out, so the cut set cannot beat the best.
-The first extreme set has no earlier set of its size, so it is never cut,
-and every report stays the same.  ``theorem`` passes the product rows for
-each component product it searches; factors are searched without.
+group, and :func:`product_orbits` those of Aut(G) × Aut(H) on G □ H, from
+H's rows and G's part, which reads only G's rows and the order of H
+(:func:`left_product_orbits`).  Once a node at start s has explored its
+child v, every vertex of the orbit of v leaves the remaining siblings and
+is banned below them: it must still be dominated, but is never chosen.  A
+set of the node's family holding w = σ(v), with σ fixing every vertex
+below s, maps under σ⁻¹ to a set of the node's family of the same size
+holding v, which an explored branch has already held or ruled out, so the
+cut set cannot beat the best.  The first extreme set has no earlier set of
+its size, so it is never cut, and every report stays the same.
+``theorem`` passes the product rows for each component product it
+searches; factors are searched without.
 """
 
 from __future__ import annotations
@@ -192,8 +194,9 @@ def _walk(
     return walk(0, 0, 0)
 
 
-# Orbit rows, in the format of the module docstring.
+# Orbit rows, in the format of the module docstring, and G's part of G □ H's.
 Orbits = Sequence["tuple[int, ...] | None"]
+LeftOrbits = tuple[int, list[list[int]], tuple["tuple[int, ...] | None", ...]]
 
 
 def stabilizer_orbits(graph: Graph) -> tuple[tuple[int, ...], ...]:
@@ -281,11 +284,9 @@ def _automorphism(
     return image if extend(0, fixed, fixed) else None
 
 
-def product_orbits(
-    left: tuple[tuple[int, ...], ...], right: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...] | None, ...]:
-    """The orbit rows of Aut(G) × Aut(H) on G □ H, in its row-major labels,
-    from the factors' rows of :func:`stabilizer_orbits`.
+def left_product_orbits(left: tuple[tuple[int, ...], ...], n_h: int) -> LeftOrbits:
+    """G's part of the orbit rows of Aut(G) × Aut(H) on G □ H, from G's rows
+    of :func:`stabilizer_orbits` and the order n_h of H alone.
 
     With s = r·|H| + c, an automorphism (α, β) fixes (0, 0), ..., (0, c-1)
     iff α fixes 0 (when c > 0) and β fixes 0, ..., c-1.  Fixing all of row
@@ -293,28 +294,30 @@ def product_orbits(
     c > 0.  So the orbit of (g, h) is orbG_k(g) × orbH_j(h), with
     (k, j) = ([c > 0], c) for r = 0 and (r + [c > 0], |H|) for r >= 1,
     where row |H| of H is all single vertices.  An orbit of G spread to one
-    bit per row, times a mask of H, is their rectangle: no terms overlap."""
-    n_g, n_h = len(left) - 1, len(right) - 1
+    bit per row, times a mask of H, is their rectangle: no terms overlap.
+    Only starts s < |H| read H's rows, so the part is the count of G's rows
+    not all single vertices, rows 0 and 1 spread, and the rows of s >= |H|."""
+    n_g = len(left) - 1
     # Rows from the first one equal to the last hold single vertices only.
     plain_g = next(k for k, row in enumerate(left) if row == left[n_g])
+    spreads = [[_rectangle_mask(m, 1, n_h) for m in left[k]] for k in range(max(plain_g, 2))]
+    by_row = [None] + [
+        tuple([a << h for a in spreads[k] for h in range(n_h)]) if k < plain_g else None
+        for k in range(1, n_g + 1)
+    ]
+    rows = [row for r in range(1, n_g) for row in [by_row[r]] + [by_row[r + 1]] * (n_h - 1)]
+    return plain_g, spreads[:2], (*rows, None)
+
+
+def product_orbits(left: LeftOrbits, right: tuple[tuple[int, ...], ...]) -> Orbits:
+    """The orbit rows of Aut(G) × Aut(H) on G □ H, in its row-major labels:
+    G's part (:func:`left_product_orbits`) joined with H's rows."""
+    (plain_g, spreads, rows), n_h = left, len(right) - 1
     plain_h = next(j for j, row in enumerate(right) if row == right[n_h])
-
-    spreads: dict[int, list[int]] = {}
-
-    def rectangles(k: int, j: int) -> tuple[int, ...] | None:
-        if k >= plain_g and j >= plain_h:
-            return None
-        if k not in spreads:
-            unit = {m: _rectangle_mask(m, 1, n_h) for m in set(left[k])}
-            spreads[k] = [unit[mask] for mask in left[k]]
-        return tuple([a * b for a in spreads[k] for b in right[j]])
-
-    by_row = [None] + [rectangles(k, n_h) for k in range(1, n_g + 1)]
-    rows = [rectangles(0, 0)] + [rectangles(1, c) for c in range(1, n_h)]
-    for r in range(1, n_g):
-        rows += [by_row[r]] + [by_row[r + 1]] * (n_h - 1)
-    rows.append(None)
-    return tuple(rows)
+    return (*[
+        None if k >= plain_g and j >= plain_h else tuple([a * b for a in spreads[k] for b in right[j]])
+        for k, j in [(0, 0), *((1, c) for c in range(1, n_h))]
+    ], *rows)
 
 
 def _largest(graph: Graph, universe: int, orbits: Orbits | None = None) -> int:

@@ -31,8 +31,8 @@ and its first sets are the unions of the lifted component sets (see
 :func:`is_well_covered`); only :func:`verify_pair` lifts them.  A scan
 reads only the sizes, shared by unordered pair of compacted components
 (:func:`_product_sizes`).  Every search is pruned by the orbit rows of
-Aut(Gi) × Aut(Hj), which ``independence`` describes and builds from one
-table per compacted component, cached on the :class:`FactorAnalysis`.
+Aut(Gi) × Aut(Hj) (``independence``), joined from what the analyses keep:
+a table per compacted component, and Gi's part per order of Hj.
 
 A factor is a :class:`FactorAnalysis` and a product is a :class:`Graph`.
 :func:`verify_pair` takes two analyses.  A :class:`FactorAnalysis` checks
@@ -68,12 +68,14 @@ from .graphs import (
 from .independence import (
     DEFAULT_ENUMERATION_CAP,
     IsolatableWitness,
+    LeftOrbits,
     WellCoveredReport,
     _check_cap,
     _greedy_rows,
     _isolatable,
     is_well_covered,
     isolatable_vertices,
+    left_product_orbits,
     product_orbits,
     stabilizer_orbits,
 )
@@ -182,6 +184,18 @@ class FactorAnalysis:
         """The :func:`stabilizer_orbits` rows of each compacted component,
         computed on the first component product searched."""
         return tuple(stabilizer_orbits(part) for _, part in self.components)
+
+    def left_orbits(self, i: int, n_right: int) -> LeftOrbits:
+        """The :func:`left_product_orbits` part of component i beside a
+        component of order ``n_right``, built on first read and kept."""
+        kept = self._left_orbits
+        if (i, n_right) not in kept:
+            kept[i, n_right] = left_product_orbits(self.component_orbits[i], n_right)
+        return kept[i, n_right]
+
+    @cached_property
+    def _left_orbits(self) -> dict[tuple[int, int], LeftOrbits]:
+        return {}
 
 
 class PairVerdict(NamedTuple):
@@ -364,9 +378,9 @@ def witness_invariants(witness: ProductWitness) -> dict[str, bool]:
 def _component_report(g: FactorAnalysis, i: int, h: FactorAnalysis, j: int) -> WellCoveredReport:
     """The report of Gi □ Hj, the one product search: under the smaller of
     the two caps, pruned by the orbits of Aut(Gi) × Aut(Hj)."""
-    product = cartesian_product(g.components[i][1], h.components[j][1])
-    orbits = product_orbits(g.component_orbits[i], h.component_orbits[j])
-    return is_well_covered(product, min(g.cap, h.cap), orbits)
+    g_part, h_part = g.components[i][1], h.components[j][1]
+    orbits = product_orbits(g.left_orbits(i, h_part.n), h.component_orbits[j])
+    return is_well_covered(cartesian_product(g_part, h_part), min(g.cap, h.cap), orbits)
 
 
 def _product_report(g: FactorAnalysis, h: FactorAnalysis) -> WellCoveredReport:

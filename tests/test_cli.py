@@ -617,6 +617,26 @@ def test_scan_searches_each_distinct_component_product_once_per_scan(monkeypatch
     assert len(unordered) < len(distinct) < components
 
 
+def test_scan_builds_each_left_orbit_part_once_per_analysis(monkeypatch):
+    # One build per (analysis, component, right component order), told
+    # apart by the analysis's own orbit rows of the component; the next
+    # scan's analyses build as many, so no part outlives its scan.
+    built, real = [], theorem.left_product_orbits
+
+    def counted(left, n_right):
+        built.append((id(left), n_right))
+        return real(left, n_right)
+
+    monkeypatch.setattr(theorem, "left_product_orbits", counted)
+    counts = []
+    for _ in range(2):
+        built.clear()
+        scan(ScanConfig(generate_up_to=4))
+        assert built and len(built) == len(set(built))
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
 def test_scan_never_enumerates_a_product(capsys, monkeypatch):
     walked = record_walks(monkeypatch)
     code, doc, _ = run_json(capsys, ["scan", "--gen-up-to", "3"])

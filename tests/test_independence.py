@@ -26,7 +26,7 @@ from wellcovered import (
 )
 from wellcovered import independence
 from wellcovered.graphs import component_masks, iter_bits
-from wellcovered.independence import _walk, product_orbits, stabilizer_orbits
+from wellcovered.independence import _walk, left_product_orbits, product_orbits, stabilizer_orbits
 
 from paper_lemmas import delete_closed_neighborhood
 from oracles import (
@@ -280,7 +280,7 @@ def test_searches_with_orbits_match_the_searches_without():
     ]
     for left, right in pairs:
         product = cartesian_product(left, right)
-        orbits = product_orbits(stabilizer_orbits(left), stabilizer_orbits(right))
+        orbits = orbit_rows(left, right)
         for part in component_masks(product):
             for search in (independence._largest, independence._smallest):
                 assert search(product, part, orbits) == search(product, part), (left, right)
@@ -324,6 +324,14 @@ def _relabelled(graph: Graph, rng: random.Random) -> Graph:
     return Graph.from_edges(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])
 
 
+def orbit_rows(left: Graph, right: Graph) -> tuple:
+    """The orbit rows of Aut(left) × Aut(right) on left □ right, built
+    afresh in the two steps of ``independence``."""
+    return product_orbits(
+        left_product_orbits(stabilizer_orbits(left), right.n), stabilizer_orbits(right)
+    )
+
+
 def _orbit_sets(row, n: int) -> list[frozenset[int]]:
     if row is None:
         return [frozenset({v}) for v in range(n)]
@@ -356,7 +364,7 @@ def test_product_orbits_match_the_factor_groups_by_brute_force():
             for b in brute_automorphisms(right.n, right.edges())
         ]
         expected = brute_stabilizer_orbits(order, lifted)
-        rows = product_orbits(stabilizer_orbits(left), stabilizer_orbits(right))
+        rows = orbit_rows(left, right)
         assert len(rows) == order + 1
         for s, row in enumerate(rows):
             assert _orbit_sets(row, order)[s:] == expected[s][s:]

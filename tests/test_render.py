@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wellcovered import cli
+from wellcovered.cli import ScanConfig, ScanRecord, ScanResult, render_scan_json, scan
 from wellcovered.theorem import PRODUCT_SETS
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
@@ -78,6 +79,56 @@ def test_render_sets_matches_json_dumps_of_the_set_dicts(case):
     masks, n_right = case
     expected = {"sets": {name: old_set_dict(mask, n_right) for name, mask in masks.items()}}
     assert cli._render_json({"sets": cli._render_sets(masks, n_right)}) == stdlib(expected)
+
+
+def scan_document(result: ScanResult) -> dict:
+    """The JSON value of a scan report without violations, built from the
+    records' own fields."""
+    assert result.violations == ()
+    config = result.config._asdict()
+    del config["parallelism"]
+    return {
+        "config": config,
+        "records": [rec._asdict() for rec in result.records],
+        "summary": {"pairs": len(result.records), "cells": result.cells, "violations": []},
+    }
+
+
+# Two records per factor line with different fields, one field tuple in
+# both the g and the h block, isolatable tuples of 0, 1 and 2 vertices, and
+# a record with and one without a witness.
+HAND_BUILT = ScanResult(ScanConfig(), (
+    ScanRecord("A_", "A_", True, 1, 1, (), False, 2, 1, (0, 1), 4, 4, False, 2, 1,
+               True, False, None, None, None),
+    ScanRecord("A_", "Bg", False, 2, 1, (0,), True, 1, 1, (), 6, 7, False, 4, 3,
+               True, True, True, 5, 3),
+    ScanRecord("Bg", "A_", True, 1, 1, (), True, 1, 1, (), 6, 7, True, 3, 3,
+               True, False, None, None, None),
+), ())
+
+
+@pytest.mark.parametrize("result", [HAND_BUILT, "scan"])
+def test_scan_report_equals_json_dumps_of_its_records(result):
+    if result == "scan":
+        result = scan(ScanConfig(generate_up_to=4))
+    assert render_scan_json(result) == stdlib(scan_document(result)) + "\n"
+
+
+def test_each_factor_block_is_rendered_once_per_render_call(monkeypatch):
+    result = scan(ScanConfig(generate_up_to=4))
+    expected, rendered, real = render_scan_json(result), [], cli._render_fields
+
+    def counted(template, values):
+        rendered.append((template, values))
+        return real(template, values)
+
+    monkeypatch.setattr(cli, "_render_fields", counted)
+    for _ in range(2):  # the next call renders every block again
+        rendered.clear()
+        assert render_scan_json(result) == expected
+        for form, values in ((cli._G_TEMPLATE, cli._g_values), (cli._H_TEMPLATE, cli._h_values)):
+            blocks = [block for template, block in rendered if template == form]
+            assert len(blocks) == len(set(blocks)) == len({values(rec) for rec in result.records})
 
 
 def test_cheapest_witness_pool_reports_match_their_golden_digests(capsys):

@@ -47,6 +47,7 @@ from oracles import (
     record_walks,
     reference_product_witness,
 )
+from test_independence import orbit_rows
 from test_render import GOLDEN_PATH
 
 
@@ -107,6 +108,17 @@ def test_factor_analysis_checks_its_cap_and_searches_nothing_until_read(monkeypa
             FactorAnalysis(graph, 4)
     assert [getattr(analysis, part) for part in FACTOR_PARTS] == expected
     assert expected[2] == expected[1][0]  # the first isolatable vertex heads the list
+
+
+def test_kept_left_orbit_parts_join_to_product_orbits_built_afresh():
+    # Each analysis keeps the left part of a component's product orbits per
+    # right component order, shared by every right component of that order.
+    analyses = [FactorAnalysis(g) for n in range(1, 6) for g in generate_all_graphs(n)]
+    parts = {part.adj: (a, i, part) for a in analyses for i, (_, part) in enumerate(a.components)}
+    for g, i, left in parts.values():
+        for h, j, right in parts.values():
+            kept = independence.product_orbits(g.left_orbits(i, right.n), h.component_orbits[j])
+            assert kept == orbit_rows(left, right), (left, right)
 
 
 # --- the lemma's hypotheses -----------------------------------------------------
