@@ -15,6 +15,8 @@ sorted keys.  Two parts are spliced in as rendered text: each scan record,
 with each factor's block rendered once per report, and the nine product
 sets of a witness report, from their masks; both are tested against it.
 ``analyze -`` writes compact one-line records with ``json.dumps``.
+``analyze`` reads its report off the walk that counts the set sizes, one
+walk per component; every other report comes from ``is_well_covered``.
 
 Exit codes: 0 success/consistent, 1 scan found a consistency violation or
 a witness check failed, 2 input error, 3 resource cap exceeded, 4 witness
@@ -52,7 +54,8 @@ from .independence import (
     DEFAULT_ENUMERATION_CAP,
     IsolatableWitness,
     WellCoveredReport,
-    mis_size_histogram,
+    _mis_profile,
+    isolatable_vertices,
 )
 from .theorem import (
     PRODUCT_SETS,
@@ -492,12 +495,13 @@ def _factor_dict(analysis: FactorAnalysis) -> dict:
 
 
 def _analysis_dict(graph: Graph, cap: int) -> dict:
-    histogram = mis_size_histogram(graph, cap)
+    histogram, report = _mis_profile(graph, cap)
     return {
         "graph6": to_graph6(graph),
         "n": graph.n,
         "m": graph.edge_count,
-        **_factor_dict(FactorAnalysis(graph, cap)),
+        **_report_dict(report),
+        "isolatable": _isolatable_list(isolatable_vertices(graph, cap)),
         "mis_size_histogram": {str(size): count for size, count in histogram.items()},
     }
 

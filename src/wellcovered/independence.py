@@ -13,20 +13,21 @@ sets come in lexicographic order of their ascending vertex sequences.
 Everything runs on depth-first loops in that order.  The walk,
 :func:`_walk`, hands each maximal independent set of an induced subgraph
 (that also dominates some target vertices) to a callback, which can end it;
-it serves every full enumeration (the enumeration itself and size
-histograms) and, stopped at its first set, the certificate search of each
-isolatable vertex x over G - N[x], run only once a local test over the
-second neighbourhood of x shows that a certificate exists.  Two
-branch-and-bound loops over the same order give the well-covered report,
-the one source of every verdict, without visiting the sets whose sizes
-their bounds rule out: :func:`_largest` cuts by a greedy clique cover of
-the candidates, :func:`_smallest` by a packing of undominated vertices with
-disjoint dominator sets, taken in ascending degree, built once per node
-and updated as each sibling drops a candidate; a node ends before its
-candidates run out, since each undominated vertex is retested as its
-dominators drop.  Both run once per connected component, and the union of
-the components' first sets is the first set (:func:`is_well_covered` says
-why).
+it serves every full enumeration (the enumeration itself and
+:func:`_mis_profile`, the size histogram and the well-covered report of a
+graph walked in full) and, stopped at its first set, the certificate search
+of each isolatable vertex x over G - N[x], run only once a local test over
+the second neighbourhood of x shows that a certificate exists.  Two
+branch-and-bound loops over the same order give the well-covered report of
+every graph not walked in full, which the tests check against the walk's,
+without visiting the sets whose sizes their bounds rule out:
+:func:`_largest` cuts by a greedy clique cover of the candidates,
+:func:`_smallest` by a packing of undominated vertices with disjoint
+dominator sets, taken in ascending degree, built once per node and updated
+as each sibling drops a candidate; a node ends before its candidates run
+out, since each undominated vertex is retested as its dominators drop.
+Both run once per connected component, and the union of the components'
+first sets is the first set (:func:`is_well_covered` says why).
 
 Both searches can also prune by symmetry (McKay-Piperno, "Practical graph
 isomorphism II", 2014), given orbit rows.  The orbit rows of a graph of
@@ -519,24 +520,35 @@ def _isolating_set(graph: Graph, x: int) -> int | None:
 
 def mis_size_histogram(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
     """Map size -> number of maximal independent sets of that size, in
-    ascending size.  A maximal independent set of a disjoint union is one
-    per component, so each component is walked on its own and the size
-    counts are convolved."""
+    ascending size: the histogram of :func:`_mis_profile`."""
+    return _mis_profile(graph, cap)[0]
+
+
+def _mis_profile(graph: Graph, cap: int) -> tuple[dict[int, int], WellCoveredReport]:
+    """The size histogram and the well-covered report, read off one walk per
+    component.  A maximal independent set of a disjoint union is one per
+    component, so the components' size counts are convolved, and the report
+    is the union of their first largest and first smallest sets, each kept
+    as the walk meets its size (:func:`is_well_covered` says why)."""
     _check_cap(graph.n, cap)
-    total = [1]
+    total, big, small = [1], 0, 0
     for part in component_masks(graph):
-        counts = [0] * (part.bit_count() + 1)
+        counts, first = [0] * (part.bit_count() + 1), {}
 
         def visit(mask: int) -> None:
-            counts[mask.bit_count()] += 1
+            size = mask.bit_count()
+            if not counts[size]:
+                first[size] = mask
+            counts[size] += 1
 
         _walk(graph, visit, part)
+        big, small = big | first[max(first)], small | first[min(first)]
         joined = [0] * (len(total) + len(counts) - 1)
         for a, x in enumerate(total):
             for b, y in enumerate(counts):
                 joined[a + b] += x * y
         total = joined
-    return {size: count for size, count in enumerate(total) if count}
+    return {size: count for size, count in enumerate(total) if count}, WellCoveredReport(big, small)
 
 
 def is_well_covered(

@@ -32,6 +32,7 @@ from wellcovered import (
     witness_invariants,
 )
 from wellcovered.cli import ScanConfig, ScanResult, render_scan_json, scan
+from wellcovered.graphs import component_masks
 
 from oracles import complete_graph, cycle_graph, full_walk_report, path_graph, record_walks
 from test_render import GOLDEN_PATH
@@ -126,6 +127,27 @@ def test_analyze_stdin_matches_the_benchmark_golden_digests(capsys, monkeypatch)
     records = out.splitlines(keepends=True)
     assert code == 0 and len(records) == len(digests) == 208
     assert [hashlib.sha256(r.encode("utf-8")).hexdigest() for r in records] == digests
+
+
+def test_analyze_walks_each_component_once_and_runs_no_search(capsys, monkeypatch):
+    # The report comes from the walk that counts the set sizes: P3, C5,
+    # 2K2 and the disjoint union of P3, a star and K1, labels interleaved.
+    def forbidden(*args):
+        raise AssertionError("analyze ran a branch-and-bound search")
+
+    for name in ("_largest", "_smallest"):
+        monkeypatch.setattr(independence, name, forbidden)
+    walked = record_walks(monkeypatch)
+    code, doc, _ = run_json(capsys, ["analyze", "C`"])
+    assert code == 0 and (doc["alpha"], doc["min_maximal"]) == (2, 2) and walked == [4, 4]
+    union = Graph.from_edges(8, [(0, 5), (5, 2), (4, 1), (4, 6), (4, 7)])
+    lines = ["Bg", "Dhc", "C`", to_graph6(union)]
+    walked.clear()
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines)))
+    code, out, _ = run_cli(capsys, ["analyze", "-"])
+    graphs = [from_graph6(line) for line in lines]
+    assert code == 0 and [json.loads(r)["graph6"] for r in out.splitlines()] == lines
+    assert walked == [g.n for g in graphs for _ in component_masks(g)] == [3, 5, 4, 4, 8, 8, 8]
 
 
 def test_analyze_stdin_bad_line_writes_nothing(capsys, monkeypatch):
@@ -682,6 +704,13 @@ def test_scan_checks_no_witness_input_and_reads_each_factor_once(monkeypatch):
     ],
 )
 def test_search_reports_match_full_walk_byte_for_byte(capsys, monkeypatch, argv):
+    if argv[0] == "analyze":
+        # analyze reads its report off the full walk, so the searches are
+        # checked against its record instead.
+        code, doc, _ = run_json(capsys, argv)
+        expected = cli._report_dict(independence.is_well_covered(from_graph6(argv[1])))
+        assert code == 0 and {key: doc[key] for key in expected} == expected
+        return
     searched = run_cli(capsys, argv)
     monkeypatch.setattr(
         theorem, "is_well_covered", lambda graph, cap, orbits=None: full_walk_report(graph, cap)

@@ -26,7 +26,13 @@ from wellcovered import (
 )
 from wellcovered import independence
 from wellcovered.graphs import component_masks, iter_bits
-from wellcovered.independence import _walk, left_product_orbits, product_orbits, stabilizer_orbits
+from wellcovered.independence import (
+    _mis_profile,
+    _walk,
+    left_product_orbits,
+    product_orbits,
+    stabilizer_orbits,
+)
 
 from paper_lemmas import delete_closed_neighborhood
 from oracles import (
@@ -234,12 +240,19 @@ def test_report_witnesses_are_first_in_enumeration_order():
 
 def test_search_report_matches_full_walk_on_atlas_and_order_zero():
     # Many atlas classes are disjoint unions, whose size histograms are
-    # convolved from one walk per component; sizes come out ascending.
-    for n, edges in [(0, [])] + atlas_graphs(1, 7):
+    # convolved from one walk per component; sizes come out ascending.  The
+    # walk's own report is the union of its components' first sets, also
+    # when their labels interleave: P3 on 0, 5, 2, a star centred at 4 and
+    # the isolated vertex 3.
+    interleaved = (8, [(0, 5), (5, 2), (4, 1), (4, 6), (4, 7)])
+    for n, edges in [(0, []), interleaved] + atlas_graphs(1, 7):
         graph = Graph.from_edges(n, edges)
-        assert is_well_covered(graph) == full_walk_report(graph)
+        report = full_walk_report(graph)
+        assert is_well_covered(graph) == report
+        histogram = mis_size_histogram(graph)
+        assert _mis_profile(graph, 36) == (histogram, report)
         sizes = Counter(len(s) for s in brute_maximal_independent_sets(n, edges))
-        assert list(mis_size_histogram(graph).items()) == sorted(sizes.items())
+        assert list(histogram.items()) == sorted(sizes.items())
         assert is_well_covered(graph).alpha == max(sizes)
 
 
@@ -294,6 +307,7 @@ def test_search_report_matches_full_walk_on_random_graphs(graph):
     report = full_walk_report(graph)
     assert is_well_covered(graph) == report
     assert is_well_covered(graph, 36, stabilizer_orbits(graph)) == report
+    assert _mis_profile(graph, 36) == (mis_size_histogram(graph), report)
 
 
 def test_search_checks_cap_before_any_work(monkeypatch):
