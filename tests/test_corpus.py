@@ -181,6 +181,25 @@ def test_order_eight_children_match_brute_force_canonical_forms(order_seven):
         assert _is_canonical(relabeled.adj)
 
 
+def test_canonical_test_accepts_a_relabeling_exactly_when_its_string_is_the_classs():
+    # `gen 6` pins every class's canonical string, so no brute force is
+    # needed: a relabeling of a class is canonical exactly when its
+    # bit-string is the class's own.  Twelve seeded relabelings per class
+    # reach both the rejects and the accepts of every refinement branch.
+    rng = random.Random(37)
+    verdicts = set()
+    for graph in generate_all_graphs(6):
+        edges = list(graph.edges())
+        canonical = bit_string(6, edges)
+        for _ in range(12):
+            perm = rng.sample(range(6), 6)
+            relabeled = Graph.from_edges(6, [(perm[u], perm[v]) for u, v in edges])
+            same = bit_string(6, relabeled.edges()) == canonical
+            assert _is_canonical(relabeled.adj) == same, (to_graph6(graph), perm)
+            verdicts.add(same)
+    assert verdicts == {False, True}
+
+
 def test_round_trip_through_graph6():
     for n in range(1, 6):
         for g in generate_all_graphs(n):
