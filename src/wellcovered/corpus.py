@@ -21,10 +21,13 @@ vertices u < v with the same neighbours apart from each other.  A column
 holding u but not v is skipped: swapping u and v is an automorphism of the
 parent, and it maps the child to one with the same prefix and a smaller
 last column, since the pair (u, k) is the more significant bit, so the
-child cannot be canonical.  The outputs are valid by construction and are
-not checked again.
+child cannot be canonical.  Before that, each parent's columns start at
+the least one whose first m bits are, for every old vertex m, at least the
+parent's column m.  Swapping m with the new vertex fixes columns 0..m-1 and
+makes column m those first m bits, so a smaller prefix is a smaller string.
+The outputs are valid by construction and are not checked again.
 
-The cap is n = 8 (12,346 classes, about 2.4 s on one CPU of a 2-CPU host
+The cap is n = 8 (12,346 classes, about 1.8 s on one CPU of a 2-CPU host
 with Python 3.11); larger corpora must be supplied externally as graph6
 files.
 """
@@ -105,13 +108,20 @@ def generate_levels(n: int) -> Iterator[list[Graph]]:
         columns = [int(f"{c:0{k}b}"[::-1], 2) for c in range(1 << k)]
         children = []
         for rows in level:
+            # The column bound: read from the pair (0, k), the first m bits
+            # of columns[c] are c >> (k - m), which is at least the parent's
+            # column m (read likewise) exactly when c >= that column << (k - m).
+            bound = max(
+                (int(f"{rows[m] & ((1 << m) - 1):0{m}b}"[::-1], 2) << k - m for m in range(1, k)),
+                default=0,
+            )
             twins = [
                 (1 << u, 1 << v)
                 for v in range(k)
                 for u in range(v)
                 if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
             ]
-            for s in columns:
+            for s in columns[bound:]:
                 # The twin rule: skip a column holding u but not v.
                 for bit_u, bit_v in twins:
                     if s & bit_u and not s & bit_v:

@@ -48,13 +48,22 @@ def test_order_one():
     assert len(graphs) == 1 and graphs[0].n == 1
 
 
-def test_outputs_are_canonical_and_sorted():
+@pytest.fixture(scope="module")
+def brute_canonical_strings():
+    """Order n <= 6: the brute-force canonical string of each generated
+    class, in generation order."""
+    return {
+        n: [brute_canonical_mask(g.n, g.edges()) for g in generate_all_graphs(n)]
+        for n in range(1, 7)
+    }
+
+
+def test_outputs_are_canonical_and_sorted(brute_canonical_strings):
     for n in range(1, 7):
         masks = [bit_string(g.n, g.edges()) for g in generate_all_graphs(n)]
         assert masks == sorted(masks)
         assert len(set(masks)) == len(masks)
-        for g, mask in zip(generate_all_graphs(n), masks):
-            assert mask == brute_canonical_mask(g.n, g.edges())
+        assert masks == brute_canonical_strings[n]
 
 
 def test_matches_brute_force_canonicalization_oracle():
@@ -152,6 +161,75 @@ def _child(parent: Graph, s: int) -> tuple[int, ...]:
     return tuple(r | (s >> i & 1) << k for i, r in enumerate(parent.adj)) + (s,)
 
 
+def _swap_bound(parent: Graph) -> tuple[list[int], int]:
+    """The last columns of a parent's children in ascending order (the pair
+    (0, k) first), and the index of the first whose child no swap of an old
+    vertex m with the new vertex k makes smaller on its vertices 0..m."""
+    k = parent.n
+    columns = sorted(range(1 << k), key=lambda s: [s >> i & 1 for i in range(k)])
+
+    def prefix(edges, m):
+        return bit_string(m + 1, [(u, v) for u, v in edges if u <= m and v <= m])
+
+    # Without the swap, vertices 0..m are the parent's.
+    own = [prefix(parent.edges(), m) for m in range(k)]
+
+    def swap_makes_smaller(edges, m):
+        swap = {m: k, k: m}
+        return prefix([(swap.get(u, u), swap.get(v, v)) for u, v in edges], m) < own[m]
+
+    for c, s in enumerate(columns):
+        edges = list(Graph(k + 1, _child(parent, s)).edges())
+        if not any(swap_makes_smaller(edges, m) for m in range(k)):
+            return columns, c
+    raise AssertionError("the full column is never made smaller")
+
+
+def _tested_columns(parent: Graph) -> list[int]:
+    """The columns the generator should test: twin-kept, at or above the
+    bound, in ascending order."""
+    columns, bound = _swap_bound(parent)
+    kept = set(_twin_rule(parent)[0])
+    return [s for s in columns[bound:] if s in kept]
+
+
+def test_column_bound_skips_only_noncanonical_children(order_seven, brute_canonical_strings):
+    # Every column below the bound gives a child that is not canonical:
+    # checked against the brute-force canonical strings for every parent of
+    # order <= 5, and by the full search for a seeded sample of order 6
+    # and order 7 parents.
+    skipped = 0
+    for k in range(1, 6):
+        canonical = set(brute_canonical_strings[k + 1])
+        assert len(canonical) == KNOWN_CLASS_COUNTS[k + 1]
+        for parent in generate_all_graphs(k):
+            columns, bound = _swap_bound(parent)
+            for s in columns[:bound]:
+                child = Graph(k + 1, _child(parent, s))
+                assert bit_string(k + 1, child.edges()) not in canonical
+                skipped += 1
+    rng = random.Random(38)
+    for parent in rng.sample(generate_all_graphs(6), 6) + rng.sample(order_seven, 4):
+        columns, bound = _swap_bound(parent)
+        for s in columns[:bound]:
+            assert not _is_canonical(_child(parent, s))
+            skipped += 1
+    assert skipped > 0
+
+
+def test_generator_tests_only_twin_kept_columns_at_or_above_the_bound(monkeypatch):
+    expected = [(0,)]
+    for k in range(1, 6):
+        for parent in generate_all_graphs(k):
+            expected += [_child(parent, s) for s in _tested_columns(parent)]
+    tested = []
+    real = corpus._is_canonical
+    monkeypatch.setattr(corpus, "_is_canonical", lambda adj: tested.append(adj) or real(adj))
+    list(generate_levels(6))
+    assert tested == expected
+    assert len(tested) == 284  # 783 without the bound
+
+
 def test_twin_rule_skips_only_noncanonical_children(order_seven):
     # Every column the generator skips gives a child that the full search
     # rejects.
@@ -167,12 +245,13 @@ def test_twin_rule_skips_only_noncanonical_children(order_seven):
 
 def test_order_eight_children_match_brute_force_canonical_forms(order_seven):
     # Order 8 is never generated in full here (CI checks `gen 8`).  For a
-    # seeded sample of children the twin rule keeps, the canonical test
-    # accepts a child exactly when its bit-string is the brute-force
-    # canonical one, and it accepts that canonical relabeling.
+    # seeded sample of the children the generator tests (twin-kept columns
+    # at or above the bound), the canonical test accepts a child exactly
+    # when its bit-string is the brute-force canonical one, and it accepts
+    # that canonical relabeling.
     rng = random.Random(8)
     for parent in rng.sample(order_seven, 8):
-        child = Graph(8, _child(parent, rng.choice(_twin_rule(parent)[0])))
+        child = Graph(8, _child(parent, rng.choice(_tested_columns(parent))))
         edges = list(child.edges())
         canonical = brute_canonical_mask(8, edges)
         assert _is_canonical(child.adj) == (bit_string(8, edges) == canonical)
